@@ -15,6 +15,18 @@ DEFAULT_MAX_ITER = 100_000
 DEFAULT_TENSOR_CAP = 10_000_000
 
 
+def check_solver_params(eta, tol=None, max_iter=None) -> None:
+    """Reject a non-finite or non-positive eta, a non-positive tol and a
+    max_iter below 1; a tol or max_iter of None is not checked.
+    """
+    if not np.isfinite(eta) or eta <= 0:
+        raise ValidationError(f"eta must be a positive finite real, got {eta}")
+    if tol is not None and tol <= 0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    if max_iter is not None and max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters for a bridge-tree solve.
@@ -37,18 +49,13 @@ class SolverConfig:
     on_nonconverged: str = "error"
 
     def __post_init__(self):
-        if not np.isfinite(self.eta) or self.eta <= 0:
-            raise ValidationError(f"eta must be a positive finite real, got {self.eta}")
+        check_solver_params(self.eta, self.tol, self.max_iter)
         if self.cost_kind not in COST_KINDS:
             raise ValidationError(
                 f"unknown cost kind {self.cost_kind!r}; expected one of {COST_KINDS}"
             )
         if self.cost_kind == "matrix" and self.cost_matrix is None:
             raise ValidationError("cost_kind 'matrix' requires cost_matrix")
-        if self.tol <= 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.tensor_cap < 1:
             raise ValidationError(f"tensor_cap must be >= 1, got {self.tensor_cap}")
         if self.threads < 1:

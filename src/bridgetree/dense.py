@@ -15,11 +15,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
+from .config import DEFAULT_TENSOR_CAP, check_solver_params
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 from .sinkhorn import PairwiseCost, total_variation
-
-DEFAULT_TENSOR_CAP = 10_000_000
 
 Edge = tuple[int, int]
 
@@ -175,8 +174,7 @@ def msb_objective(tensor: np.ndarray, cost: np.ndarray, eta: float) -> float:
     """
     if tensor.shape != cost.shape:
         raise ValidationError(f"shape mismatch: {tensor.shape} vs {cost.shape}")
-    if not np.isfinite(eta) or eta <= 0:
-        raise ValidationError(f"eta must be a positive finite real, got {eta}")
+    check_solver_params(eta)
     log_m = np.zeros_like(tensor)
     np.log(tensor, out=log_m, where=tensor > 0)
     return float(np.vdot(tensor, cost) + eta * np.vdot(tensor, log_m))
@@ -215,12 +213,7 @@ def mm_sinkhorn(
         raise ValidationError(f"graph has s={s} vertices but {len(measures)} measures given")
     if not graph.is_connected():
         raise ValidationError("graph must be connected")
-    if not np.isfinite(eta) or eta <= 0:
-        raise ValidationError(f"eta must be a positive finite real, got {eta}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    check_solver_params(eta, tol, max_iter)
 
     keeps = [m.weights > 0 for m in measures]
     mus = [m.weights[k] for m, k in zip(measures, keeps)]

@@ -2,10 +2,14 @@
 
 Solves  min_{M in Pi(mu1, mu2)}  <C + eta log M, M>,  equivalently the KL
 projection  min eta * D_KL(M || K)  with Gibbs kernel K = exp(-C / eta).
-The optimizer factors as M = K ⊙ (u1 ⊗ u2); we iterate the classical
-alternating scalings in the log domain (log-sum-exp reductions), which is
-algebraically identical to the multiplicative recursion but immune to the
-underflow that raw exp(-C/eta) suffers for small eta.
+The optimizer factors as M = K ⊙ (u1 ⊗ u2).  The classical alternating
+scalings run as stabilized scaling sweeps (Schmitzer 2019, Alg. 2): log
+duals f, g are absorbed into a kernel K~ = exp(f ⊕ g - C/eta), and a sweep
+is two matrix-vector products, a = mu / (K~ b) and b = nu / (K~^T a).  When
+a scaling leaves [1e-50, 1e50], its log is absorbed into the duals and K~
+is rebuilt; a half sweep whose product would underflow runs in the log
+domain instead.  The iterates are those of the log-domain (log-sum-exp)
+recursion, without the underflow that raw exp(-C/eta) suffers for small eta.
 
 The optimal value reported for an edge is
 
@@ -19,12 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .config import COST_KINDS, check_solver_params
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 
-COST_BUILD_KINDS = ("sqeuclidean", "euclidean", "matrix")
+# A scaling outside [1/_SCALE_BOUND, _SCALE_BOUND] is absorbed into the log
+# duals.  Kernel entries below exp(_LOG_FLOOR) relative to the absorbed
+# duals are stored as exact zeros, and a half sweep whose product has an
+# entry below _MIN_PRODUCT runs in the log domain.  These keep every
+# product, quotient and exponential of a sweep in the normal float range.
+_SCALE_BOUND = 1e50
+_LOG_FLOOR = -400.0
+_MIN_PRODUCT = 1e-200
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +95,8 @@ def build_cost(
     kind "sqeuclidean" or "euclidean" computes c(x, y) from the support
     points; kind "matrix" wraps a caller-supplied (n1, n2) matrix.
     """
-    if kind not in COST_BUILD_KINDS:
-        raise ValidationError(f"unknown cost kind {kind!r}; expected one of {COST_BUILD_KINDS}")
+    if kind not in COST_KINDS:
+        raise ValidationError(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")
     if kind == "matrix":
         if matrix is None:
             raise ValidationError("cost kind 'matrix' requires an explicit matrix")
@@ -106,8 +117,7 @@ def build_cost(
 
 def gibbs_kernel(cost: PairwiseCost, eta: float) -> KernelMatrix:
     """K = exp(-C/eta) elementwise, stored as log K = -C/eta."""
-    if not np.isfinite(eta) or eta <= 0:
-        raise ValidationError(f"eta must be a positive finite real, got {eta}")
+    check_solver_params(eta)
     return KernelMatrix(-cost.matrix / eta, float(eta))
 
 
@@ -124,7 +134,9 @@ class BimarginalCoupling:
     log_u2 carry -inf at pruned zero-weight entries.  residual is the max
     over both marginals of the TV deviation after the last sweep;
     transport_cost = <C, plan> is kept as a diagnostic (two runs of
-    different tolerance can be compared through it).
+    different tolerance can be compared through it).  absorptions counts
+    the times a scaling left [1e-50, 1e50] and both were absorbed into the
+    log duals.
     """
 
     plan: np.ndarray
@@ -135,6 +147,24 @@ class BimarginalCoupling:
     converged: bool
     transport_cost: float
     residual_history: tuple[float, ...] | None = None
+    absorptions: int = 0
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) in place, with entries below _LOG_FLOOR set to exact zeros."""
+    x[x < _LOG_FLOOR] = -np.inf
+    return np.exp(x, out=x)
+
+
+def _scaled_kernel(log_k: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """K~ = exp(f ⊕ g + log K)."""
+    return _exp(f[:, None] + log_k + g[None, :])
+
+
+def _row_lse(x: np.ndarray) -> np.ndarray:
+    """log sum_j exp(x_ij) for each row i."""
+    top = x.max(axis=1)
+    return top + np.log(_exp(x - top[:, None]).sum(axis=1))
 
 
 def sinkhorn_solve(
@@ -156,12 +186,7 @@ def sinkhorn_solve(
         raise ValidationError(
             f"cost shape {cost.shape} does not match marginal sizes ({m1.n}, {m2.n})"
         )
-    if not np.isfinite(eta) or eta <= 0:
-        raise ValidationError(f"eta must be a positive finite real, got {eta}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    check_solver_params(eta, tol, max_iter)
 
     keep1 = m1.weights > 0
     keep2 = m2.weights > 0
@@ -171,37 +196,57 @@ def sinkhorn_solve(
     log_mu = np.log(mu)
     log_nu = np.log(nu)
 
-    f = np.zeros(mu.size)
+    # u1 = exp(f) * a and u2 = exp(g) * b; the plan is kernel * (a ⊗ b).
+    # The first u1 update runs in the log domain, so that every row of the
+    # kernel keeps its largest entry however small eta is.
+    f = log_mu - _row_lse(log_k)
     g = np.zeros(nu.size)
+    kernel = _exp(f[:, None] + log_k)
+    a = np.ones(mu.size)
+    b = np.ones(nu.size)
     history: list[float] = []
     iterations = 0
-    residual = np.inf
-    converged = False
-    # After the g half of a sweep the column marginal equals nu by
-    # construction, so the sweep's residual is the row deviation.  That row
-    # deviation is exp(f) * exp(lse_rows), the very log-sum-exp the next f
-    # update needs, so each sweep costs two reductions, not four.
-    while iterations < max_iter:
-        lse_rows = logsumexp(log_k + g[None, :], axis=1)
-        if iterations > 0:
-            residual = total_variation(np.exp(f + lse_rows), mu)
-            if record_history:
-                history.append(residual)
-            if residual <= tol:
-                converged = True
-                break
-        f = log_mu - lse_rows
-        g = log_nu - logsumexp(log_k + f[:, None], axis=0)
+    absorptions = 0
+    # After the b half of a sweep the column marginal equals nu by
+    # construction, so the sweep's residual is the row deviation a * (K~ b),
+    # and K~ b is the very product the next a update needs.
+    while True:
+        ktb = kernel.T @ a
+        if ktb.min() < _MIN_PRODUCT:  # a column underflows: log-domain half sweep
+            f += np.log(a)
+            g = log_nu - _row_lse((log_k + f[:, None]).T)
+            a = np.ones(mu.size)
+            b = np.ones(nu.size)
+            kernel = _scaled_kernel(log_k, f, g)
+        else:
+            b = nu / ktb
         iterations += 1
-    if not converged:
-        residual = total_variation(np.exp(f + logsumexp(log_k + g[None, :], axis=1)), mu)
+        if max(a.max(), b.max()) > _SCALE_BOUND or min(a.min(), b.min()) < 1 / _SCALE_BOUND:
+            f += np.log(a)
+            g += np.log(b)
+            a = np.ones(mu.size)
+            b = np.ones(nu.size)
+            kernel = _scaled_kernel(log_k, f, g)
+            absorptions += 1
+        kb = kernel @ b
+        residual = total_variation(a * kb, mu)
         if record_history:
             history.append(residual)
-        converged = residual <= tol
+        if residual <= tol or iterations >= max_iter:
+            break
+        if kb.min() < _MIN_PRODUCT:  # a row underflows: log-domain half sweep
+            g += np.log(b)
+            f = log_mu - _row_lse(log_k + g[None, :])
+            a = np.ones(mu.size)
+            b = np.ones(nu.size)
+            kernel = _scaled_kernel(log_k, f, g)
+        else:
+            a = mu / kb
 
-    plan_small = np.exp(f[:, None] + log_k + g[None, :])
+    f += np.log(a)
+    g += np.log(b)
     plan = np.zeros((m1.n, m2.n))
-    plan[np.ix_(keep1, keep2)] = plan_small
+    plan[np.ix_(keep1, keep2)] = _scaled_kernel(log_k, f, g)
     log_u1 = np.full(m1.n, -np.inf)
     log_u1[keep1] = f
     log_u2 = np.full(m2.n, -np.inf)
@@ -212,9 +257,10 @@ def sinkhorn_solve(
         log_u2=log_u2,
         iterations=iterations,
         residual=float(residual),
-        converged=converged,
+        converged=residual <= tol,
         transport_cost=float((cost.matrix * plan).sum()),
         residual_history=tuple(history) if record_history else None,
+        absorptions=absorptions,
     )
 
 

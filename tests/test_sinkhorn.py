@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from bridgetree import (
     DiscreteMeasure,
@@ -22,6 +23,34 @@ SWAP_COST = PairwiseCost([[0.0, 1.0], [1.0, 0.0]])
 def entropic_objective(plan, cost, eta):
     mask = plan > 0
     return float((plan * cost).sum() + eta * (plan[mask] * np.log(plan[mask])).sum())
+
+
+def reference_sinkhorn(m1, m2, cost, eta, tol=1e-9, max_iter=100_000):
+    """The log-domain (log-sum-exp) recursion the scaling kernel must reproduce.
+
+    Returns (plan, iterations, converged).
+    """
+    keep1, keep2 = m1.weights > 0, m2.weights > 0
+    mu, nu = m1.weights[keep1], m2.weights[keep2]
+    log_k = -cost.matrix[np.ix_(keep1, keep2)] / eta
+    f, g = np.zeros(mu.size), np.zeros(nu.size)
+    iterations, residual, converged = 0, np.inf, False
+    while iterations < max_iter:
+        lse_rows = logsumexp(log_k + g[None, :], axis=1)
+        if iterations > 0:
+            residual = total_variation(np.exp(f + lse_rows), mu)
+            if residual <= tol:
+                converged = True
+                break
+        f = np.log(mu) - lse_rows
+        g = np.log(nu) - logsumexp(log_k + f[:, None], axis=0)
+        iterations += 1
+    if not converged:
+        residual = total_variation(np.exp(f + logsumexp(log_k + g[None, :], axis=1)), mu)
+        converged = residual <= tol
+    plan = np.zeros((m1.n, m2.n))
+    plan[np.ix_(keep1, keep2)] = np.exp(f[:, None] + log_k + g[None, :])
+    return plan, iterations, converged
 
 
 def brute_force_symmetric_2x2(eta=1.0, grid=2_000_001):
@@ -171,6 +200,59 @@ class TestSinkhornSolve:
         assert not coup.converged
         assert coup.residual > 1e-9
         assert coup.iterations == 2
+
+
+class TestLogDomainParity:
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 5.0, 20.0])
+    def test_matches_log_domain_recursion(self, eta):
+        rng = np.random.default_rng(int(eta * 100))
+        for k in range(8):
+            n, m = (int(x) for x in rng.integers(2, 25, 2))
+            w1, w2 = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m)
+            if k % 2 == 0:
+                w1[rng.integers(n)] = 0.0
+                w2[rng.integers(m)] = 0.0
+            m1 = DiscreteMeasure(rng.uniform(-10, 10, (n, 2)), w1)
+            m2 = DiscreteMeasure(rng.uniform(-10, 10, (m, 2)), w2)
+            cost = build_cost(m1, m2)
+            # the cap leaves some edges unconverged at eta 0.5 and 1
+            coup = sinkhorn_solve(m1, m2, cost, eta=eta, max_iter=3_000)
+            plan, iterations, converged = reference_sinkhorn(m1, m2, cost, eta, max_iter=3_000)
+            assert coup.iterations == iterations
+            assert coup.converged == converged
+            assert np.abs(coup.plan - plan).max() <= 1e-12
+            mask = plan > 0
+            ref_sb = float((plan[mask] * (np.log(plan[mask]) + cost.matrix[mask] / eta)).sum())
+            assert sb_value(coup, gibbs_kernel(cost, eta)) == pytest.approx(ref_sb, abs=1e-10)
+
+    def test_max_iter_cut_matches(self):
+        m1 = DiscreteMeasure(np.array([[-8.0], [9.0]]), [0.4, 0.6])
+        m2 = DiscreteMeasure(np.array([[-7.5], [8.5]]), [0.7, 0.3])
+        cost = build_cost(m1, m2)
+        for max_iter in (1, 2, 5):
+            coup = sinkhorn_solve(m1, m2, cost, eta=1.0, max_iter=max_iter, record_history=True)
+            plan, iterations, converged = reference_sinkhorn(m1, m2, cost, 1.0, max_iter=max_iter)
+            assert (coup.iterations, coup.converged) == (iterations, converged)
+            assert len(coup.residual_history) == iterations
+            assert np.abs(coup.plan - plan).max() <= 1e-12
+
+    @pytest.mark.parametrize("eta", [0.01, 0.05])
+    def test_small_eta_far_supports_absorb(self, eta):
+        # exp(-C/eta) underflows to zero everywhere: only the absorbed duals
+        # keep the kernel representable.
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            m1 = DiscreteMeasure(rng.uniform(-3, 3, (7, 2)), rng.uniform(0.5, 1.5, 7))
+            m2 = DiscreteMeasure(rng.uniform(-3, 3, (6, 2)) + [30.0, 0.0], rng.uniform(0.5, 1.5, 6))
+            cost = build_cost(m1, m2)
+            assert np.all(gibbs_kernel(cost, eta).matrix == 0.0)
+            with np.errstate(all="raise"):
+                coup = sinkhorn_solve(m1, m2, cost, eta=eta, max_iter=20_000)
+            assert np.all(np.isfinite(coup.plan))
+            assert coup.absorptions > 0
+            if coup.converged:
+                assert total_variation(coup.plan.sum(axis=1), m1.weights) <= 1e-9
+                assert total_variation(coup.plan.sum(axis=0), m2.weights) <= 1e-9
 
 
 class TestSbValue:
