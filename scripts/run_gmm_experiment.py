@@ -1,48 +1,46 @@
 #!/usr/bin/env python3
 """End-to-end mixture experiment.
 
-Samples s empirical measures from seeded 1-d Gaussian mixtures, finds the
-optimal coupling tree via the edge-weight + MST route, then enumerates all
-s^(s-2) spanning trees and prints the lowest-cost ones with both the
-edge-sum cost and the dense-tensor re-evaluation, so the two routes can be
-compared row by row.  Finishes with a timing comparison against a dense
-multimarginal solve at reduced support size.
+Samples s empirical measures from seeded 1-d Gaussian mixtures
+(`bridgetree gen`), finds the optimal coupling tree via the edge-weight +
+MST route (`bridgetree solve`), then ranks all s^(s-2) spanning trees with
+both the edge-sum cost and the dense-tensor re-evaluation
+(`bridgetree enumerate`), so the two routes can be compared row by row.
+Finishes with a timing comparison against a dense multimarginal solve at
+reduced support size.
 
 Usage:
     python3 scripts/run_gmm_experiment.py --eta 5.0 --n 25 --seed 42
 """
 
 import argparse
-import json
+import contextlib
+import io
+import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from bridgetree import (
-    SolverConfig,
     build_cost,
-    format_prufer,
     graph_from_edges,
+    load_measure,
     mm_sinkhorn,
-    optimal_msb,
-    prufer_encode,
-    rank_trees,
-    sample_gmm,
-    save_measure,
+    parse_prufer,
+    prufer_decode,
 )
+from bridgetree.cli import main as bridgetree
 
 DEFAULT_SPEC = Path(__file__).with_name("gmm_mixtures.json")
 
 
-def load_mixtures(path):
-    spec = json.loads(Path(path).read_text())
-    interval = tuple(spec.get("interval", (-10.0, 10.0)))
-    triples = [
-        [(c["mean"], c["std"], c["weight"]) for c in mix["components"]]
-        for mix in spec["mixtures"]
-    ]
-    return triples, interval
+def run(*argv) -> str:
+    """One bridgetree CLI call; returns its stdout, exits on failure."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = bridgetree([str(a) for a in argv])
+    if code:
+        sys.exit(code)
+    return buf.getvalue()
 
 
 def main():
@@ -58,57 +56,33 @@ def main():
     ap.add_argument("--probe-sweeps", type=int, default=600,
                     help="sweep cap for the dense probe (a lower bound on full solve time)")
     args = ap.parse_args()
-
-    mixtures, interval = load_mixtures(args.spec)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
-    rng = np.random.default_rng(args.seed)
-    measures = [sample_gmm(mix, args.n, interval, seed=rng) for mix in mixtures]
-    for idx, m in enumerate(measures, 1):
-        save_measure(m, out / f"measure_{idx:02d}.json")
-    s = len(measures)
-    print(f"{s} measures with n={args.n} samples each, eta={args.eta}")
+    paths = run("gen", args.spec, "--n", args.n, "--seed", args.seed,
+                "--out-dir", out).splitlines()
+    print(f"{len(paths)} measures with n={args.n} samples each, eta={args.eta}\n")
 
-    config = SolverConfig(eta=args.eta)
     t0 = time.perf_counter()
-    result = optimal_msb(measures, config)
+    print(run("solve", *paths, "--eta", args.eta, "--out-dir", out))
     t_fast = time.perf_counter() - t0
-    print(f"\noptimal tree (prufer): {format_prufer(prufer_encode(result.tree))}")
-    print(f"edges: {list(result.tree.edges)}")
-    print(f"total cost: {result.total_cost:.15g}")
-    print(f"structure solve time: {t_fast:.3f} s")
+    print(f"structure solve time (bridgetree solve, with file I/O): {t_fast:.3f} s\n")
 
-    t0 = time.perf_counter()
-    rows = rank_trees(measures, config, ewm=result.weight_matrix)
-    t_rank = time.perf_counter() - t0
-    print(f"\nall {len(rows)} spanning trees ranked in {t_rank:.1f} s; "
-          f"top {min(args.top_k, len(rows))}:")
-    print(f"{'prufer':<12} {'cost (edge sums)':<22} {'cost (dense tensor)'}")
-    worst = 0.0
-    for row in rows[: args.top_k]:
-        direct = "" if row.cost_direct is None else f"{row.cost_direct:.15g}"
-        print(f"{format_prufer(row.prufer):<12} {row.cost_additive:<22.15g} {direct}")
-        if row.cost_direct is not None:
-            worst = max(worst, abs(row.cost_additive - row.cost_direct))
-    if rows[0].cost_direct is not None:
-        worst = max(abs(r.cost_additive - r.cost_direct) for r in rows)
-        print(f"largest gap between the two cost columns over all rows: {worst:.3e}")
-
-    with open(out / "trees_ranked.csv", "w") as fh:
-        fh.write("rank,prufer,cost_additive,cost_direct\n")
-        for rank, row in enumerate(rows, 1):
-            direct = "" if row.cost_direct is None else repr(row.cost_direct)
-            fh.write(f'{rank},"{format_prufer(row.prufer)}",{row.cost_additive!r},{direct}\n')
-    print(f"wrote {out / 'trees_ranked.csv'}")
+    # enumerate prints a summary, a header, one line per tree, and the CSV path
+    lines = run("enumerate", *paths, "--eta", args.eta, "--top-k", 0,
+                "--out-dir", out).splitlines()
+    rows = lines[2:-1]
+    print(lines[0].split(";")[0] + f"; top {min(args.top_k, len(rows))}:")
+    print("\n".join([lines[1], *rows[: args.top_k], lines[-1]]))
 
     if args.probe_n > 0:
-        rng = np.random.default_rng(args.seed)
-        small = [sample_gmm(mix, args.probe_n, interval, seed=rng) for mix in mixtures]
-        graph = graph_from_edges(s, result.tree.edges)
+        probe_paths = run("gen", args.spec, "--n", args.probe_n, "--seed", args.seed,
+                          "--out-dir", out / "probe").splitlines()
+        small = [load_measure(p) for p in probe_paths]
+        tree = prufer_decode(parse_prufer((out / "prufer.txt").read_text()), len(small))
+        graph = graph_from_edges(tree.s, tree.edges)
         costs = {
             (a, b): build_cost(small[a - 1], small[b - 1]).matrix
-            for a, b in result.tree.edges
+            for a, b in tree.edges
         }
         t0 = time.perf_counter()
         mm = mm_sinkhorn(small, graph, costs, args.eta, max_iter=args.probe_sweeps)

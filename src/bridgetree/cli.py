@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import DEFAULT_MAX_ITER, DEFAULT_TENSOR_CAP, DEFAULT_TOL, SolverConfig
 from .dense import graph_from_edges, mm_sinkhorn, msb_objective, cost_tensor
 from .errors import SolverError, ValidationError
 from .measures import (
@@ -33,6 +33,7 @@ from .measures import (
 )
 from .mst import build_weight_matrix, optimal_msb, rank_trees
 from .trees import (
+    ENUMERATION_CAP,
     compose_tree_coupling,
     format_prufer,
     parse_prufer,
@@ -55,9 +56,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         default="sqeuclidean",
         help="ground cost: sqeuclidean, euclidean, or matrix:<csv-file>",
     )
-    p.add_argument("--tol", type=float, default=1e-9, help="marginal TV tolerance")
-    p.add_argument("--max-iter", type=int, default=100_000, help="Sinkhorn sweep limit")
-    p.add_argument("--cap", type=int, default=10_000_000, help="dense tensor entry cap")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="marginal TV tolerance")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="Sinkhorn sweep limit")
+    p.add_argument("--cap", type=int, default=DEFAULT_TENSOR_CAP, help="dense tensor entry cap")
     p.add_argument("--threads", type=int, default=1, help="parallel edge solves")
     p.add_argument(
         "--allow-nonconverged",
@@ -104,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="dense re-evaluation of each tree (auto: when within --cap)",
     )
-    p_enum.add_argument("--enum-cap", type=int, default=8, help="max s for enumeration")
+    p_enum.add_argument(
+        "--enum-cap", type=int, default=ENUMERATION_CAP, help="max s for enumeration"
+    )
     _add_solver_flags(p_enum)
     _add_out_dir(p_enum)
 

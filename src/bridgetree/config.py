@@ -27,6 +27,15 @@ def check_solver_params(eta, tol=None, max_iter=None) -> None:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
 
 
+def check_tensor_cap(shape, cap: int) -> None:
+    """Refuse a dense tensor of the given shape with more than cap entries."""
+    total = int(np.prod([int(n) for n in shape], dtype=np.int64))
+    if total > cap:
+        raise ValidationError(
+            f"tensor with {total} entries exceeds the configured cap of {cap}"
+        )
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters for a bridge-tree solve.

@@ -15,12 +15,17 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .config import DEFAULT_TENSOR_CAP, check_solver_params
+from .config import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TENSOR_CAP,
+    DEFAULT_TOL,
+    check_solver_params,
+    check_tensor_cap,
+)
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 from .sinkhorn import PairwiseCost, total_variation
-
-Edge = tuple[int, int]
+from .trees import DisjointSet, Edge
 
 
 def canonical_edge(a: int, b: int) -> Edge:
@@ -50,21 +55,9 @@ class GraphStructure:
         object.__setattr__(self, "edges", frozenset(canon))
 
     def is_connected(self) -> bool:
-        parent = list(range(self.s + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = self.s
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return comps == 1
+        components = DisjointSet(self.s + 1)
+        merges = sum(components.union(a, b) for a, b in self.edges)
+        return merges == self.s - 1
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -92,14 +85,6 @@ def complete_graph(s: int) -> GraphStructure:
 
 def _edge_matrix(value) -> np.ndarray:
     return value.matrix if isinstance(value, PairwiseCost) else np.asarray(value, dtype=float)
-
-
-def _check_cap(shape: Sequence[int], cap: int) -> None:
-    total = int(np.prod([int(n) for n in shape], dtype=np.int64))
-    if total > cap:
-        raise ValidationError(
-            f"tensor with {total} entries exceeds the configured cap of {cap}"
-        )
 
 
 def _infer_shape(graph: GraphStructure, costs: Mapping[Edge, np.ndarray]) -> tuple[int, ...]:
@@ -148,7 +133,7 @@ def cost_tensor(
     shape = tuple(int(n) for n in shape)
     if len(shape) != graph.s:
         raise ValidationError(f"shape has {len(shape)} axes but graph has s={graph.s}")
-    _check_cap(shape, cap)
+    check_tensor_cap(shape, cap)
     out = np.zeros(shape)
     for (a, b), m in sorted(mats.items()):
         if m.shape != (shape[a - 1], shape[b - 1]):
@@ -195,8 +180,8 @@ def mm_sinkhorn(
     graph: GraphStructure,
     costs: Mapping[Edge, "np.ndarray | PairwiseCost"],
     eta: float,
-    tol: float = 1e-9,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     cap: int = DEFAULT_TENSOR_CAP,
 ) -> MultimarginalResult:
     """Multimarginal Sinkhorn on the dense tensor, cyclic sweep order.
@@ -218,7 +203,7 @@ def mm_sinkhorn(
     keeps = [m.weights > 0 for m in measures]
     mus = [m.weights[k] for m, k in zip(measures, keeps)]
     full_shape = tuple(m.n for m in measures)
-    _check_cap(full_shape, cap)
+    check_tensor_cap(full_shape, cap)
 
     pruned_costs: dict[Edge, np.ndarray] = {}
     for edge in graph.sorted_edges():

@@ -57,8 +57,8 @@ class DiscreteMeasure:
     """Probability measure on n support points in R^d.
 
     Weights are normalized at construction; zero-weight points are kept so
-    indices stay aligned with the caller's data (solvers prune internally,
-    see :meth:`pruned`).
+    indices stay aligned with the caller's data.  The solvers drop them
+    internally and return zero rows, columns or slices in their place.
     """
 
     support: np.ndarray  # (n, d)
@@ -87,13 +87,6 @@ class DiscreteMeasure:
     @property
     def dim(self) -> int:
         return self.support.shape[1]
-
-    def pruned(self) -> "DiscreteMeasure":
-        """Drop zero-weight support points (no-op if all weights positive)."""
-        keep = self.weights > 0
-        if keep.all():
-            return self
-        return DiscreteMeasure(self.support[keep], self.weights[keep])
 
 
 class MeasureCollection:

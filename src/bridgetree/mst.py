@@ -38,14 +38,15 @@ from .sinkhorn import (
     sinkhorn_solve,
 )
 from .trees import (
+    ENUMERATION_CAP,
+    DisjointSet,
+    Edge,
     SpanningTree,
     compose_tree_coupling,
     enumerate_trees,
     prufer_encode,
     tree_cost_additive,
 )
-
-Edge = tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +80,6 @@ class EdgeWeightMatrix:
 
     def cost_matrices(self) -> dict[Edge, np.ndarray]:
         return {e: solve.cost.matrix for e, solve in self.edges.items()}
-
-    def sb_values(self) -> dict[Edge, float]:
-        return {e: solve.sb for e, solve in self.edges.items()}
 
 
 def _resolve_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) -> PairwiseCost:
@@ -117,7 +115,7 @@ def build_weight_matrix(measures, config: SolverConfig) -> EdgeWeightMatrix:
     thread pool; results are keyed by edge index, making the output
     independent of completion order.
     """
-    collection = measures if isinstance(measures, MeasureCollection) else MeasureCollection(measures)
+    collection = MeasureCollection(measures)
     s = collection.s
     pairs = [(a, b) for a in range(1, s + 1) for b in range(a + 1, s + 1)]
 
@@ -204,21 +202,13 @@ def mst_boruvka(weights) -> SpanningTree:
     """
     w = _as_weight_matrix(weights)
     s = w.shape[0]
-    parent = list(range(s))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    components = DisjointSet(s)
     edges: list[Edge] = []
-    components = s
-    while components > 1:
+    while len(edges) < s - 1:
         cheapest: dict[int, tuple[tuple[float, int, int], Edge]] = {}
         for a in range(s):
             for b in range(a + 1, s):
-                ra, rb = find(a), find(b)
+                ra, rb = components.find(a), components.find(b)
                 if ra == rb:
                     continue
                 key = _edge_key(w, a, b)
@@ -228,11 +218,8 @@ def mst_boruvka(weights) -> SpanningTree:
         merged = False
         for root in sorted(cheapest):
             _, (a, b) = cheapest[root]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            if components.union(a, b):
                 edges.append((a + 1, b + 1))
-                components -= 1
                 merged = True
         if not merged:
             raise SolverError("weight graph is disconnected")  # unreachable for finite input
@@ -256,7 +243,6 @@ class OptimalMsbResult:
     weight_matrix: EdgeWeightMatrix
     entropies: np.ndarray
     tensor: np.ndarray | None
-    tensor_note: str
     seconds_weights: float
     seconds_mst: float
 
@@ -273,7 +259,7 @@ def optimal_msb(
     built as well (refused past config.tensor_cap); by default only the
     pairwise plans are carried, which is all the tree cost needs.
     """
-    collection = measures if isinstance(measures, MeasureCollection) else MeasureCollection(measures)
+    collection = MeasureCollection(measures)
     if mst_algorithm not in MST_ALGORITHMS:
         raise ValidationError(
             f"unknown MST algorithm {mst_algorithm!r}; expected one of {sorted(MST_ALGORITHMS)}"
@@ -291,17 +277,14 @@ def optimal_msb(
     total = tree_cost_additive(tree, ewm.g, entropies)
 
     tensor = None
-    note = "tensor not composed (compose=False); pairwise plans attached instead"
     if compose:
         tensor = compose_tree_coupling(tree, ewm.plans(), list(collection), cap=config.tensor_cap)
-        note = "tensor composed from pairwise plans"
     return OptimalMsbResult(
         tree=tree,
         total_cost=float(total),
         weight_matrix=ewm,
         entropies=entropies,
         tensor=tensor,
-        tensor_note=note,
         seconds_weights=t_weights,
         seconds_mst=t_mst,
     )
@@ -327,7 +310,7 @@ def rank_trees(
     config: SolverConfig,
     ewm: EdgeWeightMatrix | None = None,
     direct: str = "auto",
-    enumeration_cap: int = 8,
+    enumeration_cap: int = ENUMERATION_CAP,
 ) -> list[RankedTree]:
     """Cost every spanning tree, cheapest first.
 
@@ -343,7 +326,7 @@ def rank_trees(
     """
     if direct not in ("auto", "never", "always"):
         raise ValidationError(f"direct must be auto/never/always, got {direct!r}")
-    collection = measures if isinstance(measures, MeasureCollection) else MeasureCollection(measures)
+    collection = MeasureCollection(measures)
     if ewm is None:
         ewm = build_weight_matrix(collection, config)
     entropies = np.array([entropy(m) for m in collection])

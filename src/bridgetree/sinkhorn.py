@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import COST_KINDS, check_solver_params
+from .config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL, check_solver_params
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 
@@ -172,8 +172,8 @@ def sinkhorn_solve(
     m2: DiscreteMeasure,
     cost: PairwiseCost,
     eta: float,
-    tol: float = 1e-9,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     record_history: bool = False,
 ) -> BimarginalCoupling:
     """Alternating KL projections onto the two marginal constraints.

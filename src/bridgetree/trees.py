@@ -19,13 +19,37 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_TENSOR_CAP, check_tensor_cap
 from .errors import ValidationError
 from .measures import DiscreteMeasure
-from .sinkhorn import BimarginalCoupling, total_variation
+from .sinkhorn import total_variation
 
 Edge = tuple[int, int]
 
 ENUMERATION_CAP = 8  # 8^6 = 262144 trees
+MARGINAL_TOL = 1e-6  # TV slack a pairwise plan may have on its marginals
+
+
+class DisjointSet:
+    """Union-find over the elements 0..n-1, with path halving."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False if they were already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
 @dataclass(frozen=True)
@@ -43,23 +67,14 @@ class SpanningTree:
             raise ValidationError(
                 f"spanning tree on {self.s} vertices needs {self.s - 1} edges, got {len(canon)}"
             )
-        parent = list(range(self.s + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        components = DisjointSet(self.s + 1)
         for a, b in canon:
             if a == b:
                 raise ValidationError(f"self-loop ({a}, {b})")
             if not (1 <= a <= self.s and 1 <= b <= self.s):
                 raise ValidationError(f"edge ({a}, {b}) out of range for s={self.s}")
-            ra, rb = find(a), find(b)
-            if ra == rb:
+            if not components.union(a, b):
                 raise ValidationError(f"edges contain a cycle through ({a}, {b})")
-            parent[ra] = rb
         object.__setattr__(self, "edges", canon)
 
     def degrees(self) -> np.ndarray:
@@ -151,37 +166,30 @@ def enumerate_trees(s: int, cap: int = ENUMERATION_CAP) -> Iterator[SpanningTree
         yield prufer_decode(code, s)
 
 
-def _plan_array(value) -> np.ndarray:
-    return value.plan if isinstance(value, BimarginalCoupling) else np.asarray(value, dtype=float)
-
-
 def compose_tree_coupling(
     tree: SpanningTree,
-    plans: Mapping[Edge, "np.ndarray | BimarginalCoupling"],
+    plans: Mapping[Edge, np.ndarray],
     measures: Sequence[DiscreteMeasure],
-    cap: int = 10_000_000,
-    marginal_tol: float = 1e-6,
+    cap: int = DEFAULT_TENSOR_CAP,
 ) -> np.ndarray:
     """Dense tree-structured coupling from the pairwise plans on its edges.
 
     Each plan must be keyed by a canonical (a, b) edge with shape
     (n_a, n_b), a < b, and must reproduce the endpoint marginals within
-    marginal_tol (TV).  Entries whose marginal weight vanishes anywhere are
+    MARGINAL_TOL (TV).  Entries whose marginal weight vanishes anywhere are
     zero by feasibility and are set to zero rather than dividing 0/0.
     """
     measures = list(measures)
     if len(measures) != tree.s:
         raise ValidationError(f"tree has s={tree.s} vertices but {len(measures)} measures given")
     shape = tuple(m.n for m in measures)
-    total = int(np.prod([int(n) for n in shape], dtype=np.int64))
-    if total > cap:
-        raise ValidationError(f"tensor with {total} entries exceeds the configured cap of {cap}")
+    check_tensor_cap(shape, cap)
 
     out = np.ones(shape)
     for a, b in tree.edges:
         if (a, b) not in plans:
             raise ValidationError(f"missing pairwise plan for tree edge ({a}, {b})")
-        plan = _plan_array(plans[(a, b)])
+        plan = np.asarray(plans[(a, b)], dtype=float)
         if plan.shape != (shape[a - 1], shape[b - 1]):
             raise ValidationError(
                 f"plan for edge ({a}, {b}) has shape {plan.shape}, expected "
@@ -189,10 +197,10 @@ def compose_tree_coupling(
             )
         row_gap = total_variation(plan.sum(axis=1), measures[a - 1].weights)
         col_gap = total_variation(plan.sum(axis=0), measures[b - 1].weights)
-        if max(row_gap, col_gap) > marginal_tol:
+        if max(row_gap, col_gap) > MARGINAL_TOL:
             raise ValidationError(
                 f"plan for edge ({a}, {b}) violates its marginals "
-                f"(TV {max(row_gap, col_gap):.3e} > {marginal_tol:.1e})"
+                f"(TV {max(row_gap, col_gap):.3e} > {MARGINAL_TOL:.1e})"
             )
         view = [1] * tree.s
         view[a - 1] = plan.shape[0]

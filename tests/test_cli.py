@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import pytest
 from bridgetree import DiscreteMeasure, load_measure, save_measure
 from bridgetree.cli import main
 from conftest import GMM_SPEC, random_measures
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_measures(tmp_path, measures, prefix="m"):
@@ -252,3 +258,22 @@ class TestOracle:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert "cap" in err["error"]["message"]
+
+
+class TestExperimentScript:
+    def test_small_run_writes_measures_and_full_ranking(self, tmp_path):
+        # eta 50: at eta 5 and seed 42 the bundled spec's measures stall at
+        # max_iter for several small n (4, 5, 6, 8, 10, 12).
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_gmm_experiment.py"),
+             "--eta", "50", "--n", "5", "--probe-n", "3", "--probe-sweeps", "5",
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.glob("measure_*.json"))) == 5
+        assert len(read_ranked_csv(tmp_path / "trees_ranked.csv")) == 125

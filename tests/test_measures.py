@@ -113,14 +113,6 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             m.weights[0] = 0.3
 
-    def test_pruned_drops_zeros(self):
-        m = DiscreteMeasure([[0.0], [1.0], [2.0]], [0.5, 0.0, 0.5])
-        p = m.pruned()
-        assert p.n == 2
-        assert np.allclose(p.support[:, 0], [0.0, 2.0])
-        # already-positive measure prunes to itself
-        assert p.pruned() is p
-
 
 class TestMeasureCollection:
     def test_needs_two(self):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -53,11 +55,13 @@ def reference_sinkhorn(m1, m2, cost, eta, tol=1e-9, max_iter=100_000):
     return plan, iterations, converged
 
 
+@functools.cache
 def brute_force_symmetric_2x2(eta=1.0, grid=2_000_001):
     """Oracle for the uniform 2x2 swap-cost instance.
 
     Feasible plans form the segment [[a, 1/2-a], [1/2-a, a]]; minimize the
-    entropic objective by dense scan.
+    entropic objective by dense scan.  Cached: the scan is pure Python and
+    two tests read the same grid.
     """
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
     best_a, best_val = None, np.inf

@@ -26,6 +26,7 @@ from bridgetree import (
     tree_cost_additive,
     tree_cost_decomposed,
 )
+from bridgetree.trees import DisjointSet
 from conftest import random_measures
 
 
@@ -33,6 +34,15 @@ def random_tree(rng, s):
     if s == 2:
         return prufer_decode((), 2)
     return prufer_decode(tuple(rng.integers(1, s + 1, size=s - 2)), s)
+
+
+class TestDisjointSet:
+    def test_union_reports_merges(self):
+        ds = DisjointSet(5)
+        assert ds.union(0, 1) and ds.union(2, 3) and ds.union(1, 3)
+        assert not ds.union(0, 2)
+        assert len({ds.find(x) for x in range(4)}) == 1
+        assert ds.find(4) == 4
 
 
 class TestSpanningTreeValidation:
