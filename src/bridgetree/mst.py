@@ -43,8 +43,8 @@ from .trees import (
     Edge,
     SpanningTree,
     compose_tree_coupling,
+    _prufer_codes,
     enumerate_trees,
-    prufer_encode,
     tree_cost_additive,
 )
 
@@ -77,9 +77,6 @@ class EdgeWeightMatrix:
 
     def plans(self) -> dict[Edge, np.ndarray]:
         return {e: solve.coupling.plan for e, solve in self.edges.items()}
-
-    def cost_matrices(self) -> dict[Edge, np.ndarray]:
-        return {e: solve.cost.matrix for e, solve in self.edges.items()}
 
 
 def _resolve_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) -> PairwiseCost:
@@ -315,9 +312,11 @@ def rank_trees(
     """Cost every spanning tree, cheapest first.
 
     cost_additive is the degree-free edge-weight sum minus the entropy sum.
-    cost_direct re-evaluates each tree without that shortcut: the dense
-    coupling is composed from the pairwise plans and the transport-plus-
-    entropy objective is integrated over the full tensor, divided by eta.
+    cost_direct re-evaluates each tree without that shortcut, from the
+    pairwise plans and costs alone: the dense coupling
+    P = prod M_e / prod mu_v^(deg v - 1) and the integrand W = C/eta + log P
+    are grown one axis per tree edge from a root vertex, and
+    cost_direct = <P, W> summed over the full tensor (see _direct_evaluator).
     direct="auto" computes it when the tensor fits config.tensor_cap,
     "never" skips it, "always" refuses if it cannot be computed.
 
@@ -340,48 +339,89 @@ def rank_trees(
             f"over the cap of {config.tensor_cap}"
         )
     want_direct = direct == "always" or (direct == "auto" and feasible)
-
-    plans = ewm.plans()
-    cost_mats = ewm.cost_matrices()
-    weights = [m.weights for m in collection]
-
-    # reusable buffers for the dense per-tree evaluation
-    if want_direct:
-        cost_buf = np.empty(shape)
-        plan_buf = np.empty(shape)
-        log_buf = np.empty(shape)
-
-    def direct_cost(tree: SpanningTree) -> float:
-        cost_buf.fill(0.0)
-        plan_buf.fill(1.0)
-        for a, b in tree.edges:
-            view = [1] * s
-            view[a - 1] = shape[a - 1]
-            view[b - 1] = shape[b - 1]
-            np.add(cost_buf, cost_mats[(a, b)].reshape(view), out=cost_buf)
-            np.multiply(plan_buf, plans[(a, b)].reshape(view), out=plan_buf)
-        deg = tree.degrees()
-        for idx in range(s):
-            if deg[idx] <= 1:
-                continue
-            wv = (weights[idx] ** (deg[idx] - 1)).reshape(
-                [shape[idx] if k == idx else 1 for k in range(s)]
-            )
-            np.divide(plan_buf, wv, out=plan_buf, where=wv > 0)
-        log_buf.fill(0.0)
-        np.log(plan_buf, out=log_buf, where=plan_buf > 0)
-        value = np.vdot(plan_buf, cost_buf) + config.eta * np.vdot(plan_buf, log_buf)
-        return float(value) / config.eta
+    direct_cost = _direct_evaluator(collection, ewm, config.eta) if want_direct else None
 
     rows = []
-    for tree in enumerate_trees(s, cap=enumeration_cap):
+    # enumerate_trees checks the cap; the codes it decoded come alongside
+    for tree, code in zip(enumerate_trees(s, cap=enumeration_cap), _prufer_codes(s)):
         rows.append(
             RankedTree(
-                prufer=prufer_encode(tree),
+                prufer=code,
                 edges=tree.edges,
                 cost_additive=tree_cost_additive(tree, ewm.g, entropies),
-                cost_direct=direct_cost(tree) if want_direct else None,
+                cost_direct=direct_cost(tree) if direct_cost is not None else None,
             )
         )
     rows.sort(key=lambda r: r.cost_additive)
     return rows
+
+
+def _direct_evaluator(collection: MeasureCollection, ewm: EdgeWeightMatrix, eta: float):
+    """Dense direct tree cost <P, C/eta + log P>, one axis per tree edge.
+
+    Rooted at vertex r, a tree coupling factors as
+    P = mu_r * prod over edges p -> c of Q_pc,  Q_pc = M_e / mu_p,
+    the conditional of c given its parent p, and so
+    W = C/eta + log P = log mu_r + sum over edges of (C_e/eta + log Q_pc).
+    Q_pc and its term are precomputed once per edge and direction; a tree
+    then costs one broadcast multiply and one broadcast add per edge, each
+    adding an axis, and only the last pair is full size.  Logs are taken
+    where the argument is positive and are 0 elsewhere: P vanishes there,
+    so the entry contributes 0 log 0 = 0.
+    """
+    s = collection.s
+    shape = collection.sizes
+
+    def on_axes(matrix: np.ndarray, *vertices: int) -> np.ndarray:
+        view = [1] * s
+        for v in vertices:
+            view[v - 1] = shape[v - 1]
+        return matrix.reshape(view)
+
+    def masked_log(x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        np.log(x, out=out, where=x > 0)
+        return out
+
+    weights = [m.weights for m in collection]
+    root = 1
+    root_plan = on_axes(weights[root - 1], root)
+    root_term = on_axes(masked_log(weights[root - 1]), root)
+    # steps[(p, c)]: Q_pc and C_e/eta + log Q_pc, both stored on the
+    # canonical (a, b) axes of the edge whichever end is the parent
+    steps = {}
+    for (a, b), es in ewm.edges.items():
+        plan, cost = es.coupling.plan, es.cost.matrix
+        rows_mu, cols_mu = weights[a - 1][:, None], weights[b - 1][None, :]
+        for parent, child, mu in ((a, b, rows_mu), (b, a, cols_mu)):
+            q = np.zeros_like(plan)
+            np.divide(plan, mu, out=q, where=mu > 0)
+            term = np.where(q > 0, cost / eta + masked_log(q), 0.0)
+            steps[(parent, child)] = (on_axes(q, a, b), on_axes(term, a, b))
+    plan_buf = np.empty(shape)
+    term_buf = np.empty(shape)
+
+    def direct_cost(tree: SpanningTree) -> float:
+        neighbors: dict[int, list[int]] = {v: [] for v in range(1, s + 1)}
+        for a, b in tree.edges:
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        walk = []  # (parent, child) in breadth-first order from the root
+        frontier, seen = [root], {root}
+        for parent in frontier:  # frontier grows while it is walked
+            for child in neighbors[parent]:
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+                    walk.append((parent, child))
+        plan, term = root_plan, root_term
+        for step in walk[:-1]:
+            q, t = steps[step]
+            plan = plan * q
+            term = term + t
+        q, t = steps[walk[-1]]
+        np.multiply(plan, q, out=plan_buf)
+        np.add(term, t, out=term_buf)
+        return float(np.vdot(plan_buf, term_buf))
+
+    return direct_cost

@@ -154,6 +154,11 @@ def parse_prufer(text: str) -> tuple[int, ...]:
         raise ValidationError(f"malformed Prüfer code {text!r}") from exc
 
 
+def _prufer_codes(s: int) -> Iterator[tuple[int, ...]]:
+    """The Prüfer codes of enumerate_trees(s), in the same order."""
+    return itertools.product(range(1, s + 1), repeat=s - 2)
+
+
 def enumerate_trees(s: int, cap: int = ENUMERATION_CAP) -> Iterator[SpanningTree]:
     """All s^(s-2) labeled trees, in lexicographic Prüfer-code order."""
     if s < 2:
@@ -162,7 +167,7 @@ def enumerate_trees(s: int, cap: int = ENUMERATION_CAP) -> Iterator[SpanningTree
         raise ValidationError(
             f"s={s} exceeds the enumeration cap of {cap} ({cap}^{cap - 2} trees)"
         )
-    for code in itertools.product(range(1, s + 1), repeat=s - 2):
+    for code in _prufer_codes(s):
         yield prufer_decode(code, s)
 
 

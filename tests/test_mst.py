@@ -7,6 +7,7 @@ from bridgetree import (
     DiscreteMeasure,
     SolverConfig,
     SolverError,
+    SpanningTree,
     ValidationError,
     build_weight_matrix,
     build_cost,
@@ -20,6 +21,7 @@ from bridgetree import (
     mst_boruvka,
     mst_prim_dense,
     optimal_msb,
+    prufer_encode,
     rank_trees,
 )
 from conftest import random_measure, random_measures
@@ -36,6 +38,40 @@ def exhaustive_mst(weights):
         if best is None or key < best[0]:
             best = (key, tree)
     return best[1]
+
+
+def reference_direct_cost(tree, ewm, measures, eta):
+    """The buffered full-tensor evaluator the axis-growing one must reproduce:
+    compose prod M_e / prod mu^(deg-1) and the cost sum over every entry,
+    then integrate <P, C> + eta <P, log P> and divide by eta."""
+    s = tree.s
+    shape = tuple(m.n for m in measures)
+    plans = ewm.plans()
+    cost_mats = {e: es.cost.matrix for e, es in ewm.edges.items()}
+    weights = [m.weights for m in measures]
+    cost_buf = np.empty(shape)
+    plan_buf = np.empty(shape)
+    log_buf = np.empty(shape)
+    cost_buf.fill(0.0)
+    plan_buf.fill(1.0)
+    for a, b in tree.edges:
+        view = [1] * s
+        view[a - 1] = shape[a - 1]
+        view[b - 1] = shape[b - 1]
+        np.add(cost_buf, cost_mats[(a, b)].reshape(view), out=cost_buf)
+        np.multiply(plan_buf, plans[(a, b)].reshape(view), out=plan_buf)
+    deg = tree.degrees()
+    for idx in range(s):
+        if deg[idx] <= 1:
+            continue
+        wv = (weights[idx] ** (deg[idx] - 1)).reshape(
+            [shape[idx] if k == idx else 1 for k in range(s)]
+        )
+        np.divide(plan_buf, wv, out=plan_buf, where=wv > 0)
+    log_buf.fill(0.0)
+    np.log(plan_buf, out=log_buf, where=plan_buf > 0)
+    value = np.vdot(plan_buf, cost_buf) + eta * np.vdot(plan_buf, log_buf)
+    return float(value) / eta
 
 
 def dirac(point):
@@ -282,6 +318,32 @@ class TestRankTrees:
         for row in rows:
             assert row.cost_direct is not None
             assert abs(row.cost_additive - row.cost_direct) <= 1e-6
+
+    @pytest.mark.parametrize("sizes,eta", [
+        ([2, 3, 4, 5], 1.0),
+        ([3, 4, 2, 5, 3], 5.0),
+        ([5, 3, 4], 0.5),
+        ([3, 4], 1.0),
+    ])
+    @pytest.mark.parametrize("zero_weight", [False, True])
+    def test_direct_matches_reference_evaluator(self, rng, sizes, eta, zero_weight):
+        ms = random_measures(rng, sizes)
+        if zero_weight:
+            # a support point of zero mass on the largest measure and on the
+            # first: its conditional rows and its log terms must be masked
+            for v in (0, int(np.argmax(sizes))):
+                w = ms[v].weights.copy()
+                w[1] = 0.0
+                ms[v] = DiscreteMeasure(ms[v].support, w)
+        cfg = SolverConfig(eta=eta)
+        ewm = build_weight_matrix(ms, cfg)
+        rows = rank_trees(ms, cfg, ewm=ewm, direct="always")
+        assert len(rows) == len(sizes) ** (len(sizes) - 2)
+        for row in rows:
+            tree = SpanningTree(len(sizes), row.edges)
+            assert row.prufer == prufer_encode(tree)
+            expected = reference_direct_cost(tree, ewm, ms, eta)
+            assert abs(row.cost_direct - expected) <= 1e-12
 
     def test_direct_never_skips_column(self, rng):
         ms = random_measures(rng, [2, 2, 2])
