@@ -47,7 +47,6 @@ from .mst import (
 )
 from .sinkhorn import (
     BimarginalCoupling,
-    KernelMatrix,
     PairwiseCost,
     build_cost,
     gibbs_kernel,
@@ -76,7 +75,6 @@ __all__ = [
     "EdgeSolve",
     "EdgeWeightMatrix",
     "GraphStructure",
-    "KernelMatrix",
     "MeasureCollection",
     "MultimarginalResult",
     "OptimalMsbResult",

@@ -199,7 +199,7 @@ def _cmd_gen(args) -> int:
         raise ValidationError(f"{spec_path}: not valid JSON ({exc})") from exc
     if not isinstance(spec, dict) or "mixtures" not in spec:
         raise ValidationError(f"{spec_path}: expected an object with a 'mixtures' list")
-    interval = tuple(spec.get("interval", (-10.0, 10.0)))
+    interval = spec.get("interval", (-10.0, 10.0))
     mixtures = spec["mixtures"]
     if not isinstance(mixtures, list) or not mixtures:
         raise ValidationError(f"{spec_path}: 'mixtures' must be a non-empty list")

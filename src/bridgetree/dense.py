@@ -243,17 +243,20 @@ def mm_sinkhorn(
     iterations = 0
     residual = np.inf
     converged = False
+    log_marginals = [_log_marginal(log_m, 0)]
     for iterations in range(1, max_iter + 1):
         for ax in range(s):
-            delta = log_mus[ax] - _log_marginal(log_m, ax)
+            # the axis-0 marginal of the unchanged tensor is already known
+            log_marginal = log_marginals[0] if ax == 0 else _log_marginal(log_m, ax)
+            delta = log_mus[ax] - log_marginal
             shape_vec = [1] * s
             shape_vec[ax] = delta.size
             log_m += delta.reshape(shape_vec)
         # fresh projections of the end-of-sweep tensor, all s marginals
+        log_marginals = [_log_marginal(log_m, ax) for ax in range(s)]
         residual = 0.0
         for ax in range(s):
-            marginal = np.exp(_log_marginal(log_m, ax))
-            residual = max(residual, total_variation(marginal, mus[ax]))
+            residual = max(residual, total_variation(np.exp(log_marginals[ax]), mus[ax]))
         if residual <= tol:
             converged = True
             break

@@ -22,10 +22,13 @@ NORMALIZATION_ATOL = 1e-12
 def normalize_weights(weights) -> np.ndarray:
     """Scale a nonnegative vector to sum 1.
 
-    Raises ValidationError on negative or non-finite entries (naming the
-    offending index) and on an all-zero vector.
+    Raises ValidationError on entries that are not numbers, on negative or
+    non-finite entries (naming the offending index) and on an all-zero vector.
     """
-    w = np.asarray(weights, dtype=float)
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"weights must be numbers ({exc})") from exc
     if w.ndim != 1:
         raise ValidationError(f"weights must be a 1-d vector, got shape {w.shape}")
     if w.size == 0:
@@ -106,10 +109,6 @@ class MeasureCollection:
         return len(self.measures)
 
     @property
-    def dim(self) -> int:
-        return self.measures[0].dim
-
-    @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(m.n for m in self.measures)
 
@@ -151,11 +150,19 @@ def sample_gmm(
         raise ValidationError("empty component list")
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
-    a, b = float(interval[0]), float(interval[1])
+    try:
+        a, b = (float(x) for x in interval)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"interval must be two numbers, got {interval!r}") from exc
     if not a < b:
         raise ValidationError(f"interval must satisfy a < b, got [{a}, {b}]")
-    means = np.array([c[0] for c in components], dtype=float)
-    stds = np.array([c[1] for c in components], dtype=float)
+    try:
+        means = np.array([float(c[0]) for c in components])
+        stds = np.array([float(c[1]) for c in components])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"component mean and stddev must be numbers ({exc})") from exc
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds))):
+        raise ValidationError("component mean and stddev must be finite")
     if np.any(stds <= 0):
         raise ValidationError("component stddev must be positive")
     probs = normalize_weights([c[2] for c in components])
@@ -227,7 +234,7 @@ def load_measure(path) -> DiscreteMeasure:
         raise ValidationError(f"{path}: expected an object with 'support' and 'weights'")
     try:
         return DiscreteMeasure(np.asarray(payload["support"], float), payload["weights"])
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 

@@ -18,6 +18,7 @@ and the two algorithms always return the identical tree.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import SolverConfig, check_tensor_cap
 from .errors import SolverError, ValidationError
 from .measures import DiscreteMeasure, MeasureCollection, entropy
 from .sinkhorn import (
@@ -42,7 +43,6 @@ from .trees import (
     DisjointSet,
     Edge,
     SpanningTree,
-    compose_tree_coupling,
     _prufer_codes,
     enumerate_trees,
     tree_cost_additive,
@@ -71,25 +71,12 @@ class EdgeWeightMatrix:
     g: np.ndarray
     edges: Mapping[Edge, EdgeSolve]
 
-    @property
-    def s(self) -> int:
-        return self.g.shape[0]
-
-    def plans(self) -> dict[Edge, np.ndarray]:
-        return {e: solve.coupling.plan for e, solve in self.edges.items()}
-
-
-def _resolve_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) -> PairwiseCost:
-    if config.cost_kind == "matrix":
-        return build_cost(m1, m2, "matrix", matrix=config.cost_matrix)
-    return build_cost(m1, m2, config.cost_kind)
-
 
 def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) -> EdgeSolve:
     """Solve one bimarginal bridge and return g = sb + H(m1) + H(m2)."""
     start = time.perf_counter()
-    cost = _resolve_cost(m1, m2, config)
-    kernel = gibbs_kernel(cost, config.eta)
+    cost = build_cost(m1, m2, config.cost_kind, matrix=config.cost_matrix)
+    log_kernel = gibbs_kernel(cost, config.eta)
     coupling = sinkhorn_solve(m1, m2, cost, config.eta, tol=config.tol, max_iter=config.max_iter)
     if not coupling.converged:
         message = (
@@ -99,7 +86,7 @@ def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) 
         if config.on_nonconverged == "error":
             raise SolverError(message)
         warnings.warn(message, stacklevel=2)
-    sb = sb_value(coupling, kernel)
+    sb = sb_value(coupling, log_kernel)
     g = sb + entropy(m1) + entropy(m2)
     elapsed = time.perf_counter() - start
     return EdgeSolve(g=g, sb=sb, coupling=coupling, cost=cost, seconds=elapsed)
@@ -239,7 +226,6 @@ class OptimalMsbResult:
     total_cost: float
     weight_matrix: EdgeWeightMatrix
     entropies: np.ndarray
-    tensor: np.ndarray | None
     seconds_weights: float
     seconds_mst: float
 
@@ -248,13 +234,13 @@ def optimal_msb(
     measures,
     config: SolverConfig,
     mst_algorithm: str = "prim",
-    compose: bool = False,
 ) -> OptimalMsbResult:
     """Weight construction followed by an MST: the full structure solve.
 
-    With compose=True the dense coupling tensor of the winning tree is
-    built as well (refused past config.tensor_cap); by default only the
-    pairwise plans are carried, which is all the tree cost needs.
+    The result carries only the pairwise plans, which is all the tree cost
+    needs.  The dense coupling tensor of the winning tree is
+    compose_tree_coupling(result.tree, plans, measures), with plans the
+    coupling.plan of each edge in result.weight_matrix.edges.
     """
     collection = MeasureCollection(measures)
     if mst_algorithm not in MST_ALGORITHMS:
@@ -272,16 +258,11 @@ def optimal_msb(
     t_mst = time.perf_counter() - start
 
     total = tree_cost_additive(tree, ewm.g, entropies)
-
-    tensor = None
-    if compose:
-        tensor = compose_tree_coupling(tree, ewm.plans(), list(collection), cap=config.tensor_cap)
     return OptimalMsbResult(
         tree=tree,
         total_cost=float(total),
         weight_matrix=ewm,
         entropies=entropies,
-        tensor=tensor,
         seconds_weights=t_weights,
         seconds_mst=t_mst,
     )
@@ -330,16 +311,11 @@ def rank_trees(
         ewm = build_weight_matrix(collection, config)
     entropies = np.array([entropy(m) for m in collection])
     s = collection.s
-    shape = collection.sizes
-    total_entries = int(np.prod([int(n) for n in shape], dtype=np.int64))
-    feasible = total_entries <= config.tensor_cap
-    if direct == "always" and not feasible:
-        raise ValidationError(
-            f"direct tree evaluation needs {total_entries} tensor entries, "
-            f"over the cap of {config.tensor_cap}"
-        )
-    want_direct = direct == "always" or (direct == "auto" and feasible)
-    direct_cost = _direct_evaluator(collection, ewm, config.eta) if want_direct else None
+    if direct == "always":
+        check_tensor_cap(collection.sizes, config.tensor_cap)
+    elif direct == "auto" and math.prod(collection.sizes) > config.tensor_cap:
+        direct = "never"
+    direct_cost = _direct_evaluator(collection, ewm, config.eta) if direct != "never" else None
 
     rows = []
     # enumerate_trees checks the cap; the codes it decoded come alongside

@@ -43,7 +43,6 @@ class PairwiseCost:
     """Nonnegative ground-cost matrix between two supports."""
 
     matrix: np.ndarray  # (n1, n2)
-    kind: str = "matrix"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -61,27 +60,6 @@ class PairwiseCost:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
-
-
-@dataclass(frozen=True, eq=False)
-class KernelMatrix:
-    """Gibbs kernel K = exp(-C / eta), kept in log form.
-
-    log_matrix = -C/eta is exact for any scale; the linear `matrix` view may
-    underflow to 0 for entries with C/eta beyond ~745, so all KL arithmetic
-    in this package consumes log_matrix.
-    """
-
-    log_matrix: np.ndarray
-    eta: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.exp(self.log_matrix)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.log_matrix.shape
 
 
 def build_cost(
@@ -105,20 +83,26 @@ def build_cost(
             raise ValidationError(
                 f"cost matrix shape {m.shape} does not match supports ({m1.n}, {m2.n})"
             )
-        return PairwiseCost(m, "matrix")
+        return PairwiseCost(m)
     if m1.dim != m2.dim:
         raise ValidationError(f"support dimensions differ: {m1.dim} vs {m2.dim}")
     diff = m1.support[:, None, :] - m2.support[None, :, :]
     sq = np.einsum("ijk,ijk->ij", diff, diff)
     if kind == "euclidean":
-        return PairwiseCost(np.sqrt(sq), kind)
-    return PairwiseCost(sq, kind)
+        return PairwiseCost(np.sqrt(sq))
+    return PairwiseCost(sq)
 
 
-def gibbs_kernel(cost: PairwiseCost, eta: float) -> KernelMatrix:
-    """K = exp(-C/eta) elementwise, stored as log K = -C/eta."""
+def gibbs_kernel(cost: PairwiseCost, eta: float) -> np.ndarray:
+    """Gibbs kernel K = exp(-C/eta) as the read-only array log K = -C/eta.
+
+    The log form is exact for any scale, where exp(-C/eta) underflows to 0
+    for C/eta beyond ~745, so all KL arithmetic in this package uses it.
+    """
     check_solver_params(eta)
-    return KernelMatrix(-cost.matrix / eta, float(eta))
+    log_k = -cost.matrix / eta
+    log_k.flags.writeable = False
+    return log_k
 
 
 def total_variation(p, q) -> float:
@@ -264,17 +248,18 @@ def sinkhorn_solve(
     )
 
 
-def sb_value(coupling: BimarginalCoupling, kernel: KernelMatrix) -> float:
-    """Optimal value D_KL(plan || K) = sum plan * log(plan / K).
+def sb_value(coupling: BimarginalCoupling, log_kernel: np.ndarray) -> float:
+    """Optimal value D_KL(plan || K) = sum plan * (log plan - log K), with
+    log_kernel = log K as gibbs_kernel returns it.
 
     Entries with zero plan mass contribute nothing (0 log 0 = 0).
     """
     plan = coupling.plan
-    if plan.shape != kernel.shape:
-        raise ValidationError(f"plan shape {plan.shape} != kernel shape {kernel.shape}")
+    if plan.shape != log_kernel.shape:
+        raise ValidationError(f"plan shape {plan.shape} != kernel shape {log_kernel.shape}")
     mask = plan > 0
     p = plan[mask]
-    return float((p * (np.log(p) - kernel.log_matrix[mask])).sum())
+    return float((p * (np.log(p) - log_kernel[mask])).sum())
 
 
 def kl_divergence(p, q) -> float:

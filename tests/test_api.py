@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,15 +10,20 @@ import bridgetree
 from bridgetree import (
     DiscreteMeasure,
     EdgeWeightMatrix,
+    MeasureCollection,
     OptimalMsbResult,
+    PairwiseCost,
     compose_tree_coupling,
     mm_sinkhorn,
+    optimal_msb,
     rank_trees,
     sinkhorn_solve,
 )
 from bridgetree.cli import build_parser
 from bridgetree.config import DEFAULT_MAX_ITER, DEFAULT_TENSOR_CAP, DEFAULT_TOL
 from bridgetree.trees import ENUMERATION_CAP
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def default_of(fn, name):
@@ -55,7 +63,8 @@ class TestExports:
             assert hasattr(bridgetree, name), name
 
     def test_deleted_api_stays_deleted(self):
-        deleted = {"sb_values", "tensor_note", "pruned", "marginal_tol", "_plan_array"}
+        deleted = {"sb_values", "tensor_note", "pruned", "marginal_tol", "_plan_array",
+                   "KernelMatrix", "_resolve_cost"}
         assert deleted.isdisjoint(bridgetree.__all__)
         assert not hasattr(EdgeWeightMatrix, "sb_values")
         assert "tensor_note" not in {f.name for f in dataclasses.fields(OptimalMsbResult)}
@@ -63,3 +72,28 @@ class TestExports:
         assert "marginal_tol" not in inspect.signature(compose_tree_coupling).parameters
         assert not hasattr(bridgetree.trees, "_plan_array")
         assert not hasattr(bridgetree.dense, "_check_cap")
+        assert not hasattr(bridgetree.sinkhorn, "KernelMatrix")
+        assert not hasattr(bridgetree.mst, "_resolve_cost")
+        assert "kind" not in {f.name for f in dataclasses.fields(PairwiseCost)}
+        assert "compose" not in inspect.signature(optimal_msb).parameters
+        assert "tensor" not in {f.name for f in dataclasses.fields(OptimalMsbResult)}
+        assert not hasattr(EdgeWeightMatrix, "plans")
+        assert not hasattr(EdgeWeightMatrix, "s")
+        assert not hasattr(MeasureCollection, "dim")
+
+
+@pytest.mark.skipif(not TRACING.exists(), reason="perfbench/ is not in this checkout")
+def test_perfbench_tracer_targets_resolve(monkeypatch):
+    """Every attribute the benchmark's tracer patches still exists, and the
+    MST table holds only patched originals, so `perfbench/run.py --trace 1`
+    can install its wrappers."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    originals = []
+    for module, attr, *_ in tracing.PATCHES + tracing.GENERATOR_PATCHES:
+        assert hasattr(module, attr), f"{module.__name__}.{attr}"
+        originals.append(getattr(module, attr))
+    for name, algorithm in bridgetree.mst.MST_ALGORITHMS.items():
+        assert any(algorithm is fn for fn in originals), name

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -71,6 +72,26 @@ class TestGen:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "validation"
 
+    @pytest.mark.parametrize("field, value", [
+        ("std", "abc"),
+        ("interval", 5),
+        ("interval", [1.0, 2.0, 3.0]),
+        ("mean", float("nan")),
+        ("std", float("inf")),
+    ])
+    def test_bad_spec_value_exits_2(self, tmp_path, capsys, field, value):
+        spec = copy.deepcopy(GMM_SPEC)
+        if field == "interval":
+            spec["interval"] = value
+        else:
+            spec["mixtures"][0]["components"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        rc = main(["gen", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+
 
 class TestSolve:
     def test_two_diracs_distance_over_eta(self, tmp_path, capsys):
@@ -116,6 +137,16 @@ class TestSolve:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "io"
         assert "nope.json" in err["error"]["message"]
+
+    def test_wrongly_typed_weights_exit_2_names_path(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"support": [[0.0]], "weights": {"a": 1}}))
+        good = write_measures(tmp_path, [DiscreteMeasure([[1.0]], [1.0])])
+        rc = main(["solve", str(bad), *good, "--eta", "1.0", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert "bad.json" in err["error"]["message"]
 
     def test_nonconvergence_exit_1(self, tmp_path, capsys):
         ms = [DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6]),

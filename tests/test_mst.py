@@ -11,6 +11,7 @@ from bridgetree import (
     ValidationError,
     build_weight_matrix,
     build_cost,
+    compose_tree_coupling,
     cost_tensor,
     edge_weight,
     entropy,
@@ -40,13 +41,18 @@ def exhaustive_mst(weights):
     return best[1]
 
 
+def tree_plans(res):
+    """Pairwise plans on the edges of an optimal_msb result's tree."""
+    return {e: res.weight_matrix.edges[e].coupling.plan for e in res.tree.edges}
+
+
 def reference_direct_cost(tree, ewm, measures, eta):
     """The buffered full-tensor evaluator the axis-growing one must reproduce:
     compose prod M_e / prod mu^(deg-1) and the cost sum over every entry,
     then integrate <P, C> + eta <P, log P> and divide by eta."""
     s = tree.s
     shape = tuple(m.n for m in measures)
-    plans = ewm.plans()
+    plans = {e: es.coupling.plan for e, es in ewm.edges.items()}
     cost_mats = {e: es.cost.matrix for e, es in ewm.edges.items()}
     weights = [m.weights for m in measures]
     cost_buf = np.empty(shape)
@@ -239,27 +245,30 @@ class TestOptimalMsb:
         total -= res.entropies.sum()
         assert abs(res.total_cost - total) <= 1e-12
 
-    def test_compose_flag_builds_tensor(self, rng):
+    def test_composed_tree_tensor(self, rng):
         ms = random_measures(rng, [3, 3, 3])
-        res = optimal_msb(ms, SolverConfig(eta=1.0), compose=True)
-        assert res.tensor is not None
-        assert res.tensor.shape == (3, 3, 3)
-        assert res.tensor.sum() == pytest.approx(1.0, abs=1e-8)
+        res = optimal_msb(ms, SolverConfig(eta=1.0))
+        tensor = compose_tree_coupling(res.tree, tree_plans(res), ms)
+        assert tensor.shape == (3, 3, 3)
+        assert tensor.sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_compose_respects_cap(self, rng):
         ms = random_measures(rng, [30, 30, 30])
+        cfg = SolverConfig(eta=1.0, tensor_cap=100)
+        res = optimal_msb(ms, cfg)
         with pytest.raises(ValidationError, match="cap"):
-            optimal_msb(ms, SolverConfig(eta=1.0, tensor_cap=100), compose=True)
+            compose_tree_coupling(res.tree, tree_plans(res), ms, cap=cfg.tensor_cap)
 
     def test_total_cost_matches_dense_objective_of_composed_tensor(self, rng):
         # structure-free consistency: edge-weight total vs the transport
         # objective integrated over the composed coupling
         ms = random_measures(rng, [3, 4, 3], low=-5, high=5)
         eta = 1.5
-        res = optimal_msb(ms, SolverConfig(eta=eta), compose=True)
+        res = optimal_msb(ms, SolverConfig(eta=eta))
+        tensor = compose_tree_coupling(res.tree, tree_plans(res), ms)
         graph = graph_from_edges(3, res.tree.edges)
         costs = {e: res.weight_matrix.edges[e].cost.matrix for e in res.tree.edges}
-        direct = msb_objective(res.tensor, cost_tensor(graph, costs), eta) / eta
+        direct = msb_objective(tensor, cost_tensor(graph, costs), eta) / eta
         assert res.total_cost == pytest.approx(direct, rel=1e-5)
 
     def test_boruvka_variant_matches(self, rng):

@@ -105,18 +105,25 @@ class TestBuildCost:
 
 
 class TestGibbsKernel:
+    def test_returns_read_only_log_kernel(self):
+        cost = PairwiseCost([[0.0, 1.5], [3.0, 0.25]])
+        k = gibbs_kernel(cost, 0.7)
+        assert type(k) is np.ndarray
+        assert np.array_equal(k, -cost.matrix / 0.7)
+        assert not k.flags.writeable
+
     def test_zero_cost_gives_ones(self):
         k = gibbs_kernel(PairwiseCost([[0.0]]), 3.7)
-        assert np.allclose(k.matrix, [[1.0]])
+        assert np.allclose(np.exp(k), [[1.0]])
 
     def test_analytic_exponent(self):
         eta = 2.5
         k = gibbs_kernel(PairwiseCost([[eta * np.log(2.0)]]), eta)
-        assert np.allclose(k.matrix, [[0.5]])
+        assert np.allclose(np.exp(k), [[0.5]])
 
     def test_swap_cost(self):
         k = gibbs_kernel(SWAP_COST, 1.0)
-        assert np.allclose(k.matrix, [[1.0, np.exp(-1)], [np.exp(-1), 1.0]])
+        assert np.allclose(np.exp(k), [[1.0, np.exp(-1)], [np.exp(-1), 1.0]])
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValidationError):
@@ -249,7 +256,7 @@ class TestLogDomainParity:
             m1 = DiscreteMeasure(rng.uniform(-3, 3, (7, 2)), rng.uniform(0.5, 1.5, 7))
             m2 = DiscreteMeasure(rng.uniform(-3, 3, (6, 2)) + [30.0, 0.0], rng.uniform(0.5, 1.5, 6))
             cost = build_cost(m1, m2)
-            assert np.all(gibbs_kernel(cost, eta).matrix == 0.0)
+            assert np.all(np.exp(gibbs_kernel(cost, eta)) == 0.0)
             with np.errstate(all="raise"):
                 coup = sinkhorn_solve(m1, m2, cost, eta=eta, max_iter=20_000)
             assert np.all(np.isfinite(coup.plan))
