@@ -58,13 +58,16 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="marginal TV tolerance")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="Sinkhorn sweep limit")
-    p.add_argument("--cap", type=int, default=DEFAULT_TENSOR_CAP, help="dense tensor entry cap")
     p.add_argument("--threads", type=int, default=1, help="parallel edge solves")
     p.add_argument(
         "--allow-nonconverged",
         action="store_true",
         help="downgrade Sinkhorn non-convergence from error to warning",
     )
+
+
+def _add_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cap", type=int, default=DEFAULT_TENSOR_CAP, help="dense tensor entry cap")
 
 
 def _add_out_dir(p: argparse.ArgumentParser) -> None:
@@ -108,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--enum-cap", type=int, default=ENUMERATION_CAP, help="max s for enumeration"
     )
+    _add_cap(p_enum)
     _add_solver_flags(p_enum)
     _add_out_dir(p_enum)
 
@@ -118,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='Prüfer code, e.g. "3 3 5" (empty string for s=2)',
     )
+    _add_cap(p_oracle)
     _add_solver_flags(p_oracle)
     _add_out_dir(p_oracle)
 
@@ -141,7 +146,6 @@ def _config_from_args(args) -> SolverConfig:
         cost_matrix=matrix,
         tol=args.tol,
         max_iter=args.max_iter,
-        tensor_cap=args.cap,
         threads=args.threads,
         on_nonconverged="warn" if args.allow_nonconverged else "error",
     )
@@ -216,7 +220,10 @@ def _cmd_gen(args) -> int:
             raise ValidationError(
                 f"{spec_path}: mixture {idx} components need mean/std/weight ({exc})"
             ) from exc
-        measure = sample_gmm(triples, n=args.n, interval=interval, seed=rng)
+        try:
+            measure = sample_gmm(triples, n=args.n, interval=interval, seed=rng)
+        except ValidationError as exc:
+            raise ValidationError(f"{spec_path}: mixture {idx}: {exc}") from exc
         path = out / f"{args.prefix}_{idx:02d}.json"
         save_measure(measure, path)
         paths.append(path)
@@ -279,7 +286,9 @@ def _cmd_enumerate(args) -> int:
     config = _config_from_args(args)
     collection = _load_collection(args.measures)
     start = time.perf_counter()
-    rows = rank_trees(collection, config, direct=args.direct, enumeration_cap=args.enum_cap)
+    rows = rank_trees(
+        collection, config, direct=args.direct, enumeration_cap=args.enum_cap, cap=args.cap
+    )
     elapsed = time.perf_counter() - start
     top_k = len(rows) if args.top_k <= 0 else min(args.top_k, len(rows))
 
@@ -314,13 +323,13 @@ def _cmd_oracle(args) -> int:
     # restrict pairwise data to the tree's edges for the composition
     plans = {e: ewm.edges[e].coupling.plan for e in tree.edges}
     sbs = {e: ewm.edges[e].sb for e in tree.edges}
-    composed = compose_tree_coupling(tree, plans, list(collection), cap=config.tensor_cap)
+    composed = compose_tree_coupling(tree, plans, list(collection), cap=args.cap)
 
     graph = graph_from_edges(collection.s, tree.edges)
     costs = {e: ewm.edges[e].cost.matrix for e in tree.edges}
     mm = mm_sinkhorn(
         list(collection), graph, costs, config.eta,
-        tol=config.tol, max_iter=config.max_iter, cap=config.tensor_cap,
+        tol=config.tol, max_iter=config.max_iter, cap=args.cap,
     )
     if not mm.converged and config.on_nonconverged == "error":
         raise SolverError(
@@ -330,7 +339,7 @@ def _cmd_oracle(args) -> int:
     sup_gap = float(np.abs(composed - mm.tensor).max())
     entropies = [entropy(m) for m in collection]
     cost_decomposed = tree_cost_decomposed(tree, sbs, entropies)
-    dense_cost = cost_tensor(graph, costs, shape=collection.sizes, cap=config.tensor_cap)
+    dense_cost = cost_tensor(graph, costs, shape=collection.sizes, cap=args.cap)
     cost_direct = msb_objective(mm.tensor, dense_cost, config.eta) / config.eta
     cost_gap = abs(cost_decomposed - cost_direct)
 

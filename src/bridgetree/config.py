@@ -53,7 +53,6 @@ class SolverConfig:
     cost_matrix: np.ndarray | None = None
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    tensor_cap: int = DEFAULT_TENSOR_CAP
     threads: int = 1
     on_nonconverged: str = "error"
 
@@ -65,8 +64,6 @@ class SolverConfig:
             )
         if self.cost_kind == "matrix" and self.cost_matrix is None:
             raise ValidationError("cost_kind 'matrix' requires cost_matrix")
-        if self.tensor_cap < 1:
-            raise ValidationError(f"tensor_cap must be >= 1, got {self.tensor_cap}")
         if self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
         if self.on_nonconverged not in ("error", "warn"):

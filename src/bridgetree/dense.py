@@ -24,7 +24,7 @@ from .config import (
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 from .sinkhorn import PairwiseCost, total_variation
-from .trees import DisjointSet, Edge
+from .trees import DisjointSet, Edge, on_axes
 
 
 def canonical_edge(a: int, b: int) -> Edge:
@@ -103,14 +103,6 @@ def _infer_shape(graph: GraphStructure, costs: Mapping[Edge, np.ndarray]) -> tup
     return tuple(sizes[v] for v in range(1, graph.s + 1))
 
 
-def _broadcast_pair(matrix: np.ndarray, a: int, b: int, s: int) -> np.ndarray:
-    """View of an (n_a, n_b) matrix shaped for s-way broadcasting (a < b)."""
-    shape = [1] * s
-    shape[a - 1] = matrix.shape[0]
-    shape[b - 1] = matrix.shape[1]
-    return matrix.reshape(shape)
-
-
 def cost_tensor(
     graph: GraphStructure,
     costs: Mapping[Edge, "np.ndarray | PairwiseCost"],
@@ -139,7 +131,7 @@ def cost_tensor(
             raise ValidationError(
                 f"edge {(a, b)} matrix shape {m.shape} inconsistent with tensor shape"
             )
-        out += _broadcast_pair(m, a, b, graph.s)
+        out += on_axes(m, graph.s, a, b)
     return out
 
 
@@ -219,27 +211,11 @@ def mm_sinkhorn(
     keeps = [m.weights > 0 for m in measures]
     mus = [m.weights[k] for m, k in zip(measures, keeps)]
     full_shape = tuple(m.n for m in measures)
-    check_tensor_cap(full_shape, cap)
-
-    pruned_costs: dict[Edge, np.ndarray] = {}
-    for edge in graph.sorted_edges():
-        if edge not in costs:
-            raise ValidationError(f"missing cost matrix for edge {edge}")
-        a, b = edge
-        m = _edge_matrix(costs[edge])
-        if m.shape != (full_shape[a - 1], full_shape[b - 1]):
-            raise ValidationError(
-                f"edge {edge} matrix shape {m.shape} does not match marginal sizes"
-            )
-        pruned_costs[edge] = m[np.ix_(keeps[a - 1], keeps[b - 1])]
-
-    shape = tuple(int(k.sum()) for k in keeps)
-    log_k = np.zeros(shape)
-    for (a, b), m in sorted(pruned_costs.items()):
-        log_k += _broadcast_pair(-m / eta, a, b, s)
-
+    # log K = sum of -C_e/eta, each edge scaled before the sum (scaling the
+    # summed C instead rounds differently), restricted to the kept points
+    scaled = {edge: -_edge_matrix(c) / eta for edge, c in costs.items()}
+    log_m = cost_tensor(graph, scaled, shape=full_shape, cap=cap)[np.ix_(*keeps)]
     log_mus = [np.log(mu) for mu in mus]
-    log_m = log_k.copy()
     iterations = 0
     residual = np.inf
     converged = False
@@ -248,10 +224,7 @@ def mm_sinkhorn(
         for ax in range(s):
             # the axis-0 marginal of the unchanged tensor is already known
             log_marginal = log_marginals[0] if ax == 0 else _log_marginal(log_m, ax)
-            delta = log_mus[ax] - log_marginal
-            shape_vec = [1] * s
-            shape_vec[ax] = delta.size
-            log_m += delta.reshape(shape_vec)
+            log_m += on_axes(log_mus[ax] - log_marginal, s, ax + 1)
         # fresh projections of the end-of-sweep tensor, all s marginals
         log_marginals = [_log_marginal(log_m, ax) for ax in range(s)]
         residual = 0.0

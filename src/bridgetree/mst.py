@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .config import SolverConfig, check_tensor_cap
+from .config import DEFAULT_TENSOR_CAP, SolverConfig, check_tensor_cap
 from .errors import SolverError, ValidationError
 from .measures import DiscreteMeasure, MeasureCollection, entropy
 from .sinkhorn import (
@@ -45,6 +45,8 @@ from .trees import (
     SpanningTree,
     _prufer_codes,
     enumerate_trees,
+    on_axes,
+    rooted_walk,
     tree_cost_additive,
 )
 
@@ -289,6 +291,7 @@ def rank_trees(
     ewm: EdgeWeightMatrix | None = None,
     direct: str = "auto",
     enumeration_cap: int = ENUMERATION_CAP,
+    cap: int = DEFAULT_TENSOR_CAP,
 ) -> list[RankedTree]:
     """Cost every spanning tree, cheapest first.
 
@@ -298,7 +301,7 @@ def rank_trees(
     P = prod M_e / prod mu_v^(deg v - 1) and the integrand W = C/eta + log P
     are grown one axis per tree edge from a root vertex, and
     cost_direct = <P, W> summed over the full tensor (see _direct_evaluator).
-    direct="auto" computes it when the tensor fits config.tensor_cap,
+    direct="auto" computes it when the tensor has at most cap entries,
     "never" skips it, "always" refuses if it cannot be computed.
 
     Ties in cost keep lexicographic Prüfer order (the enumeration order,
@@ -306,14 +309,16 @@ def rank_trees(
     """
     if direct not in ("auto", "never", "always"):
         raise ValidationError(f"direct must be auto/never/always, got {direct!r}")
+    if cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
     collection = MeasureCollection(measures)
     if ewm is None:
         ewm = build_weight_matrix(collection, config)
     entropies = np.array([entropy(m) for m in collection])
     s = collection.s
     if direct == "always":
-        check_tensor_cap(collection.sizes, config.tensor_cap)
-    elif direct == "auto" and math.prod(collection.sizes) > config.tensor_cap:
+        check_tensor_cap(collection.sizes, cap)
+    elif direct == "auto" and math.prod(collection.sizes) > cap:
         direct = "never"
     direct_cost = _direct_evaluator(collection, ewm, config.eta) if direct != "never" else None
 
@@ -346,13 +351,6 @@ def _direct_evaluator(collection: MeasureCollection, ewm: EdgeWeightMatrix, eta:
     so the entry contributes 0 log 0 = 0.
     """
     s = collection.s
-    shape = collection.sizes
-
-    def on_axes(matrix: np.ndarray, *vertices: int) -> np.ndarray:
-        view = [1] * s
-        for v in vertices:
-            view[v - 1] = shape[v - 1]
-        return matrix.reshape(view)
 
     def masked_log(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
@@ -361,8 +359,8 @@ def _direct_evaluator(collection: MeasureCollection, ewm: EdgeWeightMatrix, eta:
 
     weights = [m.weights for m in collection]
     root = 1
-    root_plan = on_axes(weights[root - 1], root)
-    root_term = on_axes(masked_log(weights[root - 1]), root)
+    root_plan = on_axes(weights[root - 1], s, root)
+    root_term = on_axes(masked_log(weights[root - 1]), s, root)
     # steps[(p, c)]: Q_pc and C_e/eta + log Q_pc, both stored on the
     # canonical (a, b) axes of the edge whichever end is the parent
     steps = {}
@@ -370,26 +368,14 @@ def _direct_evaluator(collection: MeasureCollection, ewm: EdgeWeightMatrix, eta:
         plan, cost = es.coupling.plan, es.cost.matrix
         rows_mu, cols_mu = weights[a - 1][:, None], weights[b - 1][None, :]
         for parent, child, mu in ((a, b, rows_mu), (b, a, cols_mu)):
-            q = np.zeros_like(plan)
-            np.divide(plan, mu, out=q, where=mu > 0)
+            q = np.divide(plan, mu, out=np.zeros_like(plan), where=mu > 0)
             term = np.where(q > 0, cost / eta + masked_log(q), 0.0)
-            steps[(parent, child)] = (on_axes(q, a, b), on_axes(term, a, b))
-    plan_buf = np.empty(shape)
-    term_buf = np.empty(shape)
+            steps[(parent, child)] = (on_axes(q, s, a, b), on_axes(term, s, a, b))
+    plan_buf = np.empty(collection.sizes)
+    term_buf = np.empty(collection.sizes)
 
     def direct_cost(tree: SpanningTree) -> float:
-        neighbors: dict[int, list[int]] = {v: [] for v in range(1, s + 1)}
-        for a, b in tree.edges:
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        walk = []  # (parent, child) in breadth-first order from the root
-        frontier, seen = [root], {root}
-        for parent in frontier:  # frontier grows while it is walked
-            for child in neighbors[parent]:
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-                    walk.append((parent, child))
+        walk = rooted_walk(tree, root)
         plan, term = root_plan, root_term
         for step in walk[:-1]:
             q, t = steps[step]

@@ -171,6 +171,33 @@ def enumerate_trees(s: int, cap: int = ENUMERATION_CAP) -> Iterator[SpanningTree
         yield prufer_decode(code, s)
 
 
+def on_axes(array: np.ndarray, s: int, *vertices: int) -> np.ndarray:
+    """View of a 1-d or 2-d array on the axes of the given 1-based vertices
+    (ascending) of an s-way tensor, with length-1 axes elsewhere."""
+    view = [1] * s
+    for v, n in zip(vertices, array.shape):
+        view[v - 1] = n
+    return array.reshape(view)
+
+
+def rooted_walk(tree: SpanningTree, root: int = 1) -> list[Edge]:
+    """The tree's edges as (parent, child) pairs in breadth-first order from
+    the root; neighbors are visited in canonical edge order."""
+    neighbors: dict[int, list[int]] = {v: [] for v in range(1, tree.s + 1)}
+    for a, b in tree.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    walk = []
+    frontier, seen = [root], {root}
+    for parent in frontier:  # frontier grows while it is walked
+        for child in neighbors[parent]:
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+                walk.append((parent, child))
+    return walk
+
+
 def compose_tree_coupling(
     tree: SpanningTree,
     plans: Mapping[Edge, np.ndarray],
@@ -181,8 +208,10 @@ def compose_tree_coupling(
 
     Each plan must be keyed by a canonical (a, b) edge with shape
     (n_a, n_b), a < b, and must reproduce the endpoint marginals within
-    MARGINAL_TOL (TV).  Entries whose marginal weight vanishes anywhere are
-    zero by feasibility and are set to zero rather than dividing 0/0.
+    MARGINAL_TOL (TV).  Along rooted_walk(tree) the coupling is the first
+    edge's plan times, for each further edge p -> c, the conditional
+    plan / mu_p, taken as 0 where mu_p vanishes: entries whose marginal
+    weight vanishes are zero by feasibility, so no 0/0 is formed.
     """
     measures = list(measures)
     if len(measures) != tree.s:
@@ -191,7 +220,8 @@ def compose_tree_coupling(
     check_tensor_cap(shape, cap)
 
     out = np.ones(shape)
-    for a, b in tree.edges:
+    for step, (parent, child) in enumerate(rooted_walk(tree)):
+        a, b = min(parent, child), max(parent, child)
         if (a, b) not in plans:
             raise ValidationError(f"missing pairwise plan for tree edge ({a}, {b})")
         plan = np.asarray(plans[(a, b)], dtype=float)
@@ -207,35 +237,11 @@ def compose_tree_coupling(
                 f"plan for edge ({a}, {b}) violates its marginals "
                 f"(TV {max(row_gap, col_gap):.3e} > {MARGINAL_TOL:.1e})"
             )
-        view = [1] * tree.s
-        view[a - 1] = plan.shape[0]
-        view[b - 1] = plan.shape[1]
-        out *= plan.reshape(view)
-
-    deg = tree.degrees()
-    for idx, measure in enumerate(measures):
-        if deg[idx] <= 1:
-            continue
-        w = measure.weights ** (deg[idx] - 1)
-        view = [1] * tree.s
-        view[idx] = w.size
-        wv = w.reshape(view)
-        np.divide(out, wv, out=out, where=wv > 0)
-        zero = measure.weights == 0
-        if zero.any():
-            slicer: list = [slice(None)] * tree.s
-            slicer[idx] = zero
-            out[tuple(slicer)] = 0.0
+        if step:  # every edge after the first enters as plan / mu_parent
+            mu = on_axes(measures[parent - 1].weights, 2, 1 if parent == a else 2)
+            plan = np.divide(plan, mu, out=np.zeros_like(plan), where=mu > 0)
+        out *= on_axes(plan, tree.s, a, b)
     return out
-
-
-def _edge_lookup(tree: SpanningTree, values: Mapping[Edge, float], what: str) -> list[float]:
-    picked = []
-    for edge in tree.edges:
-        if edge not in values:
-            raise ValidationError(f"missing {what} for tree edge {edge}")
-        picked.append(float(values[edge]))
-    return picked
 
 
 def tree_cost_decomposed(
@@ -246,7 +252,10 @@ def tree_cost_decomposed(
     """KL cost of a tree via its edges: sum sb_edge + sum (deg-1) * H."""
     if len(entropies) != tree.s:
         raise ValidationError(f"need {tree.s} entropies, got {len(entropies)}")
-    total = sum(_edge_lookup(tree, sb_values, "sb value"))
+    missing = [edge for edge in tree.edges if edge not in sb_values]
+    if missing:
+        raise ValidationError(f"missing sb value for tree edge {missing[0]}")
+    total = sum(float(sb_values[edge]) for edge in tree.edges)
     deg = tree.degrees()
     total += float(((deg - 1) * np.asarray(entropies, dtype=float)).sum())
     return total

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -13,7 +14,9 @@ from bridgetree import (
     MeasureCollection,
     OptimalMsbResult,
     PairwiseCost,
+    SolverConfig,
     compose_tree_coupling,
+    cost_tensor,
     mm_sinkhorn,
     optimal_msb,
     rank_trees,
@@ -24,6 +27,7 @@ from bridgetree.config import DEFAULT_MAX_ITER, DEFAULT_TENSOR_CAP, DEFAULT_TOL
 from bridgetree.trees import ENUMERATION_CAP
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+DENSE = Path(bridgetree.dense.__file__)
 
 
 def default_of(fn, name):
@@ -39,6 +43,8 @@ class TestDefaultsLiveInOnePlace:
     def test_tensor_and_enumeration_caps(self):
         assert default_of(mm_sinkhorn, "cap") == DEFAULT_TENSOR_CAP
         assert default_of(compose_tree_coupling, "cap") == DEFAULT_TENSOR_CAP
+        assert default_of(cost_tensor, "cap") == DEFAULT_TENSOR_CAP
+        assert default_of(rank_trees, "cap") == DEFAULT_TENSOR_CAP
         assert default_of(rank_trees, "enumeration_cap") == ENUMERATION_CAP
 
     @pytest.mark.parametrize("command", ["solve", "weights", "enumerate", "oracle"])
@@ -49,7 +55,11 @@ class TestDefaultsLiveInOnePlace:
         args = build_parser().parse_args(argv)
         assert args.tol == DEFAULT_TOL
         assert args.max_iter == DEFAULT_MAX_ITER
-        assert args.cap == DEFAULT_TENSOR_CAP
+        # only the commands that build a dense tensor take a tensor cap
+        if command in ("enumerate", "oracle"):
+            assert args.cap == DEFAULT_TENSOR_CAP
+        else:
+            assert not hasattr(args, "cap")
 
     def test_cli_enumeration_cap(self):
         args = build_parser().parse_args(["enumerate", "m.json", "--eta", "1"])
@@ -64,7 +74,7 @@ class TestExports:
 
     def test_deleted_api_stays_deleted(self):
         deleted = {"sb_values", "tensor_note", "pruned", "marginal_tol", "_plan_array",
-                   "KernelMatrix", "_resolve_cost"}
+                   "KernelMatrix", "_resolve_cost", "_broadcast_pair", "_edge_lookup"}
         assert deleted.isdisjoint(bridgetree.__all__)
         assert not hasattr(EdgeWeightMatrix, "sb_values")
         assert "tensor_note" not in {f.name for f in dataclasses.fields(OptimalMsbResult)}
@@ -72,6 +82,9 @@ class TestExports:
         assert "marginal_tol" not in inspect.signature(compose_tree_coupling).parameters
         assert not hasattr(bridgetree.trees, "_plan_array")
         assert not hasattr(bridgetree.dense, "_check_cap")
+        assert not hasattr(bridgetree.dense, "_broadcast_pair")
+        assert not hasattr(bridgetree.trees, "_edge_lookup")
+        assert "tensor_cap" not in {f.name for f in dataclasses.fields(SolverConfig)}
         assert not hasattr(bridgetree.sinkhorn, "KernelMatrix")
         assert not hasattr(bridgetree.mst, "_resolve_cost")
         assert "kind" not in {f.name for f in dataclasses.fields(PairwiseCost)}
@@ -97,3 +110,24 @@ def test_perfbench_tracer_targets_resolve(monkeypatch):
         originals.append(getattr(module, attr))
     for name, algorithm in bridgetree.mst.MST_ALGORITHMS.items():
         assert any(algorithm is fn for fn in originals), name
+
+
+def test_dense_oracle_imports_nothing_of_the_fast_path():
+    """dense.py shares no plan, weight or solve with the pairwise pipeline it
+    checks: from the package it takes only generic helpers."""
+    allowed = {
+        "trees": {"DisjointSet", "Edge", "on_axes"},
+        "sinkhorn": {"PairwiseCost", "total_variation"},
+    }
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(DENSE.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("bridgetree")
+        ):
+            module = (node.module or "").rpartition(".")[2]  # "" for `from . import x`
+            imported.setdefault(module, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("bridgetree") for a in node.names)
+    assert "mst" not in imported and "mst" not in imported.get("", set())
+    for module, names in allowed.items():
+        assert imported.get(module, set()) <= names, module

@@ -78,6 +78,7 @@ class TestGen:
         ("interval", [1.0, 2.0, 3.0]),
         ("mean", float("nan")),
         ("std", float("inf")),
+        ("std", -1.0),
     ])
     def test_bad_spec_value_exits_2(self, tmp_path, capsys, field, value):
         spec = copy.deepcopy(GMM_SPEC)
@@ -91,6 +92,9 @@ class TestGen:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "validation"
+        assert str(bad) in err["error"]["message"]
+        if field != "interval":
+            assert "mixture 1" in err["error"]["message"]
 
 
 class TestSolve:
@@ -247,6 +251,31 @@ class TestEnumerate:
         assert "cap" in err["error"]["message"]
 
 
+    def test_over_cap_leaves_direct_column_empty(self, tmp_path, rng, capsys):
+        paths = write_measures(tmp_path, random_measures(rng, [3, 3, 3]))
+        for cap, dense in (("26", False), ("27", True)):
+            out = tmp_path / cap
+            rc = main(["enumerate", *paths, "--eta", "1.0", "--cap", cap,
+                       "--out-dir", str(out)])
+            assert rc == 0
+            rows = read_ranked_csv(out / "trees_ranked.csv")
+            assert len(rows) == 3
+            assert all((row["cost_direct"] != "") == dense for row in rows)
+            assert ("cost (dense tensor)" in capsys.readouterr().out) == dense
+
+
+@pytest.mark.parametrize("command", ["enumerate", "oracle"])
+def test_cap_below_one_exits_2(tmp_path, rng, capsys, command):
+    paths = write_measures(tmp_path, random_measures(rng, [2, 2, 2]))
+    argv = [command, *paths, "--eta", "1.0", "--cap", "0", "--out-dir", str(tmp_path)]
+    if command == "oracle":
+        argv += ["--tree", "2"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    assert "cap" in err["error"]["message"]
+
+
 class TestOracle:
     def test_zero_cost_instance_tiny_gaps(self, tmp_path, rng, capsys):
         ms = random_measures(rng, [2, 2, 2])
@@ -289,6 +318,25 @@ class TestOracle:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert "cap" in err["error"]["message"]
+
+
+    def test_unconverged_dense_solve(self, tmp_path, capsys):
+        # on this draw every pairwise solve converges within 434 sweeps and
+        # the dense solve needs 573, so 500 stops only the dense one
+        ms = random_measures(np.random.default_rng(4), [3, 3, 3], low=-5, high=5)
+        paths = write_measures(tmp_path, ms)
+        out = tmp_path / "o"
+        argv = ["oracle", *paths, "--eta", "1.0", "--tree", "2", "--max-iter", "500",
+                "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "numerical"
+        assert "multimarginal" in err["error"]["message"]
+        assert not (out / "oracle_report.json").exists()
+        assert main(argv + ["--allow-nonconverged"]) == 0
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["mm_converged"] is False
+        assert report["mm_iterations"] == 500
 
 
 class TestExperimentScript:

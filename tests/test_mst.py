@@ -11,6 +11,7 @@ from bridgetree import (
     ValidationError,
     build_weight_matrix,
     build_cost,
+    complete_graph,
     compose_tree_coupling,
     cost_tensor,
     edge_weight,
@@ -254,10 +255,9 @@ class TestOptimalMsb:
 
     def test_compose_respects_cap(self, rng):
         ms = random_measures(rng, [30, 30, 30])
-        cfg = SolverConfig(eta=1.0, tensor_cap=100)
-        res = optimal_msb(ms, cfg)
+        res = optimal_msb(ms, SolverConfig(eta=1.0))
         with pytest.raises(ValidationError, match="cap"):
-            compose_tree_coupling(res.tree, tree_plans(res), ms, cap=cfg.tensor_cap)
+            compose_tree_coupling(res.tree, tree_plans(res), ms, cap=100)
 
     def test_total_cost_matches_dense_objective_of_composed_tensor(self, rng):
         # structure-free consistency: edge-weight total vs the transport
@@ -362,7 +362,15 @@ class TestRankTrees:
     def test_direct_always_refuses_over_cap(self, rng):
         ms = random_measures(rng, [30, 30, 30])
         with pytest.raises(ValidationError, match="cap"):
-            rank_trees(ms, SolverConfig(eta=1.0, tensor_cap=100), direct="always")
+            rank_trees(ms, SolverConfig(eta=1.0), direct="always", cap=100)
+
+    def test_direct_auto_over_cap_skips_column(self, rng):
+        ms = random_measures(rng, [3, 3, 3])
+        ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
+        rows = rank_trees(ms, SolverConfig(eta=1.0), ewm=ewm, direct="auto", cap=26)
+        assert all(row.cost_direct is None for row in rows)
+        rows = rank_trees(ms, SolverConfig(eta=1.0), ewm=ewm, direct="auto", cap=27)
+        assert all(row.cost_direct is not None for row in rows)
 
     def test_ties_keep_enumeration_order(self, rng):
         # identical measures everywhere: all trees cost the same, so the
@@ -376,3 +384,28 @@ class TestRankTrees:
         rows = rank_trees(ms, SolverConfig(eta=2.0), direct="never")
         costs = [r.cost_additive for r in rows]
         assert costs == sorted(costs)
+
+
+@pytest.mark.parametrize("s", [3, 4])
+@pytest.mark.parametrize("eta", [1.0, 5.0, 20.0])
+def test_cycle_never_beats_a_spanning_tree_on_the_dense_oracle(s, eta):
+    """The structure lemma, checked by the dense solver alone: the complete
+    graph's objective is at least every spanning tree's (deleting an edge
+    drops a nonnegative cost term), and optimal_msb's tree attains the tree
+    minimum, with its edge-sum cost equal to the dense objective."""
+    rng = np.random.default_rng(1000 * s + int(eta))
+    ms = random_measures(rng, [3] * s, low=-5, high=5)
+    costs = {(a, b): build_cost(ms[a - 1], ms[b - 1]).matrix
+             for a in range(1, s + 1) for b in range(a + 1, s + 1)}
+
+    def dense_value(graph):
+        mm = mm_sinkhorn(ms, graph, costs, eta)
+        assert mm.converged
+        return msb_objective(mm.tensor, cost_tensor(graph, costs), eta) / eta
+
+    tree_values = {tree.edges: dense_value(graph_from_edges(s, tree.edges))
+                   for tree in enumerate_trees(s)}
+    assert dense_value(complete_graph(s)) >= max(tree_values.values())
+    res = optimal_msb(ms, SolverConfig(eta=eta))
+    assert tree_values[res.tree.edges] <= min(tree_values.values()) + 1e-6
+    assert abs(res.total_cost - tree_values[res.tree.edges]) <= 1e-6

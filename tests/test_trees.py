@@ -212,6 +212,23 @@ class TestComposeTreeCoupling:
         assert np.all(composed[1] == 0.0)
         assert total_variation(project(composed, 1), ms[0].weights) <= 1e-8
 
+    @pytest.mark.parametrize("edges, zero_vertex", [
+        (((1, 2), (2, 3)), 2),  # middle of a path
+        (((1, 2), (1, 3), (1, 4)), 1),  # hub of a star at the root
+    ])
+    def test_zero_weight_on_inner_vertex_slice_is_zero(self, edges, zero_vertex):
+        tree = SpanningTree(len(edges) + 1, edges)
+        ms = [DiscreteMeasure([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5]) for _ in range(tree.s)]
+        ms[zero_vertex - 1] = DiscreteMeasure([[0.0], [1.0], [2.0]], [0.5, 0.0, 0.5])
+        plans = {}
+        for a, b in tree.edges:
+            cost = build_cost(ms[a - 1], ms[b - 1])
+            plans[(a, b)] = sinkhorn_solve(ms[a - 1], ms[b - 1], cost, 1.0).plan
+        composed = compose_tree_coupling(tree, plans, ms)
+        assert np.all(np.take(composed, 1, axis=zero_vertex - 1) == 0.0)
+        for v in range(1, tree.s + 1):
+            assert total_variation(project(composed, v), ms[v - 1].weights) <= 1e-8
+
     def test_missing_plan_rejected(self, rng):
         ms = random_measures(rng, [2, 2, 2])
         tree = SpanningTree(3, ((1, 2), (2, 3)))
