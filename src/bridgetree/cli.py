@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_MAX_ITER, DEFAULT_TENSOR_CAP, DEFAULT_TOL, SolverConfig
+from .config import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TENSOR_CAP,
+    DEFAULT_TOL,
+    SolverConfig,
+    check_tensor_cap,
+)
 from .dense import graph_from_edges, mm_sinkhorn, msb_objective, cost_tensor
 from .errors import SolverError, ValidationError
 from .measures import (
@@ -316,6 +322,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_oracle(args) -> int:
     config = _config_from_args(args)
     collection = _load_collection(args.measures)
+    check_tensor_cap(collection.sizes, args.cap)  # before any pairwise solve
     code = parse_prufer(args.tree)
     tree = prufer_decode(code, collection.s)
 

@@ -213,7 +213,7 @@ def mm_sinkhorn(
     full_shape = tuple(m.n for m in measures)
     # log K = sum of -C_e/eta, each edge scaled before the sum (scaling the
     # summed C instead rounds differently), restricted to the kept points
-    scaled = {edge: -_edge_matrix(c) / eta for edge, c in costs.items()}
+    scaled = {e: -_edge_matrix(costs[e]) / eta for e in graph.sorted_edges() if e in costs}
     log_m = cost_tensor(graph, scaled, shape=full_shape, cap=cap)[np.ix_(*keeps)]
     log_mus = [np.log(mu) for mu in mus]
     iterations = 0

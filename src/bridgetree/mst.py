@@ -340,7 +340,7 @@ def rank_trees(
 def _direct_evaluator(collection: MeasureCollection, ewm: EdgeWeightMatrix, eta: float):
     """Dense direct tree cost <P, C/eta + log P>, one axis per tree edge.
 
-    Rooted at vertex r, a tree coupling factors as
+    Rooted at r, the vertex rooted_walk starts from, a tree coupling factors as
     P = mu_r * prod over edges p -> c of Q_pc,  Q_pc = M_e / mu_p,
     the conditional of c given its parent p, and so
     W = C/eta + log P = log mu_r + sum over edges of (C_e/eta + log Q_pc).
@@ -358,9 +358,7 @@ def _direct_evaluator(collection: MeasureCollection, ewm: EdgeWeightMatrix, eta:
         return out
 
     weights = [m.weights for m in collection]
-    root = 1
-    root_plan = on_axes(weights[root - 1], s, root)
-    root_term = on_axes(masked_log(weights[root - 1]), s, root)
+    log_weights = [masked_log(w) for w in weights]
     # steps[(p, c)]: Q_pc and C_e/eta + log Q_pc, both stored on the
     # canonical (a, b) axes of the edge whichever end is the parent
     steps = {}
@@ -375,8 +373,10 @@ def _direct_evaluator(collection: MeasureCollection, ewm: EdgeWeightMatrix, eta:
     term_buf = np.empty(collection.sizes)
 
     def direct_cost(tree: SpanningTree) -> float:
-        walk = rooted_walk(tree, root)
-        plan, term = root_plan, root_term
+        walk = rooted_walk(tree)
+        root = walk[0][0]
+        plan = on_axes(weights[root - 1], s, root)
+        term = on_axes(log_weights[root - 1], s, root)
         for step in walk[:-1]:
             q, t = steps[step]
             plan = plan * q

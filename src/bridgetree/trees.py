@@ -180,15 +180,15 @@ def on_axes(array: np.ndarray, s: int, *vertices: int) -> np.ndarray:
     return array.reshape(view)
 
 
-def rooted_walk(tree: SpanningTree, root: int = 1) -> list[Edge]:
+def rooted_walk(tree: SpanningTree) -> list[Edge]:
     """The tree's edges as (parent, child) pairs in breadth-first order from
-    the root; neighbors are visited in canonical edge order."""
+    vertex 1; neighbors are visited in canonical edge order."""
     neighbors: dict[int, list[int]] = {v: [] for v in range(1, tree.s + 1)}
     for a, b in tree.edges:
         neighbors[a].append(b)
         neighbors[b].append(a)
     walk = []
-    frontier, seen = [root], {root}
+    frontier, seen = [1], {1}
     for parent in frontier:  # frontier grows while it is walked
         for child in neighbors[parent]:
             if child not in seen:

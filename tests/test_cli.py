@@ -264,9 +264,18 @@ class TestEnumerate:
             assert ("cost (dense tensor)" in capsys.readouterr().out) == dense
 
 
+def refuse_pairwise_solves(monkeypatch):
+    """Fail the test if any command starts the pairwise edge solves."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("pairwise edges solved before the cap was checked")
+    for module in ("bridgetree.cli", "bridgetree.mst"):
+        monkeypatch.setattr(f"{module}.build_weight_matrix", no_solve)
+
+
 @pytest.mark.parametrize("command", ["enumerate", "oracle"])
-def test_cap_below_one_exits_2(tmp_path, rng, capsys, command):
+def test_cap_below_one_exits_2(tmp_path, rng, capsys, monkeypatch, command):
     paths = write_measures(tmp_path, random_measures(rng, [2, 2, 2]))
+    refuse_pairwise_solves(monkeypatch)
     argv = [command, *paths, "--eta", "1.0", "--cap", "0", "--out-dir", str(tmp_path)]
     if command == "oracle":
         argv += ["--tree", "2"]
@@ -310,9 +319,10 @@ class TestOracle:
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["sup_norm_gap"] < 1e-12
 
-    def test_cap_exceeded_exit_2(self, tmp_path, rng, capsys):
+    def test_cap_exceeded_exit_2(self, tmp_path, rng, capsys, monkeypatch):
         ms = random_measures(rng, [30, 30, 30])
         paths = write_measures(tmp_path, ms)
+        refuse_pairwise_solves(monkeypatch)
         rc = main(["oracle", *paths, "--eta", "1.0", "--tree", "2",
                    "--cap", "100", "--out-dir", str(tmp_path)])
         assert rc == 2
