@@ -37,7 +37,7 @@ from .measures import (
     sample_gmm,
     save_measure,
 )
-from .mst import build_weight_matrix, optimal_msb, rank_trees
+from .mst import build_weight_matrix, optimal_msb, rank_trees, solve_edges
 from .trees import (
     ENUMERATION_CAP,
     compose_tree_coupling,
@@ -55,31 +55,6 @@ def _fmt(x: float) -> str:
     return format(float(x), f".{SIG_DIGITS}g")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta", type=float, required=True, help="entropic regularization (> 0)")
-    p.add_argument(
-        "--cost",
-        default="sqeuclidean",
-        help="ground cost: sqeuclidean, euclidean, or matrix:<csv-file>",
-    )
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="marginal TV tolerance")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="Sinkhorn sweep limit")
-    p.add_argument("--threads", type=int, default=1, help="parallel edge solves")
-    p.add_argument(
-        "--allow-nonconverged",
-        action="store_true",
-        help="downgrade Sinkhorn non-convergence from error to warning",
-    )
-
-
-def _add_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=DEFAULT_TENSOR_CAP, help="dense tensor entry cap")
-
-
-def _add_out_dir(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", default=".", help="directory for output files")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bridgetree",
@@ -87,26 +62,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the flags every measure command shares, and the dense tensor cap
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("measures", nargs="+", help="measure JSON files")
+    solver.add_argument("--eta", type=float, required=True, help="entropic regularization (> 0)")
+    solver.add_argument(
+        "--cost",
+        default="sqeuclidean",
+        help="ground cost: sqeuclidean, euclidean, or matrix:<csv-file>",
+    )
+    solver.add_argument("--tol", type=float, default=DEFAULT_TOL, help="marginal TV tolerance")
+    solver.add_argument(
+        "--max-iter", type=int, default=DEFAULT_MAX_ITER, help="Sinkhorn sweep limit"
+    )
+    solver.add_argument("--threads", type=int, default=1, help="parallel edge solves")
+    solver.add_argument(
+        "--allow-nonconverged",
+        action="store_true",
+        help="downgrade Sinkhorn non-convergence from error to warning",
+    )
+    solver.add_argument("--out-dir", default=".", help="directory for output files")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument(
+        "--cap", type=int, default=DEFAULT_TENSOR_CAP, help="dense tensor entry cap"
+    )
+
     p_gen = sub.add_parser("gen", help="sample measure files from a GMM spec")
     p_gen.add_argument("spec", help="JSON mixture spec file")
     p_gen.add_argument("--n", type=int, default=25, help="samples per measure")
     p_gen.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_gen.add_argument("--prefix", default="measure", help="output file prefix")
-    _add_out_dir(p_gen)
+    p_gen.add_argument("--out-dir", default=".", help="directory for output files")
 
-    p_solve = sub.add_parser("solve", help="optimal tree for measure files")
-    p_solve.add_argument("measures", nargs="+", help="measure JSON files")
+    p_solve = sub.add_parser("solve", parents=[solver], help="optimal tree for measure files")
     p_solve.add_argument("--mst", choices=("prim", "boruvka"), default="prim")
-    _add_solver_flags(p_solve)
-    _add_out_dir(p_solve)
 
-    p_weights = sub.add_parser("weights", help="edge-weight matrix only")
-    p_weights.add_argument("measures", nargs="+", help="measure JSON files")
-    _add_solver_flags(p_weights)
-    _add_out_dir(p_weights)
+    sub.add_parser("weights", parents=[solver], help="edge-weight matrix only")
 
-    p_enum = sub.add_parser("enumerate", help="rank all spanning trees by cost")
-    p_enum.add_argument("measures", nargs="+", help="measure JSON files")
+    p_enum = sub.add_parser(
+        "enumerate", parents=[solver, capped], help="rank all spanning trees by cost"
+    )
     p_enum.add_argument("--top-k", type=int, default=10, help="rows to report (0 = all)")
     p_enum.add_argument(
         "--direct",
@@ -117,20 +112,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--enum-cap", type=int, default=ENUMERATION_CAP, help="max s for enumeration"
     )
-    _add_cap(p_enum)
-    _add_solver_flags(p_enum)
-    _add_out_dir(p_enum)
 
-    p_oracle = sub.add_parser("oracle", help="dense multimarginal cross-check for one tree")
-    p_oracle.add_argument("measures", nargs="+", help="measure JSON files")
+    p_oracle = sub.add_parser(
+        "oracle", parents=[solver, capped], help="dense multimarginal cross-check for one tree"
+    )
     p_oracle.add_argument(
         "--tree",
         required=True,
         help='Prüfer code, e.g. "3 3 5" (empty string for s=2)',
     )
-    _add_cap(p_oracle)
-    _add_solver_flags(p_oracle)
-    _add_out_dir(p_oracle)
 
     return parser
 
@@ -326,14 +316,13 @@ def _cmd_oracle(args) -> int:
     code = parse_prufer(args.tree)
     tree = prufer_decode(code, collection.s)
 
-    ewm = build_weight_matrix(collection, config)
-    # restrict pairwise data to the tree's edges for the composition
-    plans = {e: ewm.edges[e].coupling.plan for e in tree.edges}
-    sbs = {e: ewm.edges[e].sb for e in tree.edges}
+    solves = solve_edges(collection, config, tree.edges)  # the tree's s-1 edges only
+    plans = {e: es.coupling.plan for e, es in solves.items()}
+    sbs = {e: es.sb for e, es in solves.items()}
     composed = compose_tree_coupling(tree, plans, list(collection), cap=args.cap)
 
     graph = graph_from_edges(collection.s, tree.edges)
-    costs = {e: ewm.edges[e].cost.matrix for e in tree.edges}
+    costs = {e: es.cost.matrix for e, es in solves.items()}
     mm = mm_sinkhorn(
         list(collection), graph, costs, config.eta,
         tol=config.tol, max_iter=config.max_iter, cap=args.cap,
@@ -396,7 +385,3 @@ def main(argv=None) -> int:
         return _fail(2, "io", str(exc))
     except SolverError as exc:
         return _fail(1, "numerical", str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

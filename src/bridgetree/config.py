@@ -36,6 +36,25 @@ def check_tensor_cap(shape, cap: int) -> None:
         )
 
 
+def check_edges(s: int, edges) -> tuple[tuple[int, int], ...]:
+    """The edges as a sorted tuple of (a, b) with a < b.  Refuses s < 2, a
+    self-loop, a vertex outside 1..s and a repeated edge."""
+    if s < 2:
+        raise ValidationError(f"need at least 2 vertices, got s={s}")
+    canon = sorted([(a, b) if a < b else (b, a) for a, b in edges])
+    previous = None
+    for edge in canon:
+        a, b = edge
+        if a == b:
+            raise ValidationError(f"self-loop ({a}, {b}) is not a valid edge")
+        if a < 1 or b > s:
+            raise ValidationError(f"edge ({a}, {b}) out of range for s={s}")
+        if edge == previous:
+            raise ValidationError(f"edge ({a}, {b}) appears twice")
+        previous = edge
+    return tuple(canon)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters for a bridge-tree solve.

@@ -18,6 +18,7 @@ from .config import (
     DEFAULT_MAX_ITER,
     DEFAULT_TENSOR_CAP,
     DEFAULT_TOL,
+    check_edges,
     check_solver_params,
     check_tensor_cap,
 )
@@ -27,43 +28,24 @@ from .sinkhorn import PairwiseCost, total_variation
 from .trees import DisjointSet, Edge, on_axes
 
 
-def canonical_edge(a: int, b: int) -> Edge:
-    """Unordered vertex pair as a sorted tuple of 1-based indices."""
-    if a == b:
-        raise ValidationError(f"self-loop ({a}, {b}) is not a valid edge")
-    return (a, b) if a < b else (b, a)
-
-
 @dataclass(frozen=True)
 class GraphStructure:
     """Undirected graph on vertices 1..s given by its edge set."""
 
     s: int
-    edges: frozenset[Edge]
+    edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.s < 2:
-            raise ValidationError(f"graph needs at least 2 vertices, got s={self.s}")
-        raw = list(self.edges)
-        canon = {canonical_edge(a, b) for a, b in raw}
-        if len(canon) != len(raw):
-            raise ValidationError("duplicate edges in graph")
-        for a, b in canon:
-            if not (1 <= a <= self.s and 1 <= b <= self.s):
-                raise ValidationError(f"edge ({a}, {b}) out of range for s={self.s}")
-        object.__setattr__(self, "edges", frozenset(canon))
+        object.__setattr__(self, "edges", check_edges(self.s, self.edges))
 
     def is_connected(self) -> bool:
         components = DisjointSet(self.s + 1)
         merges = sum(components.union(a, b) for a, b in self.edges)
         return merges == self.s - 1
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
 
 def graph_from_edges(s: int, edges: Iterable[tuple[int, int]]) -> GraphStructure:
-    return GraphStructure(s, frozenset(canonical_edge(a, b) for a, b in edges))
+    return GraphStructure(s, edges)
 
 
 def path_graph(s: int) -> GraphStructure:
@@ -88,7 +70,7 @@ def _edge_matrix(value) -> np.ndarray:
 
 def _infer_shape(graph: GraphStructure, costs: Mapping[Edge, np.ndarray]) -> tuple[int, ...]:
     sizes: dict[int, int] = {}
-    for a, b in graph.sorted_edges():
+    for a, b in graph.edges:
         m = costs[(a, b)]
         for vertex, n in ((a, m.shape[0]), (b, m.shape[1])):
             if sizes.setdefault(vertex, n) != n:
@@ -115,10 +97,12 @@ def cost_tensor(
     any edge set is the general form.
     """
     mats = {}
-    for edge in graph.sorted_edges():
+    for edge in graph.edges:
         if edge not in costs:
             raise ValidationError(f"missing cost matrix for edge {edge}")
         mats[edge] = _edge_matrix(costs[edge])
+        if not np.isfinite(mats[edge]).all():
+            raise ValidationError(f"cost matrix for edge {edge} has non-finite entries")
     if shape is None:
         shape = _infer_shape(graph, mats)
     shape = tuple(int(n) for n in shape)
@@ -126,7 +110,7 @@ def cost_tensor(
         raise ValidationError(f"shape has {len(shape)} axes but graph has s={graph.s}")
     check_tensor_cap(shape, cap)
     out = np.zeros(shape)
-    for (a, b), m in sorted(mats.items()):
+    for (a, b), m in mats.items():
         if m.shape != (shape[a - 1], shape[b - 1]):
             raise ValidationError(
                 f"edge {(a, b)} matrix shape {m.shape} inconsistent with tensor shape"
@@ -213,7 +197,7 @@ def mm_sinkhorn(
     full_shape = tuple(m.n for m in measures)
     # log K = sum of -C_e/eta, each edge scaled before the sum (scaling the
     # summed C instead rounds differently), restricted to the kept points
-    scaled = {e: -_edge_matrix(costs[e]) / eta for e in graph.sorted_edges() if e in costs}
+    scaled = {e: -_edge_matrix(costs[e]) / eta for e in graph.edges if e in costs}
     log_m = cost_tensor(graph, scaled, shape=full_shape, cap=cap)[np.ix_(*keeps)]
     log_mus = [np.log(mu) for mu in mus]
     iterations = 0

@@ -23,7 +23,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -94,30 +94,35 @@ def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) 
     return EdgeSolve(g=g, sb=sb, coupling=coupling, cost=cost, seconds=elapsed)
 
 
-def build_weight_matrix(measures, config: SolverConfig) -> EdgeWeightMatrix:
-    """Fill all s(s-1)/2 edge weights.
+def solve_edges(
+    collection: MeasureCollection, config: SolverConfig, edges: Sequence[Edge]
+) -> dict[Edge, EdgeSolve]:
+    """One EdgeSolve per (a, b) edge, keyed by edge; an error names its edge.
 
     Edge solves are independent, so with config.threads > 1 they run on a
-    thread pool; results are keyed by edge index, making the output
-    independent of completion order.
+    thread pool; results are keyed by edge, making the output independent
+    of completion order.
     """
-    collection = MeasureCollection(measures)
-    s = collection.s
-    pairs = [(a, b) for a in range(1, s + 1) for b in range(a + 1, s + 1)]
 
-    def solve(pair: Edge) -> tuple[Edge, EdgeSolve]:
-        a, b = pair
+    def solve(edge: Edge) -> tuple[Edge, EdgeSolve]:
+        a, b = edge
         try:
-            return pair, edge_weight(collection[a - 1], collection[b - 1], config)
+            return edge, edge_weight(collection[a - 1], collection[b - 1], config)
         except (SolverError, ValidationError) as exc:
             raise type(exc)(f"edge ({a}, {b}): {exc}") from exc
 
-    if config.threads > 1 and len(pairs) > 1:
+    if config.threads > 1 and len(edges) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = dict(pool.map(solve, pairs))
-    else:
-        results = dict(solve(pair) for pair in pairs)
+            return dict(pool.map(solve, edges))
+    return dict(solve(edge) for edge in edges)
 
+
+def build_weight_matrix(measures, config: SolverConfig) -> EdgeWeightMatrix:
+    """Fill all s(s-1)/2 edge weights."""
+    collection = MeasureCollection(measures)
+    s = collection.s
+    pairs = [(a, b) for a in range(1, s + 1) for b in range(a + 1, s + 1)]
+    results = solve_edges(collection, config, pairs)
     g = np.zeros((s, s))
     for (a, b), es in results.items():
         g[a - 1, b - 1] = es.g

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TENSOR_CAP, check_tensor_cap
+from .config import DEFAULT_TENSOR_CAP, check_edges, check_tensor_cap
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 from .sinkhorn import total_variation
@@ -60,19 +60,13 @@ class SpanningTree:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.s < 2:
-            raise ValidationError(f"spanning tree needs s >= 2, got {self.s}")
-        canon = tuple(sorted(tuple(sorted(e)) for e in self.edges))
+        canon = check_edges(self.s, self.edges)
         if len(canon) != self.s - 1:
             raise ValidationError(
                 f"spanning tree on {self.s} vertices needs {self.s - 1} edges, got {len(canon)}"
             )
         components = DisjointSet(self.s + 1)
         for a, b in canon:
-            if a == b:
-                raise ValidationError(f"self-loop ({a}, {b})")
-            if not (1 <= a <= self.s and 1 <= b <= self.s):
-                raise ValidationError(f"edge ({a}, {b}) out of range for s={self.s}")
             if not components.union(a, b):
                 raise ValidationError(f"edges contain a cycle through ({a}, {b})")
         object.__setattr__(self, "edges", canon)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bridgetree import DiscreteMeasure, load_measure, save_measure
+from bridgetree import DiscreteMeasure, edge_weight, load_measure, prufer_decode, save_measure
 from bridgetree.cli import main
 from conftest import GMM_SPEC, random_measures
 
@@ -65,12 +65,29 @@ class TestGen:
         assert m.n == 1 and m.weights[0] == 1.0
 
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
+        no_std = {"mixtures": [{"components": [{"mean": 0.0, "weight": 1.0}]}]}
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        rc = main(["gen", str(bad), "--out-dir", str(tmp_path)])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "validation"
+        for text in ("{}", "not json", '{"mixtures": []}', '{"mixtures": [{}]}',
+                     json.dumps(no_std)):
+            bad.write_text(text)
+            rc = main(["gen", str(bad), "--out-dir", str(tmp_path)])
+            assert rc == 2, text
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"]["type"] == "validation"
+            assert str(bad) in err["error"]["message"]
+
+    def test_python_dash_m_entry_point(self, tmp_path, spec_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "bridgetree", "gen", spec_path, "--n", "3",
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(list((tmp_path / "out").glob("measure_*.json"))) == 5
 
     @pytest.mark.parametrize("field, value", [
         ("std", "abc"),
@@ -161,6 +178,17 @@ class TestSolve:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "numerical"
+
+    def test_unparsable_cost_matrix_exits_2(self, tmp_path, capsys):
+        paths = write_measures(tmp_path, [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2)
+        mat = tmp_path / "cost.csv"
+        mat.write_text("0.0,one\n1.0,0.0\n")
+        rc = main(["solve", *paths, "--eta", "1.0", "--cost", f"matrix:{mat}",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert str(mat) in err["error"]["message"]
 
     def test_matrix_cost_flag(self, tmp_path):
         ms = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5]),
@@ -265,11 +293,10 @@ class TestEnumerate:
 
 
 def refuse_pairwise_solves(monkeypatch):
-    """Fail the test if any command starts the pairwise edge solves."""
+    """Fail the test if any command starts a pairwise edge solve."""
     def no_solve(*args, **kwargs):
         raise AssertionError("pairwise edges solved before the cap was checked")
-    for module in ("bridgetree.cli", "bridgetree.mst"):
-        monkeypatch.setattr(f"{module}.build_weight_matrix", no_solve)
+    monkeypatch.setattr("bridgetree.mst.edge_weight", no_solve)
 
 
 @pytest.mark.parametrize("command", ["enumerate", "oracle"])
@@ -329,6 +356,33 @@ class TestOracle:
         err = json.loads(capsys.readouterr().err)
         assert "cap" in err["error"]["message"]
 
+
+    def test_solves_only_the_tree_edges(self, tmp_path, rng, monkeypatch):
+        # sizes n = 2..5 tell the vertices apart: vertex v has n = v + 1
+        paths = write_measures(tmp_path, random_measures(rng, [2, 3, 4, 5]))
+        solved = []
+
+        def recording(m1, m2, config):
+            solved.append((m1.n - 1, m2.n - 1))
+            return edge_weight(m1, m2, config)
+
+        monkeypatch.setattr("bridgetree.mst.edge_weight", recording)
+        argv = ["oracle", *paths, "--eta", "5.0", "--tree", "3 3", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert tuple(sorted(solved)) == prufer_decode((3, 3), 4).edges
+
+    def test_edge_off_the_tree_cannot_fail_it(self, tmp_path):
+        # criterion 1's draw 45 (s=3, eta 0.5, sizes 5/5/3): edge (1, 3)
+        # stalls at residual 7.2e-5, but the tree 1-2-3 does not use it
+        rng = np.random.default_rng(777)
+        for k in range(46):
+            ms = random_measures(rng, rng.integers(3, 7, size=3 + k % 3))
+        paths = write_measures(tmp_path, ms)
+        out = tmp_path / "o"
+        argv = ["oracle", *paths, "--eta", "0.5", "--tree", "2", "--max-iter", "20000",
+                "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert json.loads((out / "oracle_report.json").read_text())["mm_converged"]
 
     def test_unconverged_dense_solve(self, tmp_path, capsys):
         # on this draw every pairwise solve converges within 434 sweeps and

@@ -98,6 +98,16 @@ class TestCostTensor:
         with pytest.raises(ValidationError, match="cap"):
             cost_tensor(path_graph(3), costs, cap=10_000)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_cost_refused(self, bad):
+        # unchecked, an inf entry lets mm_sinkhorn report converged on a NaN tensor
+        ms = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 3
+        costs = {(1, 2): np.array([[0.0, bad], [bad, bad]]), (2, 3): np.zeros((2, 2))}
+        with pytest.raises(ValidationError, match=r"edge \(1, 2\) has non-finite"):
+            cost_tensor(path_graph(3), costs)
+        with pytest.raises(ValidationError, match=r"edge \(1, 2\) has non-finite"):
+            mm_sinkhorn(ms, path_graph(3), costs, eta=1.0)
+
 
 class TestProject:
     def test_product_tensor_recovers_factor(self):
@@ -156,7 +166,7 @@ class TestMmSinkhorn:
     def test_marginals_match_after_convergence(self, rng):
         ms = random_measures(rng, [3, 3, 2], low=-5, high=5)
         graph = star_graph(3)
-        costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]) for e in graph.sorted_edges()}
+        costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]) for e in graph.edges}
         mm = mm_sinkhorn(ms, graph, costs, eta=1.0, tol=1e-10)
         assert mm.converged
         for sigma in range(1, 4):
@@ -180,7 +190,7 @@ class TestMmSinkhorn:
     def test_cap_enforced(self, rng):
         ms = random_measures(rng, [40, 40, 40])
         graph = path_graph(3)
-        costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]) for e in graph.sorted_edges()}
+        costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]) for e in graph.edges}
         with pytest.raises(ValidationError, match="cap"):
             mm_sinkhorn(ms, graph, costs, eta=1.0, cap=1000)
 

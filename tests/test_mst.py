@@ -128,6 +128,19 @@ class TestEdgeWeight:
         assert not es.coupling.converged
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0},
+    {"max_iter": 0},
+    {"cost_kind": "manhattan"},
+    {"cost_kind": "matrix"},
+    {"threads": 0},
+    {"on_nonconverged": "ignore"},
+])
+def test_solver_config_rejects(kwargs):
+    with pytest.raises(ValidationError):
+        SolverConfig(eta=1.0, **kwargs)
+
+
 class TestBuildWeightMatrix:
     def test_pair_counts(self, rng):
         cfg = SolverConfig(eta=2.0)

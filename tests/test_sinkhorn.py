@@ -203,6 +203,20 @@ class TestSinkhornSolve:
         assert coup.log_u1[1] == -np.inf
         assert total_variation(coup.plan.sum(axis=1), m1.weights) <= 1e-9
 
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 5.0])
+    def test_tiny_weight_row_underflow(self, eta):
+        # the 1e-250 row's K~ b underflows, so the a update of that half
+        # sweep must run in the log domain: mu / kb would divide by zero
+        rng = np.random.default_rng(3)
+        mu = DiscreteMeasure(rng.uniform(-3, 3, (3, 2)), [1.0, 1.0, 1e-250])
+        nu = DiscreteMeasure(rng.uniform(-3, 3, (4, 2)), rng.uniform(0.5, 1.5, 4))
+        with np.errstate(all="raise"):
+            coup = sinkhorn_solve(mu, nu, build_cost(mu, nu), eta)
+        assert coup.converged
+        assert np.all(np.isfinite(coup.plan))
+        assert total_variation(coup.plan.sum(axis=1), mu.weights) <= 1e-9
+        assert total_variation(coup.plan.sum(axis=0), nu.weights) <= 1e-9
+
     def test_nonconvergence_reported_not_raised(self):
         m1 = DiscreteMeasure(np.array([[-8.0], [9.0]]), [0.4, 0.6])
         m2 = DiscreteMeasure(np.array([[-7.5], [8.5]]), [0.7, 0.3])

@@ -63,6 +63,18 @@ class TestSpanningTreeValidation:
         t = SpanningTree(3, ((3, 2), (2, 1)))
         assert t.edges == ((1, 2), (2, 3))
 
+    @pytest.mark.parametrize("build", [SpanningTree, graph_from_edges])
+    @pytest.mark.parametrize("s, edges, match", [
+        (1, (), "at least 2 vertices"),
+        (3, ((1, 1), (1, 2)), "self-loop"),
+        (3, ((1, 2), (4, 2)), r"\(2, 4\) out of range"),
+        (3, ((0, 1), (1, 2)), r"\(0, 1\) out of range"),
+        (3, ((1, 2), (2, 1)), r"\(1, 2\) appears twice"),
+    ], ids=["one-vertex", "self-loop", "above-s", "below-1", "repeated"])
+    def test_edge_set_contract(self, build, s, edges, match):
+        with pytest.raises(ValidationError, match=match):
+            build(s, edges)
+
     def test_degree_sum_rule(self, rng):
         # sum (deg - 1) = s - 2 on every tree
         for s in range(2, 9):
