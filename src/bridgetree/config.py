@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,20 +17,20 @@ DEFAULT_TENSOR_CAP = 10_000_000
 
 
 def check_solver_params(eta, tol=None, max_iter=None) -> None:
-    """Reject a non-finite or non-positive eta, a non-positive tol and a
-    max_iter below 1; a tol or max_iter of None is not checked.
+    """Reject an eta or tol that is not a positive finite real and a max_iter
+    that is not an integer >= 1; a tol or max_iter of None is not checked.
     """
     if not np.isfinite(eta) or eta <= 0:
         raise ValidationError(f"eta must be a positive finite real, got {eta}")
-    if tol is not None and tol <= 0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if max_iter is not None and max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be a positive finite real, got {tol}")
+    if max_iter is not None and not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter}")
 
 
 def check_tensor_cap(shape, cap: int) -> None:
     """Refuse a dense tensor of the given shape with more than cap entries."""
-    total = int(np.prod([int(n) for n in shape], dtype=np.int64))
+    total = math.prod(int(n) for n in shape)
     if total > cap:
         raise ValidationError(
             f"tensor with {total} entries exceeds the configured cap of {cap}"

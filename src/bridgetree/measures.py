@@ -255,7 +255,7 @@ def load_image_grid(path) -> np.ndarray:
             pixels = np.array([float(t) for t in tokens[4:]])
         except ValueError as exc:
             raise ValidationError(f"{path}: malformed PGM data ({exc})") from exc
-        if pixels.size != width * height:
+        if min(width, height) < 1 or pixels.size != width * height:
             raise ValidationError(
                 f"{path}: PGM declares {width}x{height} pixels but carries {pixels.size}"
             )

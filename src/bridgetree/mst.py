@@ -136,7 +136,7 @@ def build_weight_matrix(measures, config: SolverConfig) -> EdgeWeightMatrix:
 
 
 def _as_weight_matrix(weights) -> np.ndarray:
-    w = weights.g if isinstance(weights, EdgeWeightMatrix) else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError(f"weight matrix must be square, got shape {w.shape}")
     if w.shape[0] < 2:

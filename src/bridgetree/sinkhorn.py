@@ -8,8 +8,10 @@ duals f, g are absorbed into a kernel K~ = exp(f ⊕ g - C/eta), and a sweep
 is two matrix-vector products, a = mu / (K~ b) and b = nu / (K~^T a).  When
 a scaling leaves [1e-50, 1e50], its log is absorbed into the duals and K~
 is rebuilt; a half sweep whose product would underflow runs in the log
-domain instead.  The iterates are those of the log-domain (log-sum-exp)
-recursion, without the underflow that raw exp(-C/eta) suffers for small eta.
+domain instead.  The first a update is such a log-domain half sweep, from
+f = g = 0.  The iterates are those of the log-domain (log-sum-exp)
+recursion, without the underflow that raw exp(-C/eta) suffers for small
+eta.  sinkhorn_solve and sb_value both read gibbs_kernel's log K = -C/eta.
 
 The optimal value reported for an edge is
 
@@ -140,9 +142,11 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.exp(x, out=x)
 
 
-def _scaled_kernel(log_k: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """K~ = exp(f ⊕ g + log K)."""
-    return _exp(f[:, None] + log_k + g[None, :])
+def _reset(log_k: np.ndarray, f: np.ndarray, g: np.ndarray):
+    """Scalings a = b = 1 and the kernel K~ = exp(f ⊕ g + log K) rebuilt."""
+    kernel = f[:, None] + log_k
+    kernel += g[None, :]  # in place: one n1 x n2 temporary, not two
+    return np.ones(f.size), np.ones(g.size), _exp(kernel)
 
 
 def _row_lse(x: np.ndarray) -> np.ndarray:
@@ -176,61 +180,52 @@ def sinkhorn_solve(
     keep2 = m2.weights > 0
     mu = m1.weights[keep1]
     nu = m2.weights[keep2]
-    log_k = -cost.matrix[np.ix_(keep1, keep2)] / eta
+    log_k = gibbs_kernel(cost, eta)[np.ix_(keep1, keep2)]
     log_mu = np.log(mu)
     log_nu = np.log(nu)
 
     # u1 = exp(f) * a and u2 = exp(g) * b; the plan is kernel * (a ⊗ b).
-    # The first u1 update runs in the log domain, so that every row of the
-    # kernel keeps its largest entry however small eta is.
-    f = log_mu - _row_lse(log_k)
+    f = np.zeros(mu.size)
     g = np.zeros(nu.size)
-    kernel = _exp(f[:, None] + log_k)
-    a = np.ones(mu.size)
     b = np.ones(nu.size)
+    kb = np.zeros(mu.size)
+    residual = np.inf
     history: list[float] = []
     iterations = 0
     absorptions = 0
-    # After the b half of a sweep the column marginal equals nu by
-    # construction, so the sweep's residual is the row deviation a * (K~ b),
-    # and K~ b is the very product the next a update needs.
-    while True:
+    # kb = 0 sends the first row half down the log-domain branch, so every
+    # kernel row keeps its largest entry however small eta is.  After the
+    # column half the column marginal equals nu, so the residual is the row
+    # deviation a * (K~ b), and K~ b is the product the next row half needs.
+    while residual > tol and iterations < max_iter:
+        if kb.min() < _MIN_PRODUCT:  # a row underflows: log-domain half sweep
+            g += np.log(b)
+            f = log_mu - _row_lse(log_k + g[None, :])
+            a, b, kernel = _reset(log_k, f, g)
+        else:
+            a = mu / kb
         ktb = kernel.T @ a
         if ktb.min() < _MIN_PRODUCT:  # a column underflows: log-domain half sweep
             f += np.log(a)
             g = log_nu - _row_lse((log_k + f[:, None]).T)
-            a = np.ones(mu.size)
-            b = np.ones(nu.size)
-            kernel = _scaled_kernel(log_k, f, g)
+            a, b, kernel = _reset(log_k, f, g)
         else:
             b = nu / ktb
         iterations += 1
         if max(a.max(), b.max()) > _SCALE_BOUND or min(a.min(), b.min()) < 1 / _SCALE_BOUND:
             f += np.log(a)
             g += np.log(b)
-            a = np.ones(mu.size)
-            b = np.ones(nu.size)
-            kernel = _scaled_kernel(log_k, f, g)
+            a, b, kernel = _reset(log_k, f, g)
             absorptions += 1
         kb = kernel @ b
         residual = total_variation(a * kb, mu)
         if record_history:
             history.append(residual)
-        if residual <= tol or iterations >= max_iter:
-            break
-        if kb.min() < _MIN_PRODUCT:  # a row underflows: log-domain half sweep
-            g += np.log(b)
-            f = log_mu - _row_lse(log_k + g[None, :])
-            a = np.ones(mu.size)
-            b = np.ones(nu.size)
-            kernel = _scaled_kernel(log_k, f, g)
-        else:
-            a = mu / kb
 
     f += np.log(a)
     g += np.log(b)
     plan = np.zeros((m1.n, m2.n))
-    plan[np.ix_(keep1, keep2)] = _scaled_kernel(log_k, f, g)
+    plan[np.ix_(keep1, keep2)] = _reset(log_k, f, g)[2]
     log_u1 = np.full(m1.n, -np.inf)
     log_u1[keep1] = f
     log_u2 = np.full(m2.n, -np.inf)

@@ -79,8 +79,8 @@ class SpanningTree:
             deg[b - 1] += 1
         return deg
 
-    def to_dot(self, name: str = "tree") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph tree {"]
         lines += [f"  {a} -- {b};" for a, b in self.edges]
         lines.append("}")
         return "\n".join(lines) + "\n"

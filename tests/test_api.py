@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,7 +28,8 @@ from bridgetree.cli import build_parser
 from bridgetree.config import DEFAULT_MAX_ITER, DEFAULT_TENSOR_CAP, DEFAULT_TOL
 from bridgetree.trees import ENUMERATION_CAP
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 DENSE = Path(bridgetree.dense.__file__)
 
 
@@ -131,3 +134,18 @@ def test_dense_oracle_imports_nothing_of_the_fast_path():
     assert "mst" not in imported and "mst" not in imported.get("", set())
     for module, names in allowed.items():
         assert imported.get(module, set()) <= names, module
+
+
+def test_readme_library_example_runs(tmp_path):
+    """The README's python block, the documented route to compose_tree_coupling,
+    runs as written; it asserts that the top-ranked tree is the MST."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("```python\n")
+    assert len(blocks) == 2, "expected exactly one python block in README.md"
+    script = tmp_path / "readme_example.py"
+    script.write_text(blocks[1].split("```", 1)[0])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

@@ -190,6 +190,15 @@ class TestSolve:
         assert err["error"]["type"] == "validation"
         assert str(mat) in err["error"]["message"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, tmp_path, capsys, tol):
+        paths = write_measures(tmp_path, [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2)
+        rc = main(["solve", *paths, "--eta", "1.0", "--tol", tol, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert "tol" in err["error"]["message"]
+
     def test_matrix_cost_flag(self, tmp_path):
         ms = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5]),
               DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])]

@@ -19,6 +19,7 @@ from bridgetree import (
     star_graph,
     total_variation,
 )
+from bridgetree.config import check_tensor_cap
 from conftest import random_measures
 
 
@@ -59,6 +60,11 @@ class TestGraphStructure:
     def test_complete_graph_edge_count(self):
         assert len(complete_graph(5).edges) == 10
 
+    @pytest.mark.parametrize("center", [0, 4])
+    def test_star_center_out_of_range(self, center):
+        with pytest.raises(ValidationError, match="center"):
+            star_graph(3, center=center)
+
 
 class TestCostTensor:
     def test_two_vertices_is_the_matrix(self):
@@ -97,6 +103,37 @@ class TestCostTensor:
         costs = {(1, 2): np.zeros((100, 100)), (2, 3): np.zeros((100, 100))}
         with pytest.raises(ValidationError, match="cap"):
             cost_tensor(path_graph(3), costs, cap=10_000)
+
+    def test_inconsistent_vertex_sizes(self):
+        costs = {(1, 2): np.zeros((2, 3)), (2, 3): np.zeros((2, 2))}
+        with pytest.raises(ValidationError, match="vertex 2"):
+            cost_tensor(path_graph(3), costs)
+
+    def test_vertex_on_no_edge_needs_shape(self):
+        graph = graph_from_edges(3, [(1, 2)])
+        with pytest.raises(ValidationError, match=r"\[3\]"):
+            cost_tensor(graph, {(1, 2): np.zeros((2, 2))})
+        assert cost_tensor(graph, {(1, 2): np.zeros((2, 2))}, shape=(2, 2, 4)).shape == (2, 2, 4)
+
+    def test_shape_with_wrong_axis_count(self):
+        with pytest.raises(ValidationError, match="axes"):
+            cost_tensor(path_graph(3), {(1, 2): np.zeros((2, 2)), (2, 3): np.zeros((2, 2))},
+                        shape=(2, 2))
+
+    def test_matrix_that_does_not_fit_shape(self):
+        costs = {(1, 2): np.zeros((2, 2)), (2, 3): np.zeros((2, 2))}
+        with pytest.raises(ValidationError, match=r"edge \(1, 2\)"):
+            cost_tensor(path_graph(3), costs, shape=(3, 2, 2))
+
+    @pytest.mark.parametrize("shape", [(2**16,) * 4, (2**32, 2**32)])
+    def test_tensor_cap_count_does_not_wrap(self, shape):
+        # 2^64 entries: an int64 product wraps to 0 and would pass any cap
+        with pytest.raises(ValidationError, match="cap"):
+            check_tensor_cap(shape, 10**7)
+
+    def test_tensor_cap_names_the_exact_count(self):
+        with pytest.raises(ValidationError, match=r"with 100000000000000000000 entries"):
+            check_tensor_cap((10**5,) * 4, 10**7)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_cost_refused(self, bad):
@@ -179,6 +216,12 @@ class TestMmSinkhorn:
         mm = mm_sinkhorn([m1, m2], graph_from_edges(2, [(1, 2)]), {(1, 2): cost}, eta=1.0)
         assert np.all(mm.tensor[1] == 0.0)
         assert total_variation(project(mm.tensor, 1), m1.weights) <= 1e-9
+
+    def test_measure_count_must_match_graph(self, rng):
+        ms = random_measures(rng, [2, 2])
+        costs = {(1, 2): np.zeros((2, 2)), (2, 3): np.zeros((2, 2))}
+        with pytest.raises(ValidationError, match="2 measures"):
+            mm_sinkhorn(ms, path_graph(3), costs, eta=1.0)
 
     def test_disconnected_graph_rejected(self, rng):
         ms = random_measures(rng, [2, 2, 2, 2])

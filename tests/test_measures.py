@@ -89,6 +89,16 @@ class TestNormalize:
         with pytest.raises(ValidationError, match="index 2"):
             normalize_weights([0.5, 0.5, -0.1])
 
+    @pytest.mark.parametrize("weights, match", [
+        ([[0.5, 0.5]], "1-d"),
+        ([], "non-empty"),
+        ([0.5, np.inf], "non-finite weight at index 1"),
+        ([np.nan, 0.5], "non-finite weight at index 0"),
+    ])
+    def test_malformed_vector_rejected(self, weights, match):
+        with pytest.raises(ValidationError, match=match):
+            normalize_weights(weights)
+
     @given(st.lists(st.floats(1e-9, 1e6), min_size=1, max_size=20))
     def test_sums_to_one(self, raw):
         assert abs(normalize_weights(raw).sum() - 1.0) <= 1e-12
@@ -107,6 +117,15 @@ class TestDiscreteMeasure:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             DiscreteMeasure([[0.0], [1.0]], [1.0])
+
+    @pytest.mark.parametrize("support, match", [
+        (np.zeros((2, 1, 1)), r"\(n, d\)"),
+        ([[0.0], [np.nan]], "non-finite"),
+        ([[0.0], [np.inf]], "non-finite"),
+    ])
+    def test_malformed_support_rejected(self, support, match):
+        with pytest.raises(ValidationError, match=match):
+            DiscreteMeasure(support, [1.0, 1.0])
 
     def test_immutable(self):
         m = DiscreteMeasure([[0.0], [1.0]], [1, 1])
@@ -159,6 +178,15 @@ class TestSampleGmm:
         with pytest.raises(ValidationError):
             sample_gmm([(0.0, 1.0, 1.0)], n=5, interval=(3.0, -3.0), seed=0)
 
+    def test_no_samples(self):
+        with pytest.raises(ValidationError, match=">= 1"):
+            sample_gmm([(0.0, 1.0, 1.0)], n=0, seed=0)
+
+    def test_interval_out_of_reach(self):
+        # every draw lands near 100: rejection sampling gives up after 10_000 draws
+        with pytest.raises(ValidationError, match="10000 draws produced 0/1"):
+            sample_gmm([(100.0, 0.1, 1.0)], n=1, interval=(-1.0, 1.0), seed=0)
+
 
 class TestImageToMeasure:
     def test_two_pixel_row(self):
@@ -184,6 +212,15 @@ class TestImageToMeasure:
     def test_negative_pixel_rejected(self):
         with pytest.raises(ValidationError, match=r"\(1, 0\)"):
             image_to_measure([[1.0, 0.0], [-2.0, 0.0]])
+
+    @pytest.mark.parametrize("grid, match", [
+        (np.ones((2, 2, 2)), "2-d"),
+        ([[1.0, np.nan]], "non-finite"),
+        ([[1.0, np.inf]], "non-finite"),
+    ])
+    def test_malformed_grid_rejected(self, grid, match):
+        with pytest.raises(ValidationError, match=match):
+            image_to_measure(grid)
 
 
 class TestFileFormats:
@@ -224,4 +261,24 @@ class TestFileFormats:
         path = tmp_path / "short.pgm"
         path.write_text("P2\n3 2\n255\n0 1 2\n")
         with pytest.raises(ValidationError, match="carries"):
+            load_image_grid(path)
+
+    @pytest.mark.parametrize("header, pixels", [("-1 -2", "1 2"), ("0 2", ""), ("2 -1", "1 2")])
+    def test_pgm_dimensions_below_one(self, tmp_path, header, pixels):
+        # (-1) * (-2) = 2 matches the pixel count, and reshape then raised a raw
+        # ValueError; a 0x2 header without pixels loaded as an empty grid
+        path = tmp_path / "dims.pgm"
+        path.write_text(f"P2\n{header}\n255\n{pixels}\n")
+        with pytest.raises(ValidationError, match="dims.pgm: PGM declares"):
+            load_image_grid(path)
+
+    @pytest.mark.parametrize("name, text, match", [
+        ("truncated.pgm", "P2\n3 2\n", "truncated PGM header"),
+        ("token.pgm", "P2\n2 1\n255\n1 x\n", "malformed PGM data"),
+        ("grid.csv", "0,1\n2,two\n", "could not parse CSV"),
+    ])
+    def test_unparsable_grid_names_path(self, tmp_path, name, text, match):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"{name}: {match}"):
             load_image_grid(path)

@@ -25,6 +25,7 @@ from bridgetree import (
     optimal_msb,
     prufer_encode,
     rank_trees,
+    sinkhorn_solve,
 )
 from conftest import random_measure, random_measures
 
@@ -128,6 +129,15 @@ class TestEdgeWeight:
         assert not es.coupling.converged
 
 
+BAD_TOL_OR_MAX_ITER = [
+    {"tol": float("nan")},
+    {"tol": float("inf")},
+    {"max_iter": float("nan")},
+    {"max_iter": float("inf")},
+    {"max_iter": 2.5},
+]
+
+
 @pytest.mark.parametrize("kwargs", [
     {"tol": 0.0},
     {"max_iter": 0},
@@ -135,10 +145,23 @@ class TestEdgeWeight:
     {"cost_kind": "matrix"},
     {"threads": 0},
     {"on_nonconverged": "ignore"},
+    *BAD_TOL_OR_MAX_ITER,
 ])
 def test_solver_config_rejects(kwargs):
     with pytest.raises(ValidationError):
         SolverConfig(eta=1.0, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", BAD_TOL_OR_MAX_ITER)
+def test_solvers_reject_bad_tol_and_max_iter(kwargs):
+    # unchecked, nan or inf as max_iter never stops the bimarginal loop, and
+    # mm_sinkhorn's range() raises a raw TypeError
+    ms = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2
+    cost = build_cost(ms[0], ms[1])
+    with pytest.raises(ValidationError):
+        sinkhorn_solve(ms[0], ms[1], cost, 1.0, **kwargs)
+    with pytest.raises(ValidationError):
+        mm_sinkhorn(ms, complete_graph(2), {(1, 2): cost}, eta=1.0, **kwargs)
 
 
 class TestBuildWeightMatrix:
@@ -233,6 +256,16 @@ class TestMstAlgorithms:
         w = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValidationError, match="symmetric"):
             mst_boruvka(w)
+
+    @pytest.mark.parametrize("mst", [mst_prim_dense, mst_boruvka])
+    @pytest.mark.parametrize("w, match", [
+        (np.zeros((2, 3)), "square"),
+        (np.zeros(4), "square"),
+        (np.zeros((1, 1)), "at least 2"),
+    ])
+    def test_shape_rejected(self, mst, w, match):
+        with pytest.raises(ValidationError, match=match):
+            mst(w)
 
 
 class TestOptimalMsb:
@@ -366,6 +399,10 @@ class TestRankTrees:
             assert row.prufer == prufer_encode(tree)
             expected = reference_direct_cost(tree, ewm, ms, eta)
             assert abs(row.cost_direct - expected) <= 1e-12
+
+    def test_unknown_direct_mode(self, rng):
+        with pytest.raises(ValidationError, match="sometimes"):
+            rank_trees(random_measures(rng, [2, 2]), SolverConfig(eta=1.0), direct="sometimes")
 
     def test_direct_never_skips_column(self, rng):
         ms = random_measures(rng, [2, 2, 2])

@@ -103,6 +103,23 @@ class TestBuildCost:
         with pytest.raises(ValidationError):
             PairwiseCost([[0.0, -1.0]])
 
+    @pytest.mark.parametrize("matrix, match", [
+        ([0.0, 1.0], "2-d"),
+        ([[0.0, np.inf]], "non-finite"),
+        ([[0.0, np.nan]], "non-finite"),
+    ])
+    def test_malformed_matrix_rejected(self, matrix, match):
+        with pytest.raises(ValidationError, match=match):
+            PairwiseCost(matrix)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValidationError, match="manhattan"):
+            build_cost(UNIFORM2, UNIFORM2, "manhattan")
+
+    def test_matrix_kind_needs_matrix(self):
+        with pytest.raises(ValidationError, match="explicit matrix"):
+            build_cost(UNIFORM2, UNIFORM2, "matrix")
+
 
 class TestGibbsKernel:
     def test_returns_read_only_log_kernel(self):
@@ -217,6 +234,11 @@ class TestSinkhornSolve:
         assert total_variation(coup.plan.sum(axis=1), mu.weights) <= 1e-9
         assert total_variation(coup.plan.sum(axis=0), nu.weights) <= 1e-9
 
+    def test_cost_shape_must_match_marginals(self):
+        m3 = DiscreteMeasure([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5])
+        with pytest.raises(ValidationError, match=r"\(2, 3\)"):
+            sinkhorn_solve(UNIFORM2, m3, SWAP_COST, 1.0)
+
     def test_nonconvergence_reported_not_raised(self):
         m1 = DiscreteMeasure(np.array([[-8.0], [9.0]]), [0.4, 0.6])
         m2 = DiscreteMeasure(np.array([[-7.5], [8.5]]), [0.7, 0.3])
@@ -306,6 +328,11 @@ class TestSbValue:
         _, oracle_val = brute_force_symmetric_2x2(grid=200_001)
         assert val == pytest.approx(oracle_val, abs=1e-9)
 
+    def test_kernel_shape_must_match_plan(self):
+        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, SWAP_COST, eta=1.0)
+        with pytest.raises(ValidationError, match="kernel shape"):
+            sb_value(coup, np.zeros((2, 3)))
+
     def test_value_plus_entropies_nonnegative(self, rng):
         # sb + H1 + H2 = <C, M>/eta + mutual information >= 0
         for _ in range(10):
@@ -339,6 +366,10 @@ class TestKlDivergence:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             kl_divergence([0.5, 0.5], [[0.5, 0.5]])
+
+    def test_negative_p(self):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            kl_divergence([-0.5, 1.5], [0.5, 0.5])
 
     def test_matrix_arguments(self):
         p = np.full((2, 2), 0.25)

@@ -85,6 +85,10 @@ class TestSpanningTreeValidation:
         dot = SpanningTree(3, ((1, 2), (2, 3))).to_dot()
         assert "1 -- 2;" in dot and "2 -- 3;" in dot
 
+    def test_to_dot_graph_is_named_tree(self):
+        dot = SpanningTree(2, ((1, 2),)).to_dot()
+        assert dot == "graph tree {\n  1 -- 2;\n}\n"
+
 
 class TestPruferCodes:
     def test_decode_single_entry_star(self):
@@ -106,6 +110,10 @@ class TestPruferCodes:
     def test_decode_wrong_length(self):
         with pytest.raises(ValidationError):
             prufer_decode((1, 2), 3)
+
+    def test_decode_one_vertex(self):
+        with pytest.raises(ValidationError, match="s >= 2"):
+            prufer_decode((), 1)
 
     def test_encode_star(self):
         t = SpanningTree(4, ((1, 2), (1, 3), (1, 4)))
@@ -158,6 +166,10 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ValidationError, match="cap"):
             list(enumerate_trees(9))
+
+    def test_one_vertex(self):
+        with pytest.raises(ValidationError, match="s >= 2"):
+            list(enumerate_trees(1))
 
 
 class TestComposeTreeCoupling:
@@ -248,6 +260,18 @@ class TestComposeTreeCoupling:
         with pytest.raises(ValidationError, match=r"\(2, 3\)"):
             compose_tree_coupling(tree, {(1, 2): ok_plan}, ms)
 
+    def test_measure_count_must_match_tree(self, rng):
+        ms = random_measures(rng, [2, 2])
+        tree = SpanningTree(3, ((1, 2), (2, 3)))
+        with pytest.raises(ValidationError, match="2 measures"):
+            compose_tree_coupling(tree, {}, ms)
+
+    def test_plan_of_wrong_shape_rejected(self, rng):
+        ms = random_measures(rng, [2, 3])
+        tree = prufer_decode((), 2)
+        with pytest.raises(ValidationError, match=r"shape \(3, 2\)"):
+            compose_tree_coupling(tree, {(1, 2): np.full((3, 2), 1 / 6)}, ms)
+
     def test_infeasible_plan_rejected(self, rng):
         ms = random_measures(rng, [2, 2])
         tree = prufer_decode((), 2)
@@ -285,6 +309,19 @@ class TestTreeCosts:
         tree = SpanningTree(5, ((1, 2), (1, 3), (1, 4), (1, 5)))
         sbs = {(1, v): float(v) for v in range(2, 6)}
         assert tree_cost_decomposed(tree, sbs, [0.0] * 5) == pytest.approx(14.0)
+
+    def test_entropy_count_must_match_tree(self):
+        tree = SpanningTree(3, ((1, 2), (2, 3)))
+        sbs = {(1, 2): 0.0, (2, 3): 0.0}
+        with pytest.raises(ValidationError, match="need 3 entropies"):
+            tree_cost_decomposed(tree, sbs, [0.0] * 2)
+        with pytest.raises(ValidationError, match="need 3 entropies"):
+            tree_cost_additive(tree, np.zeros((3, 3)), [0.0] * 4)
+
+    def test_additive_weight_matrix_shape(self):
+        tree = SpanningTree(3, ((1, 2), (2, 3)))
+        with pytest.raises(ValidationError, match=r"\(2, 2\)"):
+            tree_cost_additive(tree, np.zeros((2, 2)), [0.0] * 3)
 
     def test_missing_sb_value(self):
         tree = SpanningTree(3, ((1, 2), (2, 3)))
