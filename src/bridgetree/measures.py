@@ -8,6 +8,7 @@ but all measures fed to one solve must share the ambient dimension d.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -133,6 +134,21 @@ def entropy(measure) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def _interval_mass(means, stds, probs, a: float, b: float) -> float:
+    """Mixture mass inside [a, b].  Each component's normal mass is a
+    difference of two erfc values, taken on the tail that holds the interval,
+    so that it is 0.0 only when the mass underflows, not by cancellation."""
+    total = 0.0
+    for mean, std, prob in zip(means, stds, probs):
+        lo, hi = ((x - mean) / (std * math.sqrt(2.0)) for x in (a, b))
+        if lo + hi >= 0.0:
+            mass = 0.5 * (math.erfc(lo) - math.erfc(hi))
+        else:
+            mass = 0.5 * (math.erfc(-hi) - math.erfc(-lo))
+        total += float(prob) * mass
+    return total
+
+
 def sample_gmm(
     components: Sequence[tuple[float, float, float]],
     n: int,
@@ -143,7 +159,9 @@ def sample_gmm(
 
     components: (mean, stddev, mixture-weight) triples; mixture weights are
     normalized internally.  Samples falling outside [a, b] are redrawn, so
-    the result is supported on the interval.  Weights are uniform 1/n.
+    the result is supported on the interval; an interval that holds no
+    mixture mass in double precision is refused before any draw.  Weights
+    are uniform 1/n.
     Deterministic for a fixed seed (or a caller-supplied Generator).
     """
     if len(components) == 0:
@@ -166,6 +184,11 @@ def sample_gmm(
     if np.any(stds <= 0):
         raise ValidationError("component stddev must be positive")
     probs = normalize_weights([c[2] for c in components])
+    if _interval_mass(means, stds, probs, a, b) == 0.0:
+        raise ValidationError(
+            f"no mixture component reaches [{a}, {b}] (the mixture's mass there is 0 "
+            "in double precision)"
+        )
 
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     points = np.empty(n)

@@ -280,7 +280,7 @@ def optimal_msb(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedTree:
     """One row of an exhaustive tree ranking."""
 
@@ -303,11 +303,13 @@ def rank_trees(
     cost_additive is the degree-free edge-weight sum minus the entropy sum.
     cost_direct re-evaluates each tree without that shortcut, from the
     pairwise plans and costs alone: the dense coupling
-    P = prod M_e / prod mu_v^(deg v - 1) and the integrand W = C/eta + log P
-    are grown one axis per tree edge from a root vertex, and
-    cost_direct = <P, W> summed over the full tensor (see _direct_evaluator).
+    P = prod M_e / prod mu_v^(deg v - 1) is formed over every entry and
+    cost_direct = <P, C/eta + log P> (see _direct_costs, which evaluates
+    all trees at once, grouped by the last step of their walk).
     direct="auto" computes it when the tensor has at most cap entries,
-    "never" skips it, "always" refuses if it cannot be computed.
+    "never" skips it, "always" refuses if it cannot be computed.  A
+    supplied ewm must hold an (n_a, n_b) plan and cost for every pair
+    a < b and an s x s g.
 
     Ties in cost keep lexicographic Prüfer order (the enumeration order,
     via stable sort).
@@ -319,43 +321,81 @@ def rank_trees(
     collection = MeasureCollection(measures)
     if ewm is None:
         ewm = build_weight_matrix(collection, config)
+    else:
+        _check_edge_solves(ewm, collection.sizes)
     entropies = np.array([entropy(m) for m in collection])
     s = collection.s
     if direct == "always":
         check_tensor_cap(collection.sizes, cap)
     elif direct == "auto" and math.prod(collection.sizes) > cap:
         direct = "never"
-    direct_cost = _direct_evaluator(collection, ewm, config.eta) if direct != "never" else None
 
-    rows = []
     # enumerate_trees checks the cap; the codes it decoded come alongside
-    for tree, code in zip(enumerate_trees(s, cap=enumeration_cap), _prufer_codes(s)):
-        rows.append(
-            RankedTree(
-                prufer=code,
-                edges=tree.edges,
-                cost_additive=tree_cost_additive(tree, ewm.g, entropies),
-                cost_direct=direct_cost(tree) if direct_cost is not None else None,
-            )
+    trees = list(enumerate_trees(s, cap=enumeration_cap))
+    if direct == "never":
+        direct_costs = [None] * len(trees)
+    else:
+        direct_costs = _direct_costs(collection, ewm, config.eta, trees).tolist()
+    rows = [
+        RankedTree(
+            prufer=code,
+            edges=tree.edges,
+            cost_additive=tree_cost_additive(tree, ewm.g, entropies),
+            cost_direct=cost,
         )
+        for tree, code, cost in zip(trees, _prufer_codes(s), direct_costs)
+    ]
     rows.sort(key=lambda r: r.cost_additive)
     return rows
 
 
-def _direct_evaluator(collection: MeasureCollection, ewm: EdgeWeightMatrix, eta: float):
-    """Dense direct tree cost <P, C/eta + log P>, one axis per tree edge.
+def _check_edge_solves(ewm: EdgeWeightMatrix, sizes: tuple[int, ...]) -> None:
+    """Refuse an ewm that does not belong to measures of these sizes."""
+    s = len(sizes)
+    for a in range(1, s + 1):
+        for b in range(a + 1, s + 1):
+            if (a, b) not in ewm.edges:
+                raise ValidationError(f"edge ({a}, {b}) has no pairwise solve")
+            es = ewm.edges[(a, b)]
+            expected = (sizes[a - 1], sizes[b - 1])
+            for name, matrix in (("plan", es.coupling.plan), ("cost", es.cost.matrix)):
+                if matrix.shape != expected:
+                    raise ValidationError(
+                        f"edge ({a}, {b}): {name} has shape {matrix.shape}, expected {expected}"
+                    )
+    if np.shape(ewm.g) != (s, s):
+        raise ValidationError(f"weight matrix shape {np.shape(ewm.g)} != ({s}, {s})")
 
-    Rooted at r, the vertex rooted_walk starts from, a tree coupling factors as
-    P = mu_r * prod over edges p -> c of Q_pc,  Q_pc = M_e / mu_p,
+
+def _direct_costs(
+    collection: MeasureCollection,
+    ewm: EdgeWeightMatrix,
+    eta: float,
+    trees: Sequence[SpanningTree],
+) -> np.ndarray:
+    """Dense direct cost <P, C/eta + log P> of each tree, in input order.
+
+    Rooted at vertex 1, where rooted_walk starts, a tree coupling factors as
+    P = mu_1 * prod over edges p -> c of Q_pc,  Q_pc = M_e / mu_p,
     the conditional of c given its parent p, and so
-    W = C/eta + log P = log mu_r + sum over edges of (C_e/eta + log Q_pc).
-    Q_pc and its term are precomputed once per edge and direction; a tree
-    then costs one broadcast multiply and one broadcast add per edge, each
-    adding an axis, and only the last pair is full size.  Logs are taken
-    where the argument is positive and are 0 elsewhere: P vanishes there,
-    so the entry contributes 0 log 0 = 0.
+    W = C/eta + log P = log mu_1 + sum over edges of (C_e/eta + log Q_pc).
+    Q_pc and its term T_pc are precomputed once per edge and direction.
+
+    The last child c of a breadth-first walk is a leaf, so every step but
+    the last grows P' and W' over all axes but c, N / n_c entries.  The
+    trees are grouped by that last step (p, c); per group, Q_pc and T_pc
+    are expanded once into full-size buffers with c's axis outermost, so
+    that a tree forms P = P' * Q_pc as one contiguous (n_c, N / n_c)
+    product and returns
+    <P, W> = sum_c P[c, :] . W'  +  <P, T_pc>,
+    one matrix-vector product and one dot product; W itself is never
+    formed.  Three full-size buffers serve the whole call.  The walks are
+    recomputed rather than held.  Logs are taken where the argument is
+    positive and are 0 elsewhere: P vanishes there, so the entry
+    contributes 0 log 0 = 0.
     """
     s = collection.s
+    shape = collection.sizes
 
     def masked_log(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
@@ -363,9 +403,8 @@ def _direct_evaluator(collection: MeasureCollection, ewm: EdgeWeightMatrix, eta:
         return out
 
     weights = [m.weights for m in collection]
-    log_weights = [masked_log(w) for w in weights]
-    # steps[(p, c)]: Q_pc and C_e/eta + log Q_pc, both stored on the
-    # canonical (a, b) axes of the edge whichever end is the parent
+    # steps[(p, c)]: Q_pc and C_e/eta + log Q_pc, both on the canonical
+    # (a, b) axes of the edge whichever end is the parent
     steps = {}
     for (a, b), es in ewm.edges.items():
         plan, cost = es.coupling.plan, es.cost.matrix
@@ -374,21 +413,29 @@ def _direct_evaluator(collection: MeasureCollection, ewm: EdgeWeightMatrix, eta:
             q = np.divide(plan, mu, out=np.zeros_like(plan), where=mu > 0)
             term = np.where(q > 0, cost / eta + masked_log(q), 0.0)
             steps[(parent, child)] = (on_axes(q, s, a, b), on_axes(term, s, a, b))
-    plan_buf = np.empty(collection.sizes)
-    term_buf = np.empty(collection.sizes)
+    root_plan = on_axes(weights[0], s, 1)
+    root_term = on_axes(masked_log(weights[0]), s, 1)
 
-    def direct_cost(tree: SpanningTree) -> float:
-        walk = rooted_walk(tree)
-        root = walk[0][0]
-        plan = on_axes(weights[root - 1], s, root)
-        term = on_axes(log_weights[root - 1], s, root)
-        for step in walk[:-1]:
-            q, t = steps[step]
-            plan = plan * q
-            term = term + t
-        q, t = steps[walk[-1]]
-        np.multiply(plan, q, out=plan_buf)
-        np.add(term, t, out=term_buf)
-        return float(np.vdot(plan_buf, term_buf))
-
-    return direct_cost
+    groups: dict[Edge, list[int]] = {}
+    for i, tree in enumerate(trees):
+        groups.setdefault(rooted_walk(tree)[-1], []).append(i)
+    size = math.prod(shape)
+    plan_buf, q_buf, term_buf = np.empty(size), np.empty(size), np.empty(size)
+    costs = np.empty(len(trees))
+    for last, members in groups.items():
+        child = last[1]
+        n_c = shape[child - 1]
+        # the full tensor with the child's axis moved outermost
+        moved = (n_c,) + shape[: child - 1] + shape[child:]
+        for buf, factor in zip((q_buf, term_buf), steps[last]):
+            np.copyto(buf.reshape(moved), np.moveaxis(np.broadcast_to(factor, shape), child - 1, 0))
+        q_mat, t_mat, p_mat = (buf.reshape(n_c, -1) for buf in (q_buf, term_buf, plan_buf))
+        for i in members:
+            plan, term = root_plan, root_term
+            for step in rooted_walk(trees[i])[:-1]:
+                q, t = steps[step]
+                plan = plan * q
+                term = term + t
+            np.multiply(q_mat, plan.reshape(1, -1), out=p_mat)
+            costs[i] = (p_mat @ term.reshape(-1)).sum() + np.vdot(p_mat, t_mat)
+    return costs

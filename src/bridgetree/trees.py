@@ -52,7 +52,7 @@ class DisjointSet:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanningTree:
     """Tree on vertices 1..s, stored as s-1 canonical sorted edges."""
 

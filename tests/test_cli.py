@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,20 @@ class TestGen:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(list((tmp_path / "out").glob("measure_*.json"))) == 5
+
+    def test_unreachable_interval_exits_2_at_once(self, tmp_path, capsys):
+        spec = {"interval": [-1.0, 1.0],
+                "mixtures": [{"components": [{"mean": 100.0, "std": 0.1, "weight": 1.0}]}]}
+        bad = tmp_path / "far.json"
+        bad.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        rc = main(["gen", str(bad), "--n", "200", "--out-dir", str(tmp_path / "out")])
+        # rejection sampling would take 2 000 000 draws, about 40 s
+        assert time.perf_counter() - start < 5.0
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "mixture 1: no mixture component reaches" in err["error"]["message"]
+        assert not list((tmp_path / "out").glob("*.json"))
 
     @pytest.mark.parametrize("field, value", [
         ("std", "abc"),

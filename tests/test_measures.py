@@ -183,9 +183,21 @@ class TestSampleGmm:
             sample_gmm([(0.0, 1.0, 1.0)], n=0, seed=0)
 
     def test_interval_out_of_reach(self):
-        # every draw lands near 100: rejection sampling gives up after 10_000 draws
+        # no mass inside (-1, 1) in double precision, on either side of it:
+        # refused before any draw
+        for mean in (100.0, -100.0):
+            with pytest.raises(ValidationError, match="no mixture component reaches"):
+                sample_gmm([(mean, 0.1, 1.0)], n=1, interval=(-1.0, 1.0), seed=0)
+
+    def test_interval_mass_too_small_for_rejection_sampling(self):
+        # mass about 1.3e-12 inside (-1, 1): positive, so the draws run and
+        # rejection sampling gives up after 10_000 draws
         with pytest.raises(ValidationError, match="10000 draws produced 0/1"):
-            sample_gmm([(100.0, 0.1, 1.0)], n=1, interval=(-1.0, 1.0), seed=0)
+            sample_gmm([(8.0, 1.0, 1.0)], n=1, interval=(-1.0, 1.0), seed=0)
+
+    def test_one_reachable_component_suffices(self):
+        m = sample_gmm([(100.0, 0.1, 0.5), (0.0, 1.0, 0.5)], n=5, interval=(-1.0, 1.0), seed=4)
+        assert np.all(np.abs(m.support) <= 1.0)
 
 
 class TestImageToMeasure:

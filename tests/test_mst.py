@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bridgetree import (
     rank_trees,
     sinkhorn_solve,
 )
+from bridgetree.mst import EdgeWeightMatrix
 from conftest import random_measure, random_measures
 
 
@@ -379,6 +381,8 @@ class TestRankTrees:
         ([3, 4, 2, 5, 3], 5.0),
         ([5, 3, 4], 0.5),
         ([3, 4], 1.0),
+        ([1, 3, 2, 4], 2.0),  # a length-1 axis, outermost in every layout
+        ([2, 2, 3, 2, 2, 2], 1.0),  # s=6: all 21 possible last walk steps occur
     ])
     @pytest.mark.parametrize("zero_weight", [False, True])
     def test_direct_matches_reference_evaluator(self, rng, sizes, eta, zero_weight):
@@ -387,6 +391,8 @@ class TestRankTrees:
             # a support point of zero mass on the largest measure and on the
             # first: its conditional rows and its log terms must be masked
             for v in (0, int(np.argmax(sizes))):
+                if sizes[v] == 1:
+                    continue  # a single point keeps all the mass
                 w = ms[v].weights.copy()
                 w[1] = 0.0
                 ms[v] = DiscreteMeasure(ms[v].support, w)
@@ -399,6 +405,30 @@ class TestRankTrees:
             assert row.prufer == prufer_encode(tree)
             expected = reference_direct_cost(tree, ewm, ms, eta)
             assert abs(row.cost_direct - expected) <= 1e-12
+
+    def test_direct_reads_plans_and_costs_only(self, rng):
+        # g and sb replaced by NaN: cost_additive is lost, cost_direct is not
+        ms = random_measures(rng, [2, 3, 2, 3])
+        cfg = SolverConfig(eta=1.0)
+        ewm = build_weight_matrix(ms, cfg)
+        blind = EdgeWeightMatrix(
+            g=np.full_like(ewm.g, np.nan),
+            edges={e: replace(es, g=np.nan, sb=np.nan) for e, es in ewm.edges.items()},
+        )
+        rows = rank_trees(ms, cfg, ewm=ewm, direct="always")
+        blind_rows = rank_trees(ms, cfg, ewm=blind, direct="always")
+        assert all(np.isnan(r.cost_additive) for r in blind_rows)
+        assert ({r.prufer: r.cost_direct for r in blind_rows}
+                == {r.prufer: r.cost_direct for r in rows})
+
+    def test_mismatched_ewm_names_edge(self, rng):
+        cfg = SolverConfig(eta=1.0)
+        ewm = build_weight_matrix(random_measures(rng, [3, 3, 3]), cfg)
+        ms = random_measures(rng, [4, 3, 3])
+        with pytest.raises(ValidationError, match=r"edge \(1, 2\): plan has shape \(3, 3\)"):
+            rank_trees(ms, cfg, ewm=ewm, direct="always")
+        with pytest.raises(ValidationError, match=r"edge \(1, 4\) has no pairwise solve"):
+            rank_trees(random_measures(rng, [3, 3, 3, 3]), cfg, ewm=ewm, direct="never")
 
     def test_unknown_direct_mode(self, rng):
         with pytest.raises(ValidationError, match="sometimes"):
