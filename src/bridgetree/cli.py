@@ -184,7 +184,7 @@ def _edge_report(ewm) -> list[dict]:
                 "iterations": es.coupling.iterations,
                 "residual": es.coupling.residual,
                 "converged": es.coupling.converged,
-                "transport_cost": es.coupling.transport_cost,
+                "transport_cost": float((es.cost.matrix * es.coupling.plan).sum()),
                 "seconds": es.seconds,
             }
         )

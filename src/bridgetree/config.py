@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +17,11 @@ DEFAULT_MAX_ITER = 100_000
 DEFAULT_TENSOR_CAP = 10_000_000
 
 
-def check_solver_params(eta, tol=None, max_iter=None) -> None:
+def check_solver_params(eta=None, tol=None, max_iter=None) -> None:
     """Reject an eta or tol that is not a positive finite real and a max_iter
-    that is not an integer >= 1; a tol or max_iter of None is not checked.
+    that is not an integer >= 1; a value of None is not checked.
     """
-    if not np.isfinite(eta) or eta <= 0:
+    if eta is not None and not (np.isfinite(eta) and eta > 0):
         raise ValidationError(f"eta must be a positive finite real, got {eta}")
     if tol is not None and not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be a positive finite real, got {tol}")
@@ -37,12 +38,22 @@ def check_tensor_cap(shape, cap: int) -> None:
         )
 
 
+def as_index(value, what: str) -> int:
+    """value as an int; refuses a value that is not an integer, such as 2.7."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_edges(s: int, edges) -> tuple[tuple[int, int], ...]:
     """The edges as a sorted tuple of (a, b) with a < b.  Refuses s < 2, a
-    self-loop, a vertex outside 1..s and a repeated edge."""
+    vertex that is not an integer, a self-loop, a vertex outside 1..s and a
+    repeated edge."""
     if s < 2:
         raise ValidationError(f"need at least 2 vertices, got s={s}")
-    canon = sorted([(a, b) if a < b else (b, a) for a, b in edges])
+    pairs = [(as_index(a, "edge vertex"), as_index(b, "edge vertex")) for a, b in edges]
+    canon = sorted([(a, b) if a < b else (b, a) for a, b in pairs])
     previous = None
     for edge in canon:
         a, b = edge
@@ -84,8 +95,8 @@ class SolverConfig:
             )
         if self.cost_kind == "matrix" and self.cost_matrix is None:
             raise ValidationError("cost_kind 'matrix' requires cost_matrix")
-        if self.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {self.threads}")
+        if not (isinstance(self.threads, (int, np.integer)) and self.threads >= 1):
+            raise ValidationError(f"threads must be an integer >= 1, got {self.threads}")
         if self.on_nonconverged not in ("error", "warn"):
             raise ValidationError(
                 f"on_nonconverged must be 'error' or 'warn', got {self.on_nonconverged!r}"

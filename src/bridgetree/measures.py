@@ -40,7 +40,11 @@ def normalize_weights(weights) -> np.ndarray:
     neg = np.flatnonzero(w < 0)
     if neg.size:
         raise ValidationError(f"negative weight at index {neg[0]}: {w[neg[0]]}")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):  # the sum overflows: divide by the largest weight first
+        w = w / w.max()
+        total = w.sum()
     if total <= 0:
         raise ValidationError("all-zero weight vector cannot be normalized")
     out = w / total

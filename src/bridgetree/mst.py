@@ -79,7 +79,7 @@ def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) 
     start = time.perf_counter()
     cost = build_cost(m1, m2, config.cost_kind, matrix=config.cost_matrix)
     log_kernel = gibbs_kernel(cost, config.eta)
-    coupling = sinkhorn_solve(m1, m2, cost, config.eta, tol=config.tol, max_iter=config.max_iter)
+    coupling = sinkhorn_solve(m1, m2, log_kernel, tol=config.tol, max_iter=config.max_iter)
     if not coupling.converged:
         message = (
             f"Sinkhorn stopped at max_iter={config.max_iter} with residual "
@@ -88,7 +88,7 @@ def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) 
         if config.on_nonconverged == "error":
             raise SolverError(message)
         warnings.warn(message, stacklevel=2)
-    sb = sb_value(coupling, log_kernel)
+    sb = sb_value(coupling)
     g = sb + entropy(m1) + entropy(m2)
     elapsed = time.perf_counter() - start
     return EdgeSolve(g=g, sb=sb, coupling=coupling, cost=cost, seconds=elapsed)

@@ -11,17 +11,17 @@ is rebuilt; a half sweep whose product would underflow runs in the log
 domain instead.  The first a update is such a log-domain half sweep, from
 f = g = 0.  The iterates are those of the log-domain (log-sum-exp)
 recursion, without the underflow that raw exp(-C/eta) suffers for small
-eta.  sinkhorn_solve and sb_value both read gibbs_kernel's log K = -C/eta.
+eta.  The caller builds gibbs_kernel's log K = -C/eta once per edge.
 
-The optimal value reported for an edge is
+The optimal value reported for an edge, which may be negative since K is
+unnormalized, is read off the returned log duals f, g:
 
-    sb_value = D_KL(M_opt || K) = sum_ij M_ij log(M_ij / K_ij),
-
-which may be negative since K is unnormalized.
+    sb_value = D_KL(M || K) = sum_ij M_ij log(M_ij / K_ij) = <f, M 1> + <g, M^T 1>.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +38,7 @@ from .measures import DiscreteMeasure
 _SCALE_BOUND = 1e50
 _LOG_FLOOR = -400.0
 _MIN_PRODUCT = 1e-200
+_LOWEST = np.finfo(float).min
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +59,6 @@ class PairwiseCost:
         m = np.ascontiguousarray(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def build_cost(
@@ -100,8 +97,13 @@ def gibbs_kernel(cost: PairwiseCost, eta: float) -> np.ndarray:
 
     The log form is exact for any scale, where exp(-C/eta) underflows to 0
     for C/eta beyond ~745, so all KL arithmetic in this package uses it.
+    An eta so small that C/eta overflows is refused; division rounds
+    monotonically, so some entry overflows exactly when the largest does.
     """
     check_solver_params(eta)
+    c_max = float(cost.matrix.max(initial=0.0))
+    if math.isinf(c_max / eta):  # a Python float quotient: inf, no warning
+        raise ValidationError(f"eta={eta} is too small: C/eta overflows at the top cost {c_max}")
     log_k = -cost.matrix / eta
     log_k.flags.writeable = False
     return log_k
@@ -117,10 +119,9 @@ class BimarginalCoupling:
     """Converged (or best-effort) transport plan with its dual scalings.
 
     plan = K ⊙ (u1 ⊗ u2) re-expanded to the full support sizes; log_u1 and
-    log_u2 carry -inf at pruned zero-weight entries.  residual is the max
-    over both marginals of the TV deviation after the last sweep;
-    transport_cost = <C, plan> is kept as a diagnostic (two runs of
-    different tolerance can be compared through it).  absorptions counts
+    log_u2 carry -inf at pruned zero-weight entries; wherever plan > 0,
+    log plan = log_u1 ⊕ log_u2 + log K.  residual is the max over both
+    marginals of the TV deviation after the last sweep.  absorptions counts
     the times a scaling left [1e-50, 1e50] and both were absorbed into the
     log duals.
     """
@@ -131,7 +132,6 @@ class BimarginalCoupling:
     iterations: int
     residual: float
     converged: bool
-    transport_cost: float
     residual_history: tuple[float, ...] | None = None
     absorptions: int = 0
 
@@ -158,8 +158,7 @@ def _row_lse(x: np.ndarray) -> np.ndarray:
 def sinkhorn_solve(
     m1: DiscreteMeasure,
     m2: DiscreteMeasure,
-    cost: PairwiseCost,
-    eta: float,
+    log_kernel: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     record_history: bool = False,
@@ -168,19 +167,22 @@ def sinkhorn_solve(
 
     One sweep updates u1 then u2 (cyclic order).  Stops when the larger of
     the two marginal TV residuals drops to tol; on max_iter the last iterate
-    is returned with converged=False and the caller decides.
+    is returned with converged=False and the caller decides.  log_kernel is
+    log K = -C/eta as gibbs_kernel returns it.
     """
-    if cost.shape != (m1.n, m2.n):
+    if log_kernel.shape != (m1.n, m2.n):
         raise ValidationError(
-            f"cost shape {cost.shape} does not match marginal sizes ({m1.n}, {m2.n})"
+            f"log kernel shape {log_kernel.shape} does not match marginal sizes ({m1.n}, {m2.n})"
         )
-    check_solver_params(eta, tol, max_iter)
+    if not np.isfinite(log_kernel).all():
+        raise ValidationError("log kernel has non-finite entries")
+    check_solver_params(tol=tol, max_iter=max_iter)
 
     keep1 = m1.weights > 0
     keep2 = m2.weights > 0
     mu = m1.weights[keep1]
     nu = m2.weights[keep2]
-    log_k = gibbs_kernel(cost, eta)[np.ix_(keep1, keep2)]
+    log_k = log_kernel[np.ix_(keep1, keep2)]
     log_mu = np.log(mu)
     log_nu = np.log(nu)
 
@@ -237,24 +239,21 @@ def sinkhorn_solve(
         iterations=iterations,
         residual=float(residual),
         converged=residual <= tol,
-        transport_cost=float((cost.matrix * plan).sum()),
         residual_history=tuple(history) if record_history else None,
         absorptions=absorptions,
     )
 
 
-def sb_value(coupling: BimarginalCoupling, log_kernel: np.ndarray) -> float:
-    """Optimal value D_KL(plan || K) = sum plan * (log plan - log K), with
-    log_kernel = log K as gibbs_kernel returns it.
+def sb_value(coupling: BimarginalCoupling) -> float:
+    """Optimal value D_KL(plan || K) = <log_u1, plan 1> + <log_u2, plan^T 1>.
 
-    Entries with zero plan mass contribute nothing (0 log 0 = 0).
+    Exact for the returned plan, because log plan = log_u1 ⊕ log_u2 + log K
+    wherever plan > 0.  A pruned point carries no mass and a -inf dual;
+    clipping its dual to the lowest float makes its term 0 rather than nan.
     """
     plan = coupling.plan
-    if plan.shape != log_kernel.shape:
-        raise ValidationError(f"plan shape {plan.shape} != kernel shape {log_kernel.shape}")
-    mask = plan > 0
-    p = plan[mask]
-    return float((p * (np.log(p) - log_kernel[mask])).sum())
+    return float(plan.sum(axis=1) @ np.maximum(coupling.log_u1, _LOWEST)
+                 + plan.sum(axis=0) @ np.maximum(coupling.log_u2, _LOWEST))
 
 
 def kl_divergence(p, q) -> float:

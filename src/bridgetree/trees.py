@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TENSOR_CAP, check_edges, check_tensor_cap
+from .config import DEFAULT_TENSOR_CAP, as_index, check_edges, check_tensor_cap
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 from .sinkhorn import total_variation
@@ -92,7 +92,7 @@ def prufer_decode(code: Sequence[int], s: int) -> SpanningTree:
     Standard leaf construction: each entry of the code consumes the smallest
     current leaf; deg(v) = multiplicity of v in the code + 1.
     """
-    code = tuple(int(c) for c in code)
+    code = tuple(as_index(c, "code entry") for c in code)
     if s < 2:
         raise ValidationError(f"need s >= 2, got {s}")
     if len(code) != s - 2:

@@ -118,10 +118,12 @@ def test_criterion_2_decomposition_fidelity():
         plans, sbs, costs = {}, {}, {}
         for a, b in tree.edges:
             cost = build_cost(measures[a - 1], measures[b - 1])
-            coup = sinkhorn_solve(measures[a - 1], measures[b - 1], cost, eta, tol=1e-9)
+            coup = sinkhorn_solve(
+                measures[a - 1], measures[b - 1], gibbs_kernel(cost, eta), tol=1e-9
+            )
             assert coup.converged
             plans[(a, b)] = coup.plan
-            sbs[(a, b)] = sb_value(coup, gibbs_kernel(cost, eta))
+            sbs[(a, b)] = sb_value(coup)
             costs[(a, b)] = cost.matrix
 
         composed = compose_tree_coupling(tree, plans, measures)
@@ -239,7 +241,7 @@ def test_criterion_5_invariant_suite():
         m1 = random_measure(rng, int(rng.integers(2, 7)), low=-5, high=5)
         m2 = random_measure(rng, int(rng.integers(2, 7)), low=-5, high=5)
         cost = build_cost(m1, m2)
-        coup = sinkhorn_solve(m1, m2, cost, eta=1.0, tol=1e-9)
+        coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, 1.0), tol=1e-9)
         assert coup.converged
         assert total_variation(coup.plan.sum(axis=1), m1.weights) <= 1e-9
         assert total_variation(coup.plan.sum(axis=0), m2.weights) <= 1e-9
@@ -251,8 +253,8 @@ def test_criterion_5_invariant_suite():
         cost = build_cost(m1, m2)
         eta = float(rng.uniform(0.5, 5.0))
         a = (2.0, 17.0, 0.31, 101.0)[i % 4]
-        base = sinkhorn_solve(m1, m2, cost, eta)
-        scaled = sinkhorn_solve(m1, m2, type(cost)(a * cost.matrix), a * eta)
+        base = sinkhorn_solve(m1, m2, gibbs_kernel(cost, eta))
+        scaled = sinkhorn_solve(m1, m2, gibbs_kernel(type(cost)(a * cost.matrix), a * eta))
         assert np.abs(base.plan - scaled.plan).max() <= 1e-8
 
     # g >= -1e-10 over 500 random pairs spanning cost scales and

@@ -205,6 +205,15 @@ class TestSolve:
         assert err["error"]["type"] == "validation"
         assert str(mat) in err["error"]["message"]
 
+    def test_overflowing_eta_exits_2(self, tmp_path, capsys):
+        # C/eta overflows: a refused input, not a numerical failure (exit 1)
+        paths = write_measures(tmp_path, [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2)
+        rc = main(["solve", *paths, "--eta", "1e-310", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert "eta=1e-310" in err["error"]["message"]
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_2(self, tmp_path, capsys, tol):
         paths = write_measures(tmp_path, [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2)

@@ -9,6 +9,7 @@ from bridgetree import (
     build_cost,
     complete_graph,
     cost_tensor,
+    gibbs_kernel,
     graph_from_edges,
     kl_divergence,
     mm_sinkhorn,
@@ -178,7 +179,7 @@ class TestMmSinkhorn:
         for _ in range(5):
             m1, m2 = random_measures(rng, [3, 4], low=-3, high=3)
             cost = build_cost(m1, m2)
-            pair = sinkhorn_solve(m1, m2, cost, eta=1.0, tol=1e-12)
+            pair = sinkhorn_solve(m1, m2, gibbs_kernel(cost, 1.0), tol=1e-12)
             mm = mm_sinkhorn([m1, m2], graph_from_edges(2, [(1, 2)]), {(1, 2): cost},
                              eta=1.0, tol=1e-12)
             assert mm.converged

@@ -99,6 +99,14 @@ class TestNormalize:
         with pytest.raises(ValidationError, match=match):
             normalize_weights(weights)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sum(self, tmp_path):
+        # 1e308 + 1e308 overflows; dividing by the largest weight first does not
+        assert np.array_equal(normalize_weights([1e308, 1e308, 0.0]), [0.5, 0.5, 0.0])
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"support": [[0.0], [1.0]], "weights": [1e308, 3e307]}))
+        assert np.allclose(load_measure(path).weights, [1 / 1.3, 0.3 / 1.3], rtol=1e-15)
+
     @given(st.lists(st.floats(1e-9, 1e6), min_size=1, max_size=20))
     def test_sums_to_one(self, raw):
         assert abs(normalize_weights(raw).sum() - 1.0) <= 1e-12

@@ -18,6 +18,7 @@ from bridgetree import (
     edge_weight,
     entropy,
     enumerate_trees,
+    gibbs_kernel,
     graph_from_edges,
     mm_sinkhorn,
     msb_objective,
@@ -28,6 +29,7 @@ from bridgetree import (
     rank_trees,
     sinkhorn_solve,
 )
+from bridgetree import mst, sinkhorn
 from bridgetree.mst import EdgeWeightMatrix
 from conftest import random_measure, random_measures
 
@@ -148,6 +150,8 @@ BAD_TOL_OR_MAX_ITER = [
     {"threads": 0},
     {"on_nonconverged": "ignore"},
     *BAD_TOL_OR_MAX_ITER,
+    {"threads": 2.5},
+    {"threads": float("nan")},
 ])
 def test_solver_config_rejects(kwargs):
     with pytest.raises(ValidationError):
@@ -161,7 +165,7 @@ def test_solvers_reject_bad_tol_and_max_iter(kwargs):
     ms = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2
     cost = build_cost(ms[0], ms[1])
     with pytest.raises(ValidationError):
-        sinkhorn_solve(ms[0], ms[1], cost, 1.0, **kwargs)
+        sinkhorn_solve(ms[0], ms[1], gibbs_kernel(cost, 1.0), **kwargs)
     with pytest.raises(ValidationError):
         mm_sinkhorn(ms, complete_graph(2), {(1, 2): cost}, eta=1.0, **kwargs)
 
@@ -192,6 +196,20 @@ class TestBuildWeightMatrix:
         serial = build_weight_matrix(ms, SolverConfig(eta=1.0, threads=1))
         threaded = build_weight_matrix(ms, SolverConfig(eta=1.0, threads=4))
         assert np.array_equal(serial.g, threaded.g)
+
+    def test_one_log_kernel_per_edge(self, rng, monkeypatch):
+        # edge_weight builds log K once and hands it to the solver, which
+        # never forms -C/eta itself
+        calls = []
+        kernel = mst.gibbs_kernel
+        monkeypatch.setattr(mst, "gibbs_kernel", lambda *a: calls.append(a) or kernel(*a))
+
+        def inside_solver(*args):
+            raise AssertionError("sinkhorn.gibbs_kernel called from inside the solver")
+
+        monkeypatch.setattr(sinkhorn, "gibbs_kernel", inside_solver)
+        optimal_msb(random_measures(rng, [3, 4, 3, 4]), SolverConfig(eta=1.0))
+        assert len(calls) == 6
 
     def test_failure_names_pair(self):
         ms = [

@@ -146,28 +146,34 @@ class TestGibbsKernel:
         with pytest.raises(ValidationError):
             gibbs_kernel(SWAP_COST, 0.0)
 
+    def test_overflowing_eta_refused(self):
+        # C/eta overflows to inf for a subnormal eta; no warning escapes
+        with pytest.raises(ValidationError, match=r"eta=1e-310.*top cost 1\.0"):
+            gibbs_kernel(SWAP_COST, 1e-310)
+
 
 class TestSinkhornSolve:
     def test_dirac_pair_forced_plan(self):
         m1 = DiscreteMeasure([[0.0]], [1.0])
         m2 = DiscreteMeasure([[5.0]], [1.0])
-        coup = sinkhorn_solve(m1, m2, PairwiseCost([[4.2]]), eta=1.0)
+        coup = sinkhorn_solve(m1, m2, gibbs_kernel(PairwiseCost([[4.2]]), 1.0))
         assert np.allclose(coup.plan, [[1.0]])
         assert coup.converged
 
     def test_zero_cost_gives_product_measure(self):
-        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, PairwiseCost(np.zeros((2, 2))), eta=1.0)
+        log_k = gibbs_kernel(PairwiseCost(np.zeros((2, 2))), 1.0)
+        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, log_k)
         assert np.allclose(coup.plan, 0.25)
 
     def test_symmetric_2x2_matches_stationarity(self):
         # a/b = e from the optimality conditions; a = e / (2(1+e))
-        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, SWAP_COST, eta=1.0)
+        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, gibbs_kernel(SWAP_COST, 1.0))
         a_expected = np.e / (2.0 * (1.0 + np.e))
         assert coup.plan[0, 0] == pytest.approx(a_expected, abs=1e-12)
         assert coup.plan[0, 1] == pytest.approx(0.5 - a_expected, abs=1e-12)
 
     def test_symmetric_2x2_matches_grid_oracle(self):
-        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, SWAP_COST, eta=1.0)
+        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, gibbs_kernel(SWAP_COST, 1.0))
         a_oracle, _ = brute_force_symmetric_2x2(grid=200_001)
         assert coup.plan[0, 0] == pytest.approx(a_oracle, abs=1e-5)
 
@@ -176,7 +182,7 @@ class TestSinkhornSolve:
             m1 = random_measure(rng, int(rng.integers(2, 7)))
             m2 = random_measure(rng, int(rng.integers(2, 7)))
             cost = build_cost(m1, m2)
-            coup = sinkhorn_solve(m1, m2, cost, eta=2.0, tol=1e-9)
+            coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, 2.0), tol=1e-9)
             assert coup.converged
             row, col = coup.plan.sum(axis=1), coup.plan.sum(axis=0)
             assert total_variation(row, m1.weights) <= 1e-9
@@ -188,8 +194,8 @@ class TestSinkhornSolve:
             m1 = random_measure(rng, 4, low=-3, high=3)
             m2 = random_measure(rng, 6, low=-3, high=3)
             cost = build_cost(m1, m2)
-            forward = sinkhorn_solve(m1, m2, cost, eta=1.0)
-            backward = sinkhorn_solve(m2, m1, PairwiseCost(cost.matrix.T), eta=1.0)
+            forward = sinkhorn_solve(m1, m2, gibbs_kernel(cost, 1.0))
+            backward = sinkhorn_solve(m2, m1, gibbs_kernel(PairwiseCost(cost.matrix.T), 1.0))
             assert np.abs(forward.plan - backward.plan.T).max() <= 1e-7
 
     def test_plan_invariant_under_joint_scaling(self, rng):
@@ -197,8 +203,8 @@ class TestSinkhornSolve:
             m1 = random_measure(rng, 5, low=-3, high=3)
             m2 = random_measure(rng, 4, low=-3, high=3)
             cost = build_cost(m1, m2)
-            base = sinkhorn_solve(m1, m2, cost, eta=1.3)
-            scaled = sinkhorn_solve(m1, m2, PairwiseCost(a * cost.matrix), eta=a * 1.3)
+            base = sinkhorn_solve(m1, m2, gibbs_kernel(cost, 1.3))
+            scaled = sinkhorn_solve(m1, m2, gibbs_kernel(PairwiseCost(a * cost.matrix), a * 1.3))
             assert np.abs(base.plan - scaled.plan).max() <= 1e-8
 
     def test_residual_monotone_per_sweep(self, rng):
@@ -206,7 +212,7 @@ class TestSinkhornSolve:
             m1 = random_measure(rng, 6, low=-3, high=3)
             m2 = random_measure(rng, 5, low=-3, high=3)
             cost = build_cost(m1, m2)
-            coup = sinkhorn_solve(m1, m2, cost, eta=0.8, record_history=True)
+            coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, 0.8), record_history=True)
             h = np.array(coup.residual_history)
             assert np.all(h[1:] <= h[:-1] + 1e-12)
 
@@ -214,7 +220,7 @@ class TestSinkhornSolve:
         m1 = DiscreteMeasure([[0.0], [1.0], [2.0]], [0.5, 0.0, 0.5])
         m2 = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
         cost = build_cost(m1, m2)
-        coup = sinkhorn_solve(m1, m2, cost, eta=1.0)
+        coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, 1.0))
         assert coup.converged
         assert np.all(coup.plan[1] == 0.0)
         assert coup.log_u1[1] == -np.inf
@@ -228,7 +234,7 @@ class TestSinkhornSolve:
         mu = DiscreteMeasure(rng.uniform(-3, 3, (3, 2)), [1.0, 1.0, 1e-250])
         nu = DiscreteMeasure(rng.uniform(-3, 3, (4, 2)), rng.uniform(0.5, 1.5, 4))
         with np.errstate(all="raise"):
-            coup = sinkhorn_solve(mu, nu, build_cost(mu, nu), eta)
+            coup = sinkhorn_solve(mu, nu, gibbs_kernel(build_cost(mu, nu), eta))
         assert coup.converged
         assert np.all(np.isfinite(coup.plan))
         assert total_variation(coup.plan.sum(axis=1), mu.weights) <= 1e-9
@@ -237,13 +243,20 @@ class TestSinkhornSolve:
     def test_cost_shape_must_match_marginals(self):
         m3 = DiscreteMeasure([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5])
         with pytest.raises(ValidationError, match=r"\(2, 3\)"):
-            sinkhorn_solve(UNIFORM2, m3, SWAP_COST, 1.0)
+            sinkhorn_solve(UNIFORM2, m3, gibbs_kernel(SWAP_COST, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_log_kernel_refused(self, bad):
+        log_k = np.zeros((2, 2))
+        log_k[1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            sinkhorn_solve(UNIFORM2, UNIFORM2, log_k)
 
     def test_nonconvergence_reported_not_raised(self):
         m1 = DiscreteMeasure(np.array([[-8.0], [9.0]]), [0.4, 0.6])
         m2 = DiscreteMeasure(np.array([[-7.5], [8.5]]), [0.7, 0.3])
         cost = build_cost(m1, m2)
-        coup = sinkhorn_solve(m1, m2, cost, eta=1.0, max_iter=2)
+        coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, 1.0), max_iter=2)
         assert not coup.converged
         assert coup.residual > 1e-9
         assert coup.iterations == 2
@@ -263,21 +276,23 @@ class TestLogDomainParity:
             m2 = DiscreteMeasure(rng.uniform(-10, 10, (m, 2)), w2)
             cost = build_cost(m1, m2)
             # the cap leaves some edges unconverged at eta 0.5 and 1
-            coup = sinkhorn_solve(m1, m2, cost, eta=eta, max_iter=3_000)
+            coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, eta), max_iter=3_000)
             plan, iterations, converged = reference_sinkhorn(m1, m2, cost, eta, max_iter=3_000)
             assert coup.iterations == iterations
             assert coup.converged == converged
             assert np.abs(coup.plan - plan).max() <= 1e-12
             mask = plan > 0
             ref_sb = float((plan[mask] * (np.log(plan[mask]) + cost.matrix[mask] / eta)).sum())
-            assert sb_value(coup, gibbs_kernel(cost, eta)) == pytest.approx(ref_sb, abs=1e-10)
+            assert sb_value(coup) == pytest.approx(ref_sb, abs=1e-10)
 
     def test_max_iter_cut_matches(self):
         m1 = DiscreteMeasure(np.array([[-8.0], [9.0]]), [0.4, 0.6])
         m2 = DiscreteMeasure(np.array([[-7.5], [8.5]]), [0.7, 0.3])
         cost = build_cost(m1, m2)
         for max_iter in (1, 2, 5):
-            coup = sinkhorn_solve(m1, m2, cost, eta=1.0, max_iter=max_iter, record_history=True)
+            coup = sinkhorn_solve(
+                m1, m2, gibbs_kernel(cost, 1.0), max_iter=max_iter, record_history=True
+            )
             plan, iterations, converged = reference_sinkhorn(m1, m2, cost, 1.0, max_iter=max_iter)
             assert (coup.iterations, coup.converged) == (iterations, converged)
             assert len(coup.residual_history) == iterations
@@ -294,7 +309,7 @@ class TestLogDomainParity:
             cost = build_cost(m1, m2)
             assert np.all(np.exp(gibbs_kernel(cost, eta)) == 0.0)
             with np.errstate(all="raise"):
-                coup = sinkhorn_solve(m1, m2, cost, eta=eta, max_iter=20_000)
+                coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, eta), max_iter=20_000)
             assert np.all(np.isfinite(coup.plan))
             assert coup.absorptions > 0
             if coup.converged:
@@ -306,8 +321,8 @@ class TestSbValue:
     def test_constant_kernel(self):
         # zero cost: K is all ones, plan is the product, value is -log 4
         cost = PairwiseCost(np.zeros((2, 2)))
-        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, cost, eta=1.0)
-        val = sb_value(coup, gibbs_kernel(cost, 1.0))
+        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, gibbs_kernel(cost, 1.0))
+        val = sb_value(coup)
         assert val == pytest.approx(-np.log(4.0), abs=1e-12)
 
     def test_dirac_pair(self):
@@ -315,23 +330,46 @@ class TestSbValue:
         m2 = DiscreteMeasure([[1.0]], [1.0])
         c, eta = 4.0, 0.8
         cost = PairwiseCost([[c]])
-        coup = sinkhorn_solve(m1, m2, cost, eta=eta)
-        assert sb_value(coup, gibbs_kernel(cost, eta)) == pytest.approx(c / eta, abs=1e-12)
+        coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, eta))
+        assert sb_value(coup) == pytest.approx(c / eta, abs=1e-12)
 
     def test_symmetric_2x2_value(self):
         # value frozen from the segment-scan oracle (the minimum of the
         # entropic objective over the feasible segment equals D_KL at eta=1);
         # analytically it is log(e / (2(1+e))).
-        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, SWAP_COST, eta=1.0)
-        val = sb_value(coup, gibbs_kernel(SWAP_COST, 1.0))
+        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, gibbs_kernel(SWAP_COST, 1.0))
+        val = sb_value(coup)
         assert val == pytest.approx(-1.0064088680781682, abs=1e-12)
         _, oracle_val = brute_force_symmetric_2x2(grid=200_001)
         assert val == pytest.approx(oracle_val, abs=1e-9)
 
-    def test_kernel_shape_must_match_plan(self):
-        coup = sinkhorn_solve(UNIFORM2, UNIFORM2, SWAP_COST, eta=1.0)
-        with pytest.raises(ValidationError, match="kernel shape"):
-            sb_value(coup, np.zeros((2, 3)))
+    @pytest.mark.parametrize("eta, max_iter, zero_weights, far", [
+        (2.0, 100_000, False, False),
+        (0.8, 100_000, True, False),
+        (0.05, 20_000, False, True),  # K~ entries below the log floor are exact zeros
+        (0.05, 20_000, True, True),
+        (1.0, 3, True, False),  # cut by max_iter: the value is that of the returned plan
+    ])
+    def test_dual_value_matches_masked_log(self, eta, max_iter, zero_weights, far):
+        rng = np.random.default_rng(int(eta * 100) + 7 * max_iter + zero_weights)
+        floored, cut = False, False
+        for _ in range(6):
+            n, m = (int(x) for x in rng.integers(1, 15, 2))
+            w1, w2 = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, m)
+            if zero_weights and n > 1 and m > 1:
+                w1[rng.integers(n)] = 0.0
+                w2[rng.integers(m)] = 0.0
+            m1 = DiscreteMeasure(rng.uniform(-3, 3, (n, 2)), w1)
+            m2 = DiscreteMeasure(rng.uniform(-3, 3, (m, 2)) + [8.0 * far, 0.0], w2)
+            log_k = gibbs_kernel(build_cost(m1, m2), eta)
+            coup = sinkhorn_solve(m1, m2, log_k, max_iter=max_iter)
+            plan = coup.plan
+            mask = plan > 0
+            floored |= bool(np.any(~mask & (w1[:, None] * w2[None, :] > 0)))
+            cut |= not coup.converged
+            masked_log = float((plan[mask] * (np.log(plan[mask]) - log_k[mask])).sum())
+            assert sb_value(coup) == pytest.approx(masked_log, rel=1e-12, abs=1e-300)
+        assert (floored, cut) == (far, max_iter == 3)
 
     def test_value_plus_entropies_nonnegative(self, rng):
         # sb + H1 + H2 = <C, M>/eta + mutual information >= 0
@@ -340,8 +378,8 @@ class TestSbValue:
             m2 = random_measure(rng, int(rng.integers(2, 6)))
             cost = build_cost(m1, m2)
             eta = float(rng.uniform(0.5, 20.0))
-            coup = sinkhorn_solve(m1, m2, cost, eta=eta)
-            val = sb_value(coup, gibbs_kernel(cost, eta))
+            coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, eta))
+            val = sb_value(coup)
             assert val + entropy(m1) + entropy(m2) >= -1e-10
 
 

@@ -70,7 +70,8 @@ class TestSpanningTreeValidation:
         (3, ((1, 2), (4, 2)), r"\(2, 4\) out of range"),
         (3, ((0, 1), (1, 2)), r"\(0, 1\) out of range"),
         (3, ((1, 2), (2, 1)), r"\(1, 2\) appears twice"),
-    ], ids=["one-vertex", "self-loop", "above-s", "below-1", "repeated"])
+        (3, ((1.0, 2.0), (2.0, 3.0)), "edge vertex must be an integer, got 1.0"),
+    ], ids=["one-vertex", "self-loop", "above-s", "below-1", "repeated", "float-vertex"])
     def test_edge_set_contract(self, build, s, edges, match):
         with pytest.raises(ValidationError, match=match):
             build(s, edges)
@@ -102,6 +103,10 @@ class TestPruferCodes:
 
     def test_decode_two_vertices(self):
         assert prufer_decode((), 2).edges == ((1, 2),)
+
+    def test_decode_refuses_non_integer_entry(self):
+        with pytest.raises(ValidationError, match="code entry must be an integer, got 2.7"):
+            prufer_decode((2.7,), 3)
 
     def test_decode_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -177,10 +182,10 @@ class TestComposeTreeCoupling:
         plans, sbs, costs = {}, {}, {}
         for a, b in tree.edges:
             cost = build_cost(ms[a - 1], ms[b - 1])
-            coup = sinkhorn_solve(ms[a - 1], ms[b - 1], cost, eta, tol=tol)
+            coup = sinkhorn_solve(ms[a - 1], ms[b - 1], gibbs_kernel(cost, eta), tol=tol)
             assert coup.converged
             plans[(a, b)] = coup.plan
-            sbs[(a, b)] = sb_value(coup, gibbs_kernel(cost, eta))
+            sbs[(a, b)] = sb_value(coup)
             costs[(a, b)] = cost.matrix
         return plans, sbs, costs
 
@@ -231,7 +236,7 @@ class TestComposeTreeCoupling:
         plans = {}
         for a, b in tree.edges:
             cost = build_cost(ms[a - 1], ms[b - 1])
-            plans[(a, b)] = sinkhorn_solve(ms[a - 1], ms[b - 1], cost, 1.0).plan
+            plans[(a, b)] = sinkhorn_solve(ms[a - 1], ms[b - 1], gibbs_kernel(cost, 1.0)).plan
         composed = compose_tree_coupling(tree, plans, ms)
         assert np.all(composed[1] == 0.0)
         assert total_variation(project(composed, 1), ms[0].weights) <= 1e-8
@@ -247,7 +252,7 @@ class TestComposeTreeCoupling:
         plans = {}
         for a, b in tree.edges:
             cost = build_cost(ms[a - 1], ms[b - 1])
-            plans[(a, b)] = sinkhorn_solve(ms[a - 1], ms[b - 1], cost, 1.0).plan
+            plans[(a, b)] = sinkhorn_solve(ms[a - 1], ms[b - 1], gibbs_kernel(cost, 1.0)).plan
         composed = compose_tree_coupling(tree, plans, ms)
         assert np.all(np.take(composed, 1, axis=zero_vertex - 1) == 0.0)
         for v in range(1, tree.s + 1):
@@ -358,8 +363,8 @@ class TestTreeCosts:
         sbs, costs = {}, {}
         for a, b in tree.edges:
             cost = build_cost(ms[a - 1], ms[b - 1])
-            coup = sinkhorn_solve(ms[a - 1], ms[b - 1], cost, eta)
-            sbs[(a, b)] = sb_value(coup, gibbs_kernel(cost, eta))
+            coup = sinkhorn_solve(ms[a - 1], ms[b - 1], gibbs_kernel(cost, eta))
+            sbs[(a, b)] = sb_value(coup)
             costs[(a, b)] = cost.matrix
         ent = [float(-(m.weights[m.weights > 0] * np.log(m.weights[m.weights > 0])).sum()) for m in ms]
         decomposed = tree_cost_decomposed(tree, sbs, ent)
