@@ -12,14 +12,10 @@ from .config import SolverConfig
 from .dense import (
     GraphStructure,
     MultimarginalResult,
-    complete_graph,
     cost_tensor,
     graph_from_edges,
     mm_sinkhorn,
     msb_objective,
-    path_graph,
-    project,
-    star_graph,
 )
 from .errors import SolverError, ValidationError
 from .measures import (
@@ -50,7 +46,6 @@ from .sinkhorn import (
     PairwiseCost,
     build_cost,
     gibbs_kernel,
-    kl_divergence,
     sb_value,
     sinkhorn_solve,
     total_variation,
@@ -86,7 +81,6 @@ __all__ = [
     "ValidationError",
     "build_cost",
     "build_weight_matrix",
-    "complete_graph",
     "compose_tree_coupling",
     "cost_tensor",
     "edge_weight",
@@ -96,7 +90,6 @@ __all__ = [
     "gibbs_kernel",
     "graph_from_edges",
     "image_to_measure",
-    "kl_divergence",
     "load_image_grid",
     "load_measure",
     "mm_sinkhorn",
@@ -106,8 +99,6 @@ __all__ = [
     "normalize_weights",
     "optimal_msb",
     "parse_prufer",
-    "path_graph",
-    "project",
     "prufer_decode",
     "prufer_encode",
     "rank_trees",
@@ -115,7 +106,6 @@ __all__ = [
     "save_measure",
     "sb_value",
     "sinkhorn_solve",
-    "star_graph",
     "total_variation",
     "tree_cost_additive",
     "tree_cost_decomposed",

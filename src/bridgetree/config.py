@@ -29,6 +29,14 @@ def check_solver_params(eta=None, tol=None, max_iter=None) -> None:
         raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter}")
 
 
+def check_cost_scale(c_max: float, eta: float) -> None:
+    """Refuse an eta at which C/eta overflows: by monotone rounding, exactly when
+    c_max / eta does for the top cost c_max.  A non-finite c_max is left to
+    the caller's check of the costs."""
+    if math.isfinite(c_max) and math.isinf(c_max / eta):  # a Python float: inf, no warning
+        raise ValidationError(f"eta={eta} is too small: C/eta overflows at the top cost {c_max}")
+
+
 def check_tensor_cap(shape, cap: int) -> None:
     """Refuse a dense tensor of the given shape with more than cap entries."""
     total = math.prod(int(n) for n in shape)

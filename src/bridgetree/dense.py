@@ -18,13 +18,14 @@ from .config import (
     DEFAULT_MAX_ITER,
     DEFAULT_TENSOR_CAP,
     DEFAULT_TOL,
+    check_cost_scale,
     check_edges,
     check_solver_params,
     check_tensor_cap,
 )
 from .errors import ValidationError
 from .measures import DiscreteMeasure
-from .sinkhorn import PairwiseCost, total_variation
+from .sinkhorn import total_variation
 from .trees import DisjointSet, Edge, on_axes
 
 
@@ -48,63 +49,25 @@ def graph_from_edges(s: int, edges: Iterable[tuple[int, int]]) -> GraphStructure
     return GraphStructure(s, edges)
 
 
-def path_graph(s: int) -> GraphStructure:
-    """Chain 1-2-...-s."""
-    return graph_from_edges(s, [(i, i + 1) for i in range(1, s)])
-
-
-def star_graph(s: int, center: int = 1) -> GraphStructure:
-    """All vertices attached to `center`."""
-    if not 1 <= center <= s:
-        raise ValidationError(f"star center {center} out of range for s={s}")
-    return graph_from_edges(s, [(center, v) for v in range(1, s + 1) if v != center])
-
-
-def complete_graph(s: int) -> GraphStructure:
-    return graph_from_edges(s, [(a, b) for a in range(1, s + 1) for b in range(a + 1, s + 1)])
-
-
-def _edge_matrix(value) -> np.ndarray:
-    return value.matrix if isinstance(value, PairwiseCost) else np.asarray(value, dtype=float)
-
-
-def _infer_shape(graph: GraphStructure, costs: Mapping[Edge, np.ndarray]) -> tuple[int, ...]:
-    sizes: dict[int, int] = {}
-    for a, b in graph.edges:
-        m = costs[(a, b)]
-        for vertex, n in ((a, m.shape[0]), (b, m.shape[1])):
-            if sizes.setdefault(vertex, n) != n:
-                raise ValidationError(
-                    f"inconsistent size for vertex {vertex}: {sizes[vertex]} vs {n}"
-                )
-    missing = [v for v in range(1, graph.s + 1) if v not in sizes]
-    if missing:
-        raise ValidationError(
-            f"cannot infer tensor shape: vertices {missing} touch no edge; pass shape="
-        )
-    return tuple(sizes[v] for v in range(1, graph.s + 1))
-
-
 def cost_tensor(
     graph: GraphStructure,
-    costs: Mapping[Edge, "np.ndarray | PairwiseCost"],
-    shape: Sequence[int] | None = None,
+    costs: Mapping[Edge, np.ndarray],
+    shape: Sequence[int],
     cap: int = DEFAULT_TENSOR_CAP,
 ) -> np.ndarray:
     """Ground-cost tensor C[i_1..i_s] = sum over edges of C_edge[i_a, i_b].
 
     A path edge set gives the chain sum, a star gives the barycenter sum;
-    any edge set is the general form.
+    any edge set is the general form.  shape sizes every axis, so each edge
+    matrix must be (shape[a-1], shape[b-1]).
     """
     mats = {}
     for edge in graph.edges:
         if edge not in costs:
             raise ValidationError(f"missing cost matrix for edge {edge}")
-        mats[edge] = _edge_matrix(costs[edge])
+        mats[edge] = np.asarray(costs[edge], dtype=float)
         if not np.isfinite(mats[edge]).all():
             raise ValidationError(f"cost matrix for edge {edge} has non-finite entries")
-    if shape is None:
-        shape = _infer_shape(graph, mats)
     shape = tuple(int(n) for n in shape)
     if len(shape) != graph.s:
         raise ValidationError(f"shape has {len(shape)} axes but graph has s={graph.s}")
@@ -117,14 +80,6 @@ def cost_tensor(
             )
         out += on_axes(m, graph.s, a, b)
     return out
-
-
-def project(tensor: np.ndarray, sigma: int) -> np.ndarray:
-    """Marginal of a coupling tensor on axis sigma (1-based vertex index)."""
-    if not 1 <= sigma <= tensor.ndim:
-        raise ValidationError(f"marginal index {sigma} out of range for ndim={tensor.ndim}")
-    axes = tuple(ax for ax in range(tensor.ndim) if ax != sigma - 1)
-    return tensor.sum(axis=axes)
 
 
 def msb_objective(tensor: np.ndarray, cost: np.ndarray, eta: float) -> float:
@@ -170,7 +125,7 @@ class MultimarginalResult:
 def mm_sinkhorn(
     measures: Sequence[DiscreteMeasure],
     graph: GraphStructure,
-    costs: Mapping[Edge, "np.ndarray | PairwiseCost"],
+    costs: Mapping[Edge, np.ndarray],
     eta: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -197,7 +152,10 @@ def mm_sinkhorn(
     full_shape = tuple(m.n for m in measures)
     # log K = sum of -C_e/eta, each edge scaled before the sum (scaling the
     # summed C instead rounds differently), restricted to the kept points
-    scaled = {e: -_edge_matrix(costs[e]) / eta for e in graph.edges if e in costs}
+    mats = {e: np.asarray(costs[e], dtype=float) for e in graph.edges if e in costs}
+    for m in mats.values():
+        check_cost_scale(float(np.abs(m).max(initial=0.0)), eta)
+    scaled = {e: -m / eta for e, m in mats.items()}
     log_m = cost_tensor(graph, scaled, shape=full_shape, cap=cap)[np.ix_(*keeps)]
     log_mus = [np.log(mu) for mu in mus]
     iterations = 0

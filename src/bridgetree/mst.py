@@ -319,19 +319,20 @@ def rank_trees(
     if cap < 1:
         raise ValidationError(f"cap must be >= 1, got {cap}")
     collection = MeasureCollection(measures)
+    s = collection.s
+    # enumerate_trees checks its cap at the call, so both caps refuse before
+    # any edge is solved; the codes it decodes come alongside
+    pending = enumerate_trees(s, cap=enumeration_cap)
+    if direct == "always":
+        check_tensor_cap(collection.sizes, cap)
+    elif direct == "auto" and math.prod(collection.sizes) > cap:
+        direct = "never"
     if ewm is None:
         ewm = build_weight_matrix(collection, config)
     else:
         _check_edge_solves(ewm, collection.sizes)
     entropies = np.array([entropy(m) for m in collection])
-    s = collection.s
-    if direct == "always":
-        check_tensor_cap(collection.sizes, cap)
-    elif direct == "auto" and math.prod(collection.sizes) > cap:
-        direct = "never"
-
-    # enumerate_trees checks the cap; the codes it decoded come alongside
-    trees = list(enumerate_trees(s, cap=enumeration_cap))
+    trees = list(pending)
     if direct == "never":
         direct_costs = [None] * len(trees)
     else:

@@ -21,12 +21,12 @@ unnormalized, is read off the returned log duals f, g:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL, check_solver_params
+from .config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL
+from .config import check_cost_scale, check_solver_params
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 
@@ -97,13 +97,10 @@ def gibbs_kernel(cost: PairwiseCost, eta: float) -> np.ndarray:
 
     The log form is exact for any scale, where exp(-C/eta) underflows to 0
     for C/eta beyond ~745, so all KL arithmetic in this package uses it.
-    An eta so small that C/eta overflows is refused; division rounds
-    monotonically, so some entry overflows exactly when the largest does.
+    An eta so small that C/eta overflows is refused.
     """
     check_solver_params(eta)
-    c_max = float(cost.matrix.max(initial=0.0))
-    if math.isinf(c_max / eta):  # a Python float quotient: inf, no warning
-        raise ValidationError(f"eta={eta} is too small: C/eta overflows at the top cost {c_max}")
+    check_cost_scale(float(cost.matrix.max(initial=0.0)), eta)
     log_k = -cost.matrix / eta
     log_k.flags.writeable = False
     return log_k
@@ -182,7 +179,9 @@ def sinkhorn_solve(
     keep2 = m2.weights > 0
     mu = m1.weights[keep1]
     nu = m2.weights[keep2]
-    log_k = log_kernel[np.ix_(keep1, keep2)]
+    kept = np.ix_(keep1, keep2)
+    pruned = mu.size < m1.n or nu.size < m2.n
+    log_k = log_kernel[kept] if pruned else log_kernel  # a gather copies
     log_mu = np.log(mu)
     log_nu = np.log(nu)
 
@@ -226,8 +225,10 @@ def sinkhorn_solve(
 
     f += np.log(a)
     g += np.log(b)
-    plan = np.zeros((m1.n, m2.n))
-    plan[np.ix_(keep1, keep2)] = _reset(log_k, f, g)[2]
+    plan = _reset(log_k, f, g)[2]
+    if pruned:  # restore the pruned points as zero rows and columns
+        plan, kept_plan = np.zeros((m1.n, m2.n)), plan
+        plan[kept] = kept_plan
     log_u1 = np.full(m1.n, -np.inf)
     log_u1[keep1] = f
     log_u2 = np.full(m2.n, -np.inf)
@@ -254,22 +255,3 @@ def sb_value(coupling: BimarginalCoupling) -> float:
     plan = coupling.plan
     return float(plan.sum(axis=1) @ np.maximum(coupling.log_u1, _LOWEST)
                  + plan.sum(axis=0) @ np.maximum(coupling.log_u2, _LOWEST))
-
-
-def kl_divergence(p, q) -> float:
-    """D_KL(P || Q) = sum P log(P/Q) over arrays of equal shape.
-
-    Requires Q > 0 wherever P > 0; a violation means the divergence is
-    infinite and raises ValidationError rather than returning a sentinel.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError(f"shape mismatch: {p.shape} vs {q.shape}")
-    if np.any(p < 0):
-        raise ValidationError("P must be nonnegative")
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        raise ValidationError("KL divergence is infinite: P carries mass where Q vanishes")
-    pm = p[mask]
-    return float((pm * np.log(pm / q[mask])).sum())

@@ -154,15 +154,15 @@ def _prufer_codes(s: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_trees(s: int, cap: int = ENUMERATION_CAP) -> Iterator[SpanningTree]:
-    """All s^(s-2) labeled trees, in lexicographic Prüfer-code order."""
+    """All s^(s-2) labeled trees, in lexicographic Prüfer-code order; s is
+    checked at the call, before the first tree is asked for."""
     if s < 2:
         raise ValidationError(f"need s >= 2, got {s}")
     if s > cap:
         raise ValidationError(
             f"s={s} exceeds the enumeration cap of {cap} ({cap}^{cap - 2} trees)"
         )
-    for code in _prufer_codes(s):
-        yield prufer_decode(code, s)
+    return (prufer_decode(code, s) for code in _prufer_codes(s))
 
 
 def on_axes(array: np.ndarray, s: int, *vertices: int) -> np.ndarray:

@@ -35,18 +35,17 @@ from bridgetree import (
     mst_boruvka,
     mst_prim_dense,
     optimal_msb,
-    path_graph,
     prufer_decode,
     prufer_encode,
     sb_value,
     sinkhorn_solve,
-    star_graph,
     total_variation,
     tree_cost_additive,
     tree_cost_decomposed,
 )
 from bridgetree.cli import main as cli_main
 from conftest import GMM_MIXTURES, GMM_SPEC, random_measure, random_measures
+from helpers import path_graph, star_graph
 
 
 def criterion(num, label):
@@ -134,7 +133,7 @@ def test_criterion_2_decomposition_fidelity():
         sup_gap = float(np.abs(composed - mm.tensor).max())
         entropies = [entropy(m) for m in measures]
         cost_edges = tree_cost_decomposed(tree, sbs, entropies)
-        cost_dense = msb_objective(mm.tensor, cost_tensor(graph, costs), eta) / eta
+        cost_dense = msb_objective(mm.tensor, cost_tensor(graph, costs, shape=sizes), eta) / eta
         cost_gap = abs(cost_edges - cost_dense)
         assert sup_gap <= 1e-6, f"instance {i}: sup gap {sup_gap:.3e}"
         assert cost_gap <= 1e-6, f"instance {i}: cost gap {cost_gap:.3e}"
@@ -328,7 +327,7 @@ def test_criterion_6_path_star_cost_tensors():
     c23 = np.array([[0.5, 2.0], [2.0, 0.5]])
 
     # chain 1-2-3: C[i,j,k] = c12[i,j] + c23[j,k]
-    chain = cost_tensor(path_graph(3), {(1, 2): c12, (2, 3): c23})
+    chain = cost_tensor(path_graph(3), {(1, 2): c12, (2, 3): c23}, shape=(2, 2, 2))
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -336,7 +335,7 @@ def test_criterion_6_path_star_cost_tensors():
 
     # hub at vertex 1: C[i,j,k] = c12[i,j] + c13[i,k]
     c13 = c23
-    star = cost_tensor(star_graph(3), {(1, 2): c12, (1, 3): c13})
+    star = cost_tensor(star_graph(3), {(1, 2): c12, (1, 3): c13}, shape=(2, 2, 2))
     for i in range(2):
         for j in range(2):
             for k in range(2):

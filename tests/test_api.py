@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -83,8 +84,14 @@ class TestExports:
 
     def test_deleted_api_stays_deleted(self):
         deleted = {"sb_values", "tensor_note", "pruned", "marginal_tol", "_plan_array",
-                   "KernelMatrix", "_resolve_cost", "_broadcast_pair", "_edge_lookup"}
+                   "KernelMatrix", "_resolve_cost", "_broadcast_pair", "_edge_lookup",
+                   "kl_divergence", "project", "path_graph", "star_graph", "complete_graph"}
         assert deleted.isdisjoint(bridgetree.__all__)
+        for name in ("project", "path_graph", "star_graph", "complete_graph",
+                     "_infer_shape", "_edge_matrix"):
+            assert not hasattr(bridgetree.dense, name), name
+        assert not hasattr(bridgetree.sinkhorn, "kl_divergence")
+        assert default_of(cost_tensor, "shape") is inspect.Parameter.empty
         assert not hasattr(EdgeWeightMatrix, "sb_values")
         assert "tensor_note" not in {f.name for f in dataclasses.fields(OptimalMsbResult)}
         assert not hasattr(DiscreteMeasure, "pruned")
@@ -106,6 +113,24 @@ class TestExports:
         assert {"cost", "eta"}.isdisjoint(inspect.signature(sinkhorn_solve).parameters)
         assert "log_kernel" not in inspect.signature(sb_value).parameters
         assert not hasattr(PairwiseCost, "shape")
+
+    def test_every_export_has_a_use_outside_the_tests(self):
+        """A name in __all__ is used on some line of another src/ module,
+        scripts/, perfbench/ or README.md; its own def or class line is not a
+        use.  A name only the tests call belongs in tests/helpers.py."""
+        package = Path(bridgetree.__file__).parent
+        sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+        for folder in ("scripts", "perfbench"):
+            sources += sorted(p for p in (ROOT / folder).rglob("*") if p.suffix in (".py", ".md"))
+        sources.append(ROOT / "README.md")
+        lines = [line for path in sources for line in path.read_text().splitlines()]
+        unused = []
+        for name in bridgetree.__all__:
+            use = re.compile(rf"\b{name}\b")
+            own = re.compile(rf"\s*(def|class) {name}\b")
+            if not any(use.search(line) and not own.match(line) for line in lines):
+                unused.append(name)
+        assert unused == []
 
 
 def load_tracing(monkeypatch):
@@ -202,7 +227,7 @@ def test_dense_oracle_imports_nothing_of_the_fast_path():
     checks: from the package it takes only generic helpers."""
     allowed = {
         "trees": {"DisjointSet", "Edge", "on_axes"},
-        "sinkhorn": {"PairwiseCost", "total_variation"},
+        "sinkhorn": {"total_variation"},
     }
     imported: dict[str, set[str]] = {}
     for node in ast.walk(ast.parse(DENSE.read_text())):

@@ -304,13 +304,23 @@ class TestEnumerate:
         assert rows[0]["prufer"] == " ".join(str(c) for c in tree["prufer"])
         assert abs(float(rows[0]["cost_additive"]) - tree["cost"]) <= 1e-9
 
-    def test_enumeration_cap_refusal(self, tmp_path, rng, capsys):
+    def test_enumeration_cap_refusal(self, tmp_path, rng, capsys, monkeypatch):
         paths = write_measures(tmp_path, random_measures(rng, [2] * 9))
+        refuse_pairwise_solves(monkeypatch)
         rc = main(["enumerate", *paths, "--eta", "1.0", "--out-dir", str(tmp_path)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert "cap" in err["error"]["message"]
 
+    def test_direct_always_over_cap_exits_2_before_any_solve(self, tmp_path, rng, capsys,
+                                                             monkeypatch):
+        paths = write_measures(tmp_path, random_measures(rng, [5, 5, 5]))
+        refuse_pairwise_solves(monkeypatch)
+        rc = main(["enumerate", *paths, "--eta", "1.0", "--direct", "always", "--cap", "100",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["message"].startswith("tensor with 125 entries exceeds")
 
     def test_over_cap_leaves_direct_column_empty(self, tmp_path, rng, capsys):
         paths = write_measures(tmp_path, random_measures(rng, [3, 3, 3]))

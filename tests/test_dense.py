@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,21 +9,17 @@ from bridgetree import (
     DiscreteMeasure,
     ValidationError,
     build_cost,
-    complete_graph,
     cost_tensor,
     gibbs_kernel,
     graph_from_edges,
-    kl_divergence,
     mm_sinkhorn,
     msb_objective,
-    path_graph,
-    project,
     sinkhorn_solve,
-    star_graph,
     total_variation,
 )
 from bridgetree.config import check_tensor_cap
 from conftest import random_measures
+from helpers import complete_graph, kl_divergence, path_graph, project, star_graph
 
 
 def chain_cost_by_loops(c_list):
@@ -70,12 +68,12 @@ class TestGraphStructure:
 class TestCostTensor:
     def test_two_vertices_is_the_matrix(self):
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
-        t = cost_tensor(graph_from_edges(2, [(1, 2)]), {(1, 2): c})
+        t = cost_tensor(graph_from_edges(2, [(1, 2)]), {(1, 2): c}, shape=(2, 2))
         assert np.array_equal(t, c)
 
     def test_zero_costs_zero_tensor(self):
         costs = {(1, 2): np.zeros((2, 2)), (2, 3): np.zeros((2, 2))}
-        t = cost_tensor(path_graph(3), costs)
+        t = cost_tensor(path_graph(3), costs, shape=(2, 2, 2))
         assert t.shape == (2, 2, 2)
         assert np.all(t == 0.0)
 
@@ -83,36 +81,37 @@ class TestCostTensor:
         # entry (1,2,1) in 1-based indices: C12[1,2] + C23[2,1] = 1 + 2
         c12 = np.array([[0.0, 1.0], [1.0, 0.0]])
         c23 = np.array([[0.0, 2.0], [2.0, 0.0]])
-        t = cost_tensor(path_graph(3), {(1, 2): c12, (2, 3): c23})
+        t = cost_tensor(path_graph(3), {(1, 2): c12, (2, 3): c23}, shape=(2, 2, 2))
         assert t[0, 1, 0] == pytest.approx(3.0)
 
     def test_chain_matches_loop_oracle_entrywise(self, rng):
         c_list = [rng.uniform(0, 5, (2, 2)) for _ in range(2)]
-        t = cost_tensor(path_graph(3), {(1, 2): c_list[0], (2, 3): c_list[1]})
+        t = cost_tensor(path_graph(3), {(1, 2): c_list[0], (2, 3): c_list[1]}, shape=(2, 2, 2))
         assert np.allclose(t, chain_cost_by_loops(c_list), atol=1e-14)
 
     def test_star_matches_loop_oracle_entrywise(self, rng):
         c_list = [rng.uniform(0, 5, (2, 2)) for _ in range(2)]
-        t = cost_tensor(star_graph(3), {(1, 2): c_list[0], (1, 3): c_list[1]})
+        t = cost_tensor(star_graph(3), {(1, 2): c_list[0], (1, 3): c_list[1]}, shape=(2, 2, 2))
         assert np.allclose(t, star_cost_by_loops(c_list), atol=1e-14)
 
     def test_missing_edge_cost(self):
         with pytest.raises(ValidationError, match=r"\(2, 3\)"):
-            cost_tensor(path_graph(3), {(1, 2): np.zeros((2, 2))})
+            cost_tensor(path_graph(3), {(1, 2): np.zeros((2, 2))}, shape=(2, 2, 2))
 
     def test_cap_enforced(self):
         costs = {(1, 2): np.zeros((100, 100)), (2, 3): np.zeros((100, 100))}
         with pytest.raises(ValidationError, match="cap"):
-            cost_tensor(path_graph(3), costs, cap=10_000)
+            cost_tensor(path_graph(3), costs, shape=(100, 100, 100), cap=10_000)
 
     def test_inconsistent_vertex_sizes(self):
+        # vertex 2 has 3 points on edge (1, 2) but 2 on edge (2, 3)
         costs = {(1, 2): np.zeros((2, 3)), (2, 3): np.zeros((2, 2))}
-        with pytest.raises(ValidationError, match="vertex 2"):
-            cost_tensor(path_graph(3), costs)
+        with pytest.raises(ValidationError, match=r"edge \(2, 3\)"):
+            cost_tensor(path_graph(3), costs, shape=(2, 3, 2))
 
     def test_vertex_on_no_edge_needs_shape(self):
         graph = graph_from_edges(3, [(1, 2)])
-        with pytest.raises(ValidationError, match=r"\[3\]"):
+        with pytest.raises(TypeError, match="shape"):
             cost_tensor(graph, {(1, 2): np.zeros((2, 2))})
         assert cost_tensor(graph, {(1, 2): np.zeros((2, 2))}, shape=(2, 2, 4)).shape == (2, 2, 4)
 
@@ -142,7 +141,7 @@ class TestCostTensor:
         ms = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 3
         costs = {(1, 2): np.array([[0.0, bad], [bad, bad]]), (2, 3): np.zeros((2, 2))}
         with pytest.raises(ValidationError, match=r"edge \(1, 2\) has non-finite"):
-            cost_tensor(path_graph(3), costs)
+            cost_tensor(path_graph(3), costs, shape=(2, 2, 2))
         with pytest.raises(ValidationError, match=r"edge \(1, 2\) has non-finite"):
             mm_sinkhorn(ms, path_graph(3), costs, eta=1.0)
 
@@ -180,7 +179,7 @@ class TestMmSinkhorn:
             m1, m2 = random_measures(rng, [3, 4], low=-3, high=3)
             cost = build_cost(m1, m2)
             pair = sinkhorn_solve(m1, m2, gibbs_kernel(cost, 1.0), tol=1e-12)
-            mm = mm_sinkhorn([m1, m2], graph_from_edges(2, [(1, 2)]), {(1, 2): cost},
+            mm = mm_sinkhorn([m1, m2], graph_from_edges(2, [(1, 2)]), {(1, 2): cost.matrix},
                              eta=1.0, tol=1e-12)
             assert mm.converged
             assert np.abs(mm.tensor - pair.plan).max() <= 1e-10
@@ -204,7 +203,7 @@ class TestMmSinkhorn:
     def test_marginals_match_after_convergence(self, rng):
         ms = random_measures(rng, [3, 3, 2], low=-5, high=5)
         graph = star_graph(3)
-        costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]) for e in graph.edges}
+        costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]).matrix for e in graph.edges}
         mm = mm_sinkhorn(ms, graph, costs, eta=1.0, tol=1e-10)
         assert mm.converged
         for sigma in range(1, 4):
@@ -214,7 +213,7 @@ class TestMmSinkhorn:
         m1 = DiscreteMeasure([[0.0], [1.0], [2.0]], [0.5, 0.0, 0.5])
         m2 = DiscreteMeasure([[0.0], [1.0]], [0.4, 0.6])
         cost = build_cost(m1, m2)
-        mm = mm_sinkhorn([m1, m2], graph_from_edges(2, [(1, 2)]), {(1, 2): cost}, eta=1.0)
+        mm = mm_sinkhorn([m1, m2], graph_from_edges(2, [(1, 2)]), {(1, 2): cost.matrix}, eta=1.0)
         assert np.all(mm.tensor[1] == 0.0)
         assert total_variation(project(mm.tensor, 1), m1.weights) <= 1e-9
 
@@ -231,10 +230,20 @@ class TestMmSinkhorn:
         with pytest.raises(ValidationError, match="connected"):
             mm_sinkhorn(ms, graph, costs, eta=1.0)
 
+    def test_overflowing_eta_refused(self):
+        # -C/eta overflows: refused naming eta and the top cost, with no
+        # RuntimeWarning and no blame on a finite cost
+        ms = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 3
+        costs = {(1, 2): np.array([[0.0, 1.0], [1.0, 0.0]]), (2, 3): np.zeros((2, 2))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"eta=1e-310.*top cost 1\.0"):
+                mm_sinkhorn(ms, path_graph(3), costs, eta=1e-310)
+
     def test_cap_enforced(self, rng):
         ms = random_measures(rng, [40, 40, 40])
         graph = path_graph(3)
-        costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]) for e in graph.edges}
+        costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]).matrix for e in graph.edges}
         with pytest.raises(ValidationError, match="cap"):
             mm_sinkhorn(ms, graph, costs, eta=1.0, cap=1000)
 
@@ -259,7 +268,7 @@ class TestMsbObjective:
             m = rng.uniform(0.01, 1.0, shape)
             m /= m.sum()
             costs = {(1, 2): rng.uniform(0, 3, (3, 2)), (2, 3): rng.uniform(0, 3, (2, 3))}
-            c = cost_tensor(path_graph(3), costs)
+            c = cost_tensor(path_graph(3), costs, shape=shape)
             eta = float(rng.uniform(0.5, 4.0))
             k = np.exp(-c / eta)
             assert msb_objective(m, c, eta) == pytest.approx(

@@ -12,7 +12,6 @@ from bridgetree import (
     ValidationError,
     build_weight_matrix,
     build_cost,
-    complete_graph,
     compose_tree_coupling,
     cost_tensor,
     edge_weight,
@@ -32,6 +31,7 @@ from bridgetree import (
 from bridgetree import mst, sinkhorn
 from bridgetree.mst import EdgeWeightMatrix
 from conftest import random_measure, random_measures
+from helpers import complete_graph
 
 
 def exhaustive_mst(weights):
@@ -167,7 +167,7 @@ def test_solvers_reject_bad_tol_and_max_iter(kwargs):
     with pytest.raises(ValidationError):
         sinkhorn_solve(ms[0], ms[1], gibbs_kernel(cost, 1.0), **kwargs)
     with pytest.raises(ValidationError):
-        mm_sinkhorn(ms, complete_graph(2), {(1, 2): cost}, eta=1.0, **kwargs)
+        mm_sinkhorn(ms, complete_graph(2), {(1, 2): cost.matrix}, eta=1.0, **kwargs)
 
 
 class TestBuildWeightMatrix:
@@ -334,7 +334,7 @@ class TestOptimalMsb:
         tensor = compose_tree_coupling(res.tree, tree_plans(res), ms)
         graph = graph_from_edges(3, res.tree.edges)
         costs = {e: res.weight_matrix.edges[e].cost.matrix for e in res.tree.edges}
-        direct = msb_objective(tensor, cost_tensor(graph, costs), eta) / eta
+        direct = msb_objective(tensor, cost_tensor(graph, costs, shape=(3, 4, 3)), eta) / eta
         assert res.total_cost == pytest.approx(direct, rel=1e-5)
 
     def test_boruvka_variant_matches(self, rng):
@@ -361,11 +361,11 @@ class TestDenseArgminEquivalence:
         for tree in enumerate_trees(len(sizes)):
             graph = graph_from_edges(len(sizes), tree.edges)
             costs = {
-                (a, b): build_cost(ms[a - 1], ms[b - 1]) for a, b in tree.edges
+                (a, b): build_cost(ms[a - 1], ms[b - 1]).matrix for a, b in tree.edges
             }
             mm = mm_sinkhorn(ms, graph, costs, eta)
             assert mm.converged
-            value = msb_objective(mm.tensor, cost_tensor(graph, costs), eta) / eta
+            value = msb_objective(mm.tensor, cost_tensor(graph, costs, shape=sizes), eta) / eta
             scores.append((value, tree.edges))
         scores.sort()
         best_value, best_edges = scores[0]
@@ -374,6 +374,13 @@ class TestDenseArgminEquivalence:
         else:
             matches = [e for v, e in scores if v - best_value <= 1e-6]
             assert result.tree.edges in matches
+
+
+def refuse_weight_matrix(monkeypatch):
+    """Fail the test if rank_trees starts to solve its edges."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("edges solved before the caps were checked")
+    monkeypatch.setattr(mst, "build_weight_matrix", no_solve)
 
 
 class TestRankTrees:
@@ -457,10 +464,17 @@ class TestRankTrees:
         rows = rank_trees(ms, SolverConfig(eta=1.0), direct="never")
         assert all(row.cost_direct is None for row in rows)
 
-    def test_direct_always_refuses_over_cap(self, rng):
+    def test_direct_always_refuses_over_cap(self, rng, monkeypatch):
         ms = random_measures(rng, [30, 30, 30])
+        refuse_weight_matrix(monkeypatch)
         with pytest.raises(ValidationError, match="cap"):
             rank_trees(ms, SolverConfig(eta=1.0), direct="always", cap=100)
+
+    def test_enumeration_cap_refuses_before_any_solve(self, rng, monkeypatch):
+        ms = random_measures(rng, [2] * 9)
+        refuse_weight_matrix(monkeypatch)
+        with pytest.raises(ValidationError, match="s=9 exceeds the enumeration cap"):
+            rank_trees(ms, SolverConfig(eta=1.0))
 
     def test_direct_auto_over_cap_skips_column(self, rng):
         ms = random_measures(rng, [3, 3, 3])
@@ -499,7 +513,7 @@ def test_cycle_never_beats_a_spanning_tree_on_the_dense_oracle(s, eta):
     def dense_value(graph):
         mm = mm_sinkhorn(ms, graph, costs, eta)
         assert mm.converged
-        return msb_objective(mm.tensor, cost_tensor(graph, costs), eta) / eta
+        return msb_objective(mm.tensor, cost_tensor(graph, costs, shape=(3,) * s), eta) / eta
 
     tree_values = {tree.edges: dense_value(graph_from_edges(s, tree.edges))
                    for tree in enumerate_trees(s)}

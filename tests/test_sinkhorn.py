@@ -11,12 +11,12 @@ from bridgetree import (
     build_cost,
     entropy,
     gibbs_kernel,
-    kl_divergence,
     sb_value,
     sinkhorn_solve,
     total_variation,
 )
 from conftest import random_measure
+from helpers import kl_divergence
 
 UNIFORM2 = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
 SWAP_COST = PairwiseCost([[0.0, 1.0], [1.0, 0.0]])
@@ -225,6 +225,21 @@ class TestSinkhornSolve:
         assert np.all(coup.plan[1] == 0.0)
         assert coup.log_u1[1] == -np.inf
         assert total_variation(coup.plan.sum(axis=1), m1.weights) <= 1e-9
+
+    def test_zero_weight_point_changes_no_bit_of_the_rest(self, rng):
+        # the pruned solve gathers the kept block, the unpruned one reads the
+        # kernel as given: both must run the same arithmetic
+        points, weights = rng.uniform(-10, 10, (6, 2)), rng.uniform(0.5, 1.5, 6)
+        m1 = DiscreteMeasure(points, weights)
+        padded = DiscreteMeasure(np.vstack([points, [[0.0, 0.0]]]), np.append(weights, 0.0))
+        m2 = random_measure(rng, 5)
+        whole = sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), 2.0))
+        pruned = sinkhorn_solve(padded, m2, gibbs_kernel(build_cost(padded, m2), 2.0))
+        assert whole.iterations == pruned.iterations
+        assert np.array_equal(whole.plan, pruned.plan[:6])
+        assert np.all(pruned.plan[6] == 0.0)
+        assert np.array_equal(whole.log_u1, pruned.log_u1[:6])
+        assert np.array_equal(whole.log_u2, pruned.log_u2)
 
     @pytest.mark.parametrize("eta", [0.5, 1.0, 5.0])
     def test_tiny_weight_row_underflow(self, eta):

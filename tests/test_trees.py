@@ -17,7 +17,6 @@ from bridgetree import (
     msb_objective,
     cost_tensor,
     parse_prufer,
-    project,
     prufer_decode,
     prufer_encode,
     sb_value,
@@ -28,6 +27,7 @@ from bridgetree import (
 )
 from bridgetree.trees import DisjointSet
 from conftest import random_measures
+from helpers import project
 
 
 def random_tree(rng, s):
@@ -370,5 +370,5 @@ class TestTreeCosts:
         decomposed = tree_cost_decomposed(tree, sbs, ent)
         graph = graph_from_edges(3, tree.edges)
         mm = mm_sinkhorn(ms, graph, costs, eta)
-        direct = msb_objective(mm.tensor, cost_tensor(graph, costs), eta) / eta
+        direct = msb_objective(mm.tensor, cost_tensor(graph, costs, shape=(3, 2, 3)), eta) / eta
         assert abs(decomposed - direct) <= 1e-6
