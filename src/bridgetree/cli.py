@@ -3,7 +3,6 @@
 Subcommands:
   gen        sample measure files from a Gaussian-mixture spec
   solve      optimal tree for a set of measure files (weights + MST)
-  weights    edge-weight matrix only
   enumerate  rank all spanning trees by cost
   oracle     dense multimarginal cross-check for one tree
 
@@ -37,9 +36,8 @@ from .measures import (
     sample_gmm,
     save_measure,
 )
-from .mst import build_weight_matrix, optimal_msb, rank_trees, solve_edges
+from .mst import optimal_msb, rank_trees, solve_edges
 from .trees import (
-    ENUMERATION_CAP,
     compose_tree_coupling,
     format_prufer,
     parse_prufer,
@@ -97,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", parents=[solver], help="optimal tree for measure files")
     p_solve.add_argument("--mst", choices=("prim", "boruvka"), default="prim")
 
-    sub.add_parser("weights", parents=[solver], help="edge-weight matrix only")
-
     p_enum = sub.add_parser(
         "enumerate", parents=[solver, capped], help="rank all spanning trees by cost"
     )
@@ -108,9 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "never", "always"),
         default="auto",
         help="dense re-evaluation of each tree (auto: when within --cap)",
-    )
-    p_enum.add_argument(
-        "--enum-cap", type=int, default=ENUMERATION_CAP, help="max s for enumeration"
     )
 
     p_oracle = sub.add_parser(
@@ -127,19 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> SolverConfig:
     cost = args.cost
-    kind = cost
-    matrix = None
     if cost.startswith("matrix:"):
-        kind = "matrix"
         path = cost.split(":", 1)[1]
+        if not path:
+            raise ValidationError("--cost matrix: needs a CSV path, as in matrix:<csv-file>")
         try:
-            matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+            cost = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValidationError(f"{path}: could not parse cost matrix ({exc})") from exc
     return SolverConfig(
         eta=args.eta,
-        cost_kind=kind,
-        cost_matrix=matrix,
+        cost=cost,
         tol=args.tol,
         max_iter=args.max_iter,
         threads=args.threads,
@@ -228,19 +219,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_weights(args) -> int:
-    config = _config_from_args(args)
-    collection = _load_collection(args.measures)
-    ewm = build_weight_matrix(collection, config)
-    out = _out_dir(args)
-    _write_weight_csv(out / "weights.csv", ewm.g)
-    print(f"wrote {out / 'weights.csv'} ({collection.s} vertices, "
-          f"{collection.s * (collection.s - 1) // 2} edges)")
-    for (a, b), es in sorted(ewm.edges.items()):
-        print(f"  g[{a},{b}] = {_fmt(es.g)}  ({es.coupling.iterations} sweeps)")
-    return 0
-
-
 def _cmd_solve(args) -> int:
     config = _config_from_args(args)
     collection = _load_collection(args.measures)
@@ -254,7 +232,7 @@ def _cmd_solve(args) -> int:
     (out / "prufer.txt").write_text(format_prufer(tree_payload["prufer"]) + "\n")
     report = {
         "eta": config.eta,
-        "cost_kind": config.cost_kind,
+        "cost_kind": args.cost.split(":", 1)[0],
         "tol": config.tol,
         "s": collection.s,
         "sizes": list(collection.sizes),
@@ -282,9 +260,7 @@ def _cmd_enumerate(args) -> int:
     config = _config_from_args(args)
     collection = _load_collection(args.measures)
     start = time.perf_counter()
-    rows = rank_trees(
-        collection, config, direct=args.direct, enumeration_cap=args.enum_cap, cap=args.cap
-    )
+    rows = rank_trees(collection, config, direct=args.direct, cap=args.cap)
     elapsed = time.perf_counter() - start
     top_k = len(rows) if args.top_k <= 0 else min(args.top_k, len(rows))
 
@@ -363,7 +339,6 @@ def _cmd_oracle(args) -> int:
 
 _COMMANDS = {
     "gen": _cmd_gen,
-    "weights": _cmd_weights,
     "solve": _cmd_solve,
     "enumerate": _cmd_enumerate,
     "oracle": _cmd_oracle,

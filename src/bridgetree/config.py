@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-COST_KINDS = ("sqeuclidean", "euclidean", "matrix")
+COST_KINDS = ("sqeuclidean", "euclidean")
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
@@ -35,6 +35,23 @@ def check_cost_scale(c_max: float, eta: float) -> None:
     the caller's check of the costs."""
     if math.isfinite(c_max) and math.isinf(c_max / eta):  # a Python float: inf, no warning
         raise ValidationError(f"eta={eta} is too small: C/eta overflows at the top cost {c_max}")
+
+
+def check_cost_matrix(matrix) -> np.ndarray:
+    """The matrix as a read-only C-ordered float array; refuses one that is
+    not 2-d or has a non-finite or negative entry.  A writeable array is
+    copied, never frozen in place, so the caller's array stays writeable."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2:
+        raise ValidationError(f"cost matrix must be 2-d, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("cost matrix contains non-finite entries")
+    if np.any(m < 0):
+        i, j = np.argwhere(m < 0)[0]
+        raise ValidationError(f"negative cost at ({i}, {j}): {m[i, j]}")
+    m = m.copy() if m.flags.writeable else np.ascontiguousarray(m)
+    m.flags.writeable = False
+    return m
 
 
 def check_tensor_cap(shape, cap: int) -> None:
@@ -82,14 +99,16 @@ class SolverConfig:
     eta is the entropic regularization strength; it has no default because
     every reported cost is scaled by it and no canonical value exists.
 
+    cost is a kind from COST_KINDS or one (n1, n2) cost matrix for every
+    pair, held read-only as check_cost_matrix returns it.
+
     on_nonconverged: "error" aborts when a pairwise Sinkhorn solve hits
     max_iter above tolerance; "warn" keeps the last iterate (a silently
     inaccurate weight can flip the argmin, so "error" is the default).
     """
 
     eta: float
-    cost_kind: str = "sqeuclidean"
-    cost_matrix: np.ndarray | None = None
+    cost: str | np.ndarray = "sqeuclidean"
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     threads: int = 1
@@ -97,12 +116,10 @@ class SolverConfig:
 
     def __post_init__(self):
         check_solver_params(self.eta, self.tol, self.max_iter)
-        if self.cost_kind not in COST_KINDS:
-            raise ValidationError(
-                f"unknown cost kind {self.cost_kind!r}; expected one of {COST_KINDS}"
-            )
-        if self.cost_kind == "matrix" and self.cost_matrix is None:
-            raise ValidationError("cost_kind 'matrix' requires cost_matrix")
+        if not isinstance(self.cost, str):
+            object.__setattr__(self, "cost", check_cost_matrix(self.cost))
+        elif self.cost not in COST_KINDS:
+            raise ValidationError(f"unknown cost kind {self.cost!r}; expected one of {COST_KINDS}")
         if not (isinstance(self.threads, (int, np.integer)) and self.threads >= 1):
             raise ValidationError(f"threads must be an integer >= 1, got {self.threads}")
         if self.on_nonconverged not in ("error", "warn"):

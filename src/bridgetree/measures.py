@@ -55,7 +55,7 @@ def normalize_weights(weights) -> np.ndarray:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    a = np.array(a, order="C")  # a copy, so the caller's array stays writeable
     a.flags.writeable = False
     return a
 

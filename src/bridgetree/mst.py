@@ -39,7 +39,6 @@ from .sinkhorn import (
     sinkhorn_solve,
 )
 from .trees import (
-    ENUMERATION_CAP,
     DisjointSet,
     Edge,
     SpanningTree,
@@ -77,7 +76,7 @@ class EdgeWeightMatrix:
 def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) -> EdgeSolve:
     """Solve one bimarginal bridge and return g = sb + H(m1) + H(m2)."""
     start = time.perf_counter()
-    cost = build_cost(m1, m2, config.cost_kind, matrix=config.cost_matrix)
+    cost = build_cost(m1, m2, config.cost)
     log_kernel = gibbs_kernel(cost, config.eta)
     coupling = sinkhorn_solve(m1, m2, log_kernel, tol=config.tol, max_iter=config.max_iter)
     if not coupling.converged:
@@ -295,7 +294,6 @@ def rank_trees(
     config: SolverConfig,
     ewm: EdgeWeightMatrix | None = None,
     direct: str = "auto",
-    enumeration_cap: int = ENUMERATION_CAP,
     cap: int = DEFAULT_TENSOR_CAP,
 ) -> list[RankedTree]:
     """Cost every spanning tree, cheapest first.
@@ -322,7 +320,7 @@ def rank_trees(
     s = collection.s
     # enumerate_trees checks its cap at the call, so both caps refuse before
     # any edge is solved; the codes it decodes come alongside
-    pending = enumerate_trees(s, cap=enumeration_cap)
+    pending = enumerate_trees(s)
     if direct == "always":
         check_tensor_cap(collection.sizes, cap)
     elif direct == "auto" and math.prod(collection.sizes) > cap:

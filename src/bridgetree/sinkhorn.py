@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .config import check_cost_scale, check_solver_params
+from .config import check_cost_matrix, check_cost_scale, check_solver_params
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 
@@ -43,53 +43,36 @@ _LOWEST = np.finfo(float).min
 
 @dataclass(frozen=True, eq=False)
 class PairwiseCost:
-    """Nonnegative ground-cost matrix between two supports."""
+    """Nonnegative ground-cost matrix between two supports, read-only."""
 
     matrix: np.ndarray  # (n1, n2)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValidationError(f"cost matrix must be 2-d, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("cost matrix contains non-finite entries")
-        if np.any(m < 0):
-            i, j = np.argwhere(m < 0)[0]
-            raise ValidationError(f"negative cost at ({i}, {j}): {m[i, j]}")
-        m = np.ascontiguousarray(m)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", check_cost_matrix(self.matrix))
 
 
-def build_cost(
-    m1: DiscreteMeasure,
-    m2: DiscreteMeasure,
-    kind: str = "sqeuclidean",
-    matrix=None,
-) -> PairwiseCost:
+def build_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean") -> PairwiseCost:
     """Ground cost between two supports.
 
-    kind "sqeuclidean" or "euclidean" computes c(x, y) from the support
-    points; kind "matrix" wraps a caller-supplied (n1, n2) matrix.
+    A kind from COST_KINDS, "sqeuclidean" or "euclidean", computes c(x, y)
+    from the support points; an (n1, n2) array is the cost matrix itself.
     """
-    if kind not in COST_KINDS:
-        raise ValidationError(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")
-    if kind == "matrix":
-        if matrix is None:
-            raise ValidationError("cost kind 'matrix' requires an explicit matrix")
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (m1.n, m2.n):
+    if not isinstance(cost, str):
+        if np.shape(cost) != (m1.n, m2.n):
             raise ValidationError(
-                f"cost matrix shape {m.shape} does not match supports ({m1.n}, {m2.n})"
+                f"cost matrix shape {np.shape(cost)} does not match supports ({m1.n}, {m2.n})"
             )
-        return PairwiseCost(m)
+        return PairwiseCost(cost)
+    if cost not in COST_KINDS:
+        raise ValidationError(f"unknown cost kind {cost!r}; expected one of {COST_KINDS}")
     if m1.dim != m2.dim:
         raise ValidationError(f"support dimensions differ: {m1.dim} vs {m2.dim}")
     diff = m1.support[:, None, :] - m2.support[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    if kind == "euclidean":
-        return PairwiseCost(np.sqrt(sq))
-    return PairwiseCost(sq)
+    matrix = np.einsum("ijk,ijk->ij", diff, diff)
+    if cost == "euclidean":
+        matrix = np.sqrt(matrix)
+    matrix.flags.writeable = False  # built here: PairwiseCost keeps it without a copy
+    return PairwiseCost(matrix)
 
 
 def gibbs_kernel(cost: PairwiseCost, eta: float) -> np.ndarray:

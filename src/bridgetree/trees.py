@@ -153,14 +153,15 @@ def _prufer_codes(s: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(1, s + 1), repeat=s - 2)
 
 
-def enumerate_trees(s: int, cap: int = ENUMERATION_CAP) -> Iterator[SpanningTree]:
+def enumerate_trees(s: int) -> Iterator[SpanningTree]:
     """All s^(s-2) labeled trees, in lexicographic Prüfer-code order; s is
-    checked at the call, before the first tree is asked for."""
+    checked against ENUMERATION_CAP at the call, before any tree is made."""
     if s < 2:
         raise ValidationError(f"need s >= 2, got {s}")
-    if s > cap:
+    if s > ENUMERATION_CAP:
         raise ValidationError(
-            f"s={s} exceeds the enumeration cap of {cap} ({cap}^{cap - 2} trees)"
+            f"s={s} exceeds the enumeration cap of {ENUMERATION_CAP} "
+            f"({ENUMERATION_CAP}^{ENUMERATION_CAP - 2} trees)"
         )
     return (prufer_decode(code, s) for code in _prufer_codes(s))
 

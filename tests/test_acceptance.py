@@ -224,7 +224,7 @@ def test_criterion_4_dirac_star():
     # every satellite is closer to the center (2) than to any satellite
     # (2*sqrt(2) or 4)
     result = optimal_msb([center] + satellites,
-                         SolverConfig(eta=eta, cost_kind="euclidean"))
+                         SolverConfig(eta=eta, cost="euclidean"))
     assert result.tree.edges == ((1, 2), (1, 3), (1, 4), (1, 5)), "optimum is not the star"
     expected = 8.0 / eta  # four unit-mass moves of Euclidean length 2, entropies all zero
     assert abs(result.total_cost - expected) <= 1e-10
@@ -275,7 +275,7 @@ def test_criterion_5_invariant_suite():
         n1, n2 = rng.integers(2, 7, size=2)
         m1 = random_measure(rng, int(n1))
         m2 = random_measure(rng, int(n2))
-        cfg = SolverConfig(eta=1.0, cost_kind="matrix", cost_matrix=np.zeros((n1, n2)))
+        cfg = SolverConfig(eta=1.0, cost=np.zeros((n1, n2)))
         assert abs(edge_weight(m1, m2, cfg).g) <= 1e-10
 
     # Prüfer roundtrip identity over 1000 random trees, s <= 8.

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import dataclasses
 import importlib.util
@@ -21,8 +22,10 @@ from bridgetree import (
     OptimalMsbResult,
     PairwiseCost,
     SolverConfig,
+    build_cost,
     compose_tree_coupling,
     cost_tensor,
+    enumerate_trees,
     mm_sinkhorn,
     optimal_msb,
     rank_trees,
@@ -32,8 +35,7 @@ from bridgetree import (
 )
 from bridgetree import cli, dense, mst, trees
 from bridgetree.cli import build_parser
-from bridgetree.config import DEFAULT_MAX_ITER, DEFAULT_TENSOR_CAP, DEFAULT_TOL
-from bridgetree.trees import ENUMERATION_CAP
+from bridgetree.config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TENSOR_CAP, DEFAULT_TOL
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -42,6 +44,14 @@ DENSE = Path(bridgetree.dense.__file__)
 
 def default_of(fn, name):
     return inspect.signature(fn).parameters[name].default
+
+
+def cli_commands(parser) -> dict[str, set[str]]:
+    """Each subcommand of the parser with the --flags it takes, --help aside."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {opt for a in command._actions for opt in a.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, command in sub.choices.items()}
 
 
 class TestDefaultsLiveInOnePlace:
@@ -55,9 +65,8 @@ class TestDefaultsLiveInOnePlace:
         assert default_of(compose_tree_coupling, "cap") == DEFAULT_TENSOR_CAP
         assert default_of(cost_tensor, "cap") == DEFAULT_TENSOR_CAP
         assert default_of(rank_trees, "cap") == DEFAULT_TENSOR_CAP
-        assert default_of(rank_trees, "enumeration_cap") == ENUMERATION_CAP
 
-    @pytest.mark.parametrize("command", ["solve", "weights", "enumerate", "oracle"])
+    @pytest.mark.parametrize("command", ["solve", "enumerate", "oracle"])
     def test_cli_solver_flags(self, command):
         argv = [command, "m.json", "--eta", "1"]
         if command == "oracle":
@@ -70,10 +79,6 @@ class TestDefaultsLiveInOnePlace:
             assert args.cap == DEFAULT_TENSOR_CAP
         else:
             assert not hasattr(args, "cap")
-
-    def test_cli_enumeration_cap(self):
-        args = build_parser().parse_args(["enumerate", "m.json", "--eta", "1"])
-        assert args.enum_cap == ENUMERATION_CAP
 
 
 class TestExports:
@@ -113,6 +118,17 @@ class TestExports:
         assert {"cost", "eta"}.isdisjoint(inspect.signature(sinkhorn_solve).parameters)
         assert "log_kernel" not in inspect.signature(sb_value).parameters
         assert not hasattr(PairwiseCost, "shape")
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert {"cost_kind", "cost_matrix"}.isdisjoint(fields) and len(fields) == 6
+        with pytest.raises(TypeError):
+            SolverConfig(eta=1.0, cost_matrix=np.zeros((2, 2)))
+        assert COST_KINDS == ("sqeuclidean", "euclidean")
+        assert list(inspect.signature(build_cost).parameters) == ["m1", "m2", "cost"]
+        assert "enumeration_cap" not in inspect.signature(rank_trees).parameters
+        assert list(inspect.signature(enumerate_trees).parameters) == ["s"]
+        commands = cli_commands(build_parser())
+        assert "weights" not in commands
+        assert "--enum-cap" not in commands["enumerate"]
 
     def test_every_export_has_a_use_outside_the_tests(self):
         """A name in __all__ is used on some line of another src/ module,
@@ -256,3 +272,15 @@ def test_readme_library_example_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-W", "error", str(script)],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_documents_the_cli_as_built():
+    """Every subcommand and --flag of build_parser() appears in README.md, and
+    every --flag its CLI section names exists in the parser."""
+    readme = (ROOT / "README.md").read_text()
+    commands = cli_commands(build_parser())
+    flags = set().union(*commands.values())
+    assert [name for name in commands if f"bridgetree {name}" not in readme] == []
+    assert sorted(f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", readme)) == []
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_section)) - flags == set()

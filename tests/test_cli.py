@@ -205,6 +205,27 @@ class TestSolve:
         assert err["error"]["type"] == "validation"
         assert str(mat) in err["error"]["message"]
 
+    def test_empty_cost_matrix_path_exits_2(self, tmp_path, capsys):
+        paths = write_measures(tmp_path, [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2)
+        rc = main(["solve", *paths, "--eta", "1.0", "--cost", "matrix:",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert "--cost" in err["error"]["message"]
+
+    def test_negative_cost_matrix_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        paths = write_measures(tmp_path, [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2)
+        mat = tmp_path / "cost.csv"
+        mat.write_text("0.0,-1.0\n1.0,0.0\n")
+        refuse_pairwise_solves(monkeypatch)
+        rc = main(["solve", *paths, "--eta", "1.0", "--cost", f"matrix:{mat}",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert "negative cost" in err["error"]["message"]
+
     def test_overflowing_eta_exits_2(self, tmp_path, capsys):
         # C/eta overflows: a refused input, not a numerical failure (exit 1)
         paths = write_measures(tmp_path, [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2)
@@ -236,6 +257,7 @@ class TestSolve:
         tree = json.loads((out / "tree.json").read_text())
         # frozen value for the uniform swap-cost edge: sb of the 2x2 instance
         assert tree["cost"] == pytest.approx(-1.0064088680781682, abs=1e-12)
+        assert json.loads((out / "report.json").read_text())["cost_kind"] == "matrix"
 
 
 class TestReproducibility:
@@ -255,17 +277,6 @@ class TestReproducibility:
                          "--out-dir", str(tmp_path / d)]) == 0
         assert ((tmp_path / "e1" / "trees_ranked.csv").read_bytes()
                 == (tmp_path / "e2" / "trees_ranked.csv").read_bytes())
-
-
-class TestWeights:
-    def test_writes_matrix_only(self, tmp_path, rng, capsys):
-        paths = write_measures(tmp_path, random_measures(rng, [2, 2, 3]))
-        out = tmp_path / "w"
-        rc = main(["weights", *paths, "--eta", "1.0", "--out-dir", str(out)])
-        assert rc == 0
-        assert (out / "weights.csv").exists()
-        assert not (out / "tree.json").exists()
-        assert "g[1,2]" in capsys.readouterr().out
 
 
 class TestEnumerate:

@@ -140,6 +140,16 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             m.weights[0] = 0.3
 
+    def test_callers_arrays_stay_writeable_and_apart(self, rng):
+        pts = rng.uniform(size=(4, 2))
+        weights = np.full(4, 0.25)
+        m = DiscreteMeasure(pts, weights)
+        assert pts.flags.writeable and weights.flags.writeable
+        pts[0, 0] = 7.0
+        weights[0] = 3.0
+        assert m.support[0, 0] != 7.0
+        assert np.array_equal(m.weights, np.full(4, 0.25))
+
 
 class TestMeasureCollection:
     def test_needs_two(self):

@@ -94,7 +94,7 @@ class TestEdgeWeight:
     def test_zero_cost_weight_vanishes(self, rng):
         m1 = random_measure(rng, 4)
         m2 = random_measure(rng, 5)
-        cfg = SolverConfig(eta=1.0, cost_kind="matrix", cost_matrix=np.zeros((4, 5)))
+        cfg = SolverConfig(eta=1.0, cost=np.zeros((4, 5)))
         es = edge_weight(m1, m2, cfg)
         assert abs(es.g) <= 1e-10
         assert es.sb == pytest.approx(-entropy(m1) - entropy(m2), abs=1e-10)
@@ -102,15 +102,14 @@ class TestEdgeWeight:
     def test_dirac_pair_distance_over_eta(self):
         eta = 0.7
         es = edge_weight(dirac((0.0, 0.0)), dirac((3.0, 4.0)),
-                         SolverConfig(eta=eta, cost_kind="euclidean"))
+                         SolverConfig(eta=eta, cost="euclidean"))
         assert es.g == pytest.approx(5.0 / eta, abs=1e-12)
 
     def test_uniform_swap_cost_instance(self):
         # frozen from the segment-scan oracle of the 2x2 instance:
         # sb = log(e / (2(1+e))), entropies log 2 each
         m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-        cfg = SolverConfig(eta=1.0, cost_kind="matrix",
-                           cost_matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        cfg = SolverConfig(eta=1.0, cost=np.array([[0.0, 1.0], [1.0, 0.0]]))
         es = edge_weight(m, m, cfg)
         assert es.sb == pytest.approx(-1.0064088680781682, abs=1e-12)
         assert es.g == pytest.approx(0.3798854930417224, abs=1e-12)
@@ -145,8 +144,8 @@ BAD_TOL_OR_MAX_ITER = [
 @pytest.mark.parametrize("kwargs", [
     {"tol": 0.0},
     {"max_iter": 0},
-    {"cost_kind": "manhattan"},
-    {"cost_kind": "matrix"},
+    {"cost": "manhattan"},
+    {"cost": "matrix"},
     {"threads": 0},
     {"on_nonconverged": "ignore"},
     *BAD_TOL_OR_MAX_ITER,
@@ -156,6 +155,28 @@ BAD_TOL_OR_MAX_ITER = [
 def test_solver_config_rejects(kwargs):
     with pytest.raises(ValidationError):
         SolverConfig(eta=1.0, **kwargs)
+
+
+@pytest.mark.parametrize("matrix, match", [
+    ([[0.0, -1.0], [1.0, 0.0]], "negative cost"),
+    ([[0.0, np.inf], [1.0, 0.0]], "non-finite"),
+    ([0.0, 1.0], "2-d"),
+])
+def test_solver_config_refuses_a_bad_cost_matrix(matrix, match):
+    # at construction, before any edge is solved
+    with pytest.raises(ValidationError, match=match):
+        SolverConfig(eta=1.0, cost=np.array(matrix))
+
+
+def test_cost_matrix_is_held_as_a_read_only_copy():
+    matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cfg = SolverConfig(eta=1.0, cost=matrix)
+    m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
+    before = edge_weight(m, m, cfg).g
+    assert matrix.flags.writeable
+    assert not cfg.cost.flags.writeable
+    matrix[0, 1] = 5.0  # the caller's later edit does not reach the config
+    assert edge_weight(m, m, cfg).g == before
 
 
 @pytest.mark.parametrize("kwargs", BAD_TOL_OR_MAX_ITER)
@@ -301,7 +322,7 @@ class TestOptimalMsb:
         satellites = [dirac((2.0, 0.0)), dirac((0.0, 2.0)), dirac((-2.0, 0.0)),
                       dirac((0.0, -2.0))]
         eta = 0.7
-        res = optimal_msb([center] + satellites, SolverConfig(eta=eta, cost_kind="euclidean"))
+        res = optimal_msb([center] + satellites, SolverConfig(eta=eta, cost="euclidean"))
         assert res.tree.edges == ((1, 2), (1, 3), (1, 4), (1, 5))
         assert res.total_cost == pytest.approx(8.0 / eta, abs=1e-10)
 

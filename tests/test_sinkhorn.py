@@ -97,7 +97,15 @@ class TestBuildCost:
 
     def test_matrix_kind_checks_shape(self):
         with pytest.raises(ValidationError):
-            build_cost(UNIFORM2, UNIFORM2, "matrix", matrix=np.zeros((3, 2)))
+            build_cost(UNIFORM2, UNIFORM2, np.zeros((3, 2)))
+
+    def test_matrix_cost_leaves_the_callers_array_writeable(self):
+        matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cost = build_cost(UNIFORM2, UNIFORM2, matrix)
+        assert matrix.flags.writeable
+        assert not cost.matrix.flags.writeable
+        matrix[0, 1] = 5.0
+        assert cost.matrix[0, 1] == 1.0
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValidationError):
@@ -117,7 +125,8 @@ class TestBuildCost:
             build_cost(UNIFORM2, UNIFORM2, "manhattan")
 
     def test_matrix_kind_needs_matrix(self):
-        with pytest.raises(ValidationError, match="explicit matrix"):
+        # a matrix cost is the array itself; the string "matrix" is no kind
+        with pytest.raises(ValidationError, match="unknown cost kind 'matrix'"):
             build_cost(UNIFORM2, UNIFORM2, "matrix")
 
 
