@@ -25,6 +25,7 @@ from .config import (
     DEFAULT_TENSOR_CAP,
     DEFAULT_TOL,
     SolverConfig,
+    as_index,
     check_tensor_cap,
 )
 from .dense import graph_from_edges, mm_sinkhorn, msb_objective, cost_tensor
@@ -195,7 +196,7 @@ def _cmd_gen(args) -> int:
     if not isinstance(mixtures, list) or not mixtures:
         raise ValidationError(f"{spec_path}: 'mixtures' must be a non-empty list")
     out = _out_dir(args)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(as_index(args.seed, "--seed", 0))
     paths = []
     for idx, mixture in enumerate(mixtures, start=1):
         comps = mixture.get("components") if isinstance(mixture, dict) else None
@@ -258,11 +259,12 @@ def _cmd_solve(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     config = _config_from_args(args)
+    top_k = as_index(args.top_k, "--top-k", 0)
     collection = _load_collection(args.measures)
     start = time.perf_counter()
     rows = rank_trees(collection, config, direct=args.direct, cap=args.cap)
     elapsed = time.perf_counter() - start
-    top_k = len(rows) if args.top_k <= 0 else min(args.top_k, len(rows))
+    top_k = len(rows) if top_k == 0 else min(top_k, len(rows))
 
     out = _out_dir(args)
     lines = ["rank,prufer,cost_additive,cost_direct"]

@@ -25,8 +25,8 @@ def check_solver_params(eta=None, tol=None, max_iter=None) -> None:
         raise ValidationError(f"eta must be a positive finite real, got {eta}")
     if tol is not None and not (np.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be a positive finite real, got {tol}")
-    if max_iter is not None and not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
-        raise ValidationError(f"max_iter must be an integer >= 1, got {max_iter}")
+    if max_iter is not None:
+        as_index(max_iter, "max_iter", 1)
 
 
 def check_cost_scale(c_max: float, eta: float) -> None:
@@ -54,29 +54,47 @@ def check_cost_matrix(matrix) -> np.ndarray:
     return m
 
 
-def check_tensor_cap(shape, cap: int) -> None:
-    """Refuse a dense tensor of the given shape with more than cap entries."""
-    total = math.prod(int(n) for n in shape)
-    if total > cap:
-        raise ValidationError(
-            f"tensor with {total} entries exceeds the configured cap of {cap}"
-        )
-
-
-def as_index(value, what: str) -> int:
-    """value as an int; refuses a value that is not an integer, such as 2.7."""
+def as_index(value, what: str, low: int | None = None) -> int:
+    """value as an int: the one check of an integer setting or size.  Refuses
+    a bool, a value that is not an integer, such as 2.7, and one below low."""
     try:
-        return operator.index(value)
+        n = value if type(value) is int else operator.index(value)  # type(True) is bool
     except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+        n = None
+    if n is None or type(value) is bool or (low is not None and n < low):
+        rule = "an integer" if low is None else f"an integer >= {low}"
+        raise ValidationError(f"{what} must be {rule}, got {value!r}")
+    return n
+
+
+def check_vertex_count(s) -> int:
+    """s as an int; a graph or tree on the vertices 1..s needs s >= 2."""
+    return as_index(s, "vertex count s", 2)
+
+
+def check_shape(array, expected: tuple[int, ...], what: str) -> None:
+    """Refuse an array, such as one edge's (n_a, n_b) matrix, whose shape is
+    not expected; what names it in the message."""
+    if np.shape(array) != expected:
+        raise ValidationError(f"{what} has shape {np.shape(array)}, expected {expected}")
+
+
+def check_tensor_cap(shape, cap: int) -> tuple[int, ...]:
+    """shape as a tuple of ints >= 1; refuses a cap below 1 and a dense tensor
+    of that shape with more than cap entries."""
+    shape = tuple(as_index(n, "tensor axis size", 1) for n in shape)
+    cap = as_index(cap, "cap", 1)
+    total = math.prod(shape)
+    if total > cap:
+        raise ValidationError(f"tensor with {total} entries exceeds the configured cap of {cap}")
+    return shape
 
 
 def check_edges(s: int, edges) -> tuple[tuple[int, int], ...]:
-    """The edges as a sorted tuple of (a, b) with a < b.  Refuses s < 2, a
-    vertex that is not an integer, a self-loop, a vertex outside 1..s and a
-    repeated edge."""
-    if s < 2:
-        raise ValidationError(f"need at least 2 vertices, got s={s}")
+    """The edges as a sorted tuple of (a, b) with a < b.  Refuses an s that
+    check_vertex_count refuses, a vertex that is not an integer, a self-loop,
+    a vertex outside 1..s and a repeated edge."""
+    s = check_vertex_count(s)
     pairs = [(as_index(a, "edge vertex"), as_index(b, "edge vertex")) for a, b in edges]
     canon = sorted([(a, b) if a < b else (b, a) for a, b in pairs])
     previous = None
@@ -92,7 +110,7 @@ def check_edges(s: int, edges) -> tuple[tuple[int, int], ...]:
     return tuple(canon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Parameters for a bridge-tree solve.
 
@@ -120,8 +138,7 @@ class SolverConfig:
             object.__setattr__(self, "cost", check_cost_matrix(self.cost))
         elif self.cost not in COST_KINDS:
             raise ValidationError(f"unknown cost kind {self.cost!r}; expected one of {COST_KINDS}")
-        if not (isinstance(self.threads, (int, np.integer)) and self.threads >= 1):
-            raise ValidationError(f"threads must be an integer >= 1, got {self.threads}")
+        as_index(self.threads, "threads", 1)
         if self.on_nonconverged not in ("error", "warn"):
             raise ValidationError(
                 f"on_nonconverged must be 'error' or 'warn', got {self.on_nonconverged!r}"

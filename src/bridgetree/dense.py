@@ -20,6 +20,7 @@ from .config import (
     DEFAULT_TOL,
     check_cost_scale,
     check_edges,
+    check_shape,
     check_solver_params,
     check_tensor_cap,
 )
@@ -68,16 +69,12 @@ def cost_tensor(
         mats[edge] = np.asarray(costs[edge], dtype=float)
         if not np.isfinite(mats[edge]).all():
             raise ValidationError(f"cost matrix for edge {edge} has non-finite entries")
-    shape = tuple(int(n) for n in shape)
     if len(shape) != graph.s:
         raise ValidationError(f"shape has {len(shape)} axes but graph has s={graph.s}")
-    check_tensor_cap(shape, cap)
+    shape = check_tensor_cap(shape, cap)
     out = np.zeros(shape)
     for (a, b), m in mats.items():
-        if m.shape != (shape[a - 1], shape[b - 1]):
-            raise ValidationError(
-                f"edge {(a, b)} matrix shape {m.shape} inconsistent with tensor shape"
-            )
+        check_shape(m, (shape[a - 1], shape[b - 1]), f"cost matrix for edge {(a, b)}")
         out += on_axes(m, graph.s, a, b)
     return out
 
@@ -87,8 +84,7 @@ def msb_objective(tensor: np.ndarray, cost: np.ndarray, eta: float) -> float:
 
     Equals eta * D_KL(M || exp(-C/eta)) identically.
     """
-    if tensor.shape != cost.shape:
-        raise ValidationError(f"shape mismatch: {tensor.shape} vs {cost.shape}")
+    check_shape(cost, tensor.shape, "cost tensor")
     check_solver_params(eta)
     log_m = np.zeros_like(tensor)
     np.log(tensor, out=log_m, where=tensor > 0)

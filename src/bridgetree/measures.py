@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .config import as_index, check_vertex_count
 from .errors import ValidationError
 
 NORMALIZATION_ATOL = 1e-12
@@ -102,8 +103,7 @@ class MeasureCollection:
 
     def __init__(self, measures: Sequence[DiscreteMeasure]):
         measures = tuple(measures)
-        if len(measures) < 2:
-            raise ValidationError(f"need at least 2 measures, got {len(measures)}")
+        check_vertex_count(len(measures))
         dims = {m.dim for m in measures}
         if len(dims) != 1:
             raise ValidationError(f"measures have mixed support dimensions: {sorted(dims)}")
@@ -170,8 +170,7 @@ def sample_gmm(
     """
     if len(components) == 0:
         raise ValidationError("empty component list")
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
+    n = as_index(n, "sample count", 1)
     try:
         a, b = (float(x) for x in interval)
     except (TypeError, ValueError) as exc:

@@ -27,7 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TENSOR_CAP, SolverConfig, check_tensor_cap
+from .config import DEFAULT_TENSOR_CAP, SolverConfig, as_index, check_shape, check_tensor_cap
+from .config import check_vertex_count
 from .errors import SolverError, ValidationError
 from .measures import DiscreteMeasure, MeasureCollection, entropy
 from .sinkhorn import (
@@ -136,14 +137,12 @@ def build_weight_matrix(measures, config: SolverConfig) -> EdgeWeightMatrix:
 
 def _as_weight_matrix(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValidationError(f"weight matrix must be square, got shape {w.shape}")
-    if w.shape[0] < 2:
-        raise ValidationError("need at least 2 vertices")
-    off = ~np.eye(w.shape[0], dtype=bool)
+    s = len(w) if w.ndim else 0
+    check_shape(w, (s, s), "weight matrix")
+    off = ~np.eye(check_vertex_count(s), dtype=bool)
     if not np.all(np.isfinite(w[off])):
         raise ValidationError("weight matrix has non-finite off-diagonal entries")
-    if not np.allclose(w, w.T, rtol=0.0, atol=1e-10):
+    if not np.allclose(w[off], w.T[off], rtol=0.0, atol=1e-10):  # no MST reads the diagonal
         raise ValidationError("weight matrix must be symmetric")
     return w
 
@@ -314,8 +313,7 @@ def rank_trees(
     """
     if direct not in ("auto", "never", "always"):
         raise ValidationError(f"direct must be auto/never/always, got {direct!r}")
-    if cap < 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
+    cap = as_index(cap, "cap", 1)
     collection = MeasureCollection(measures)
     s = collection.s
     # enumerate_trees checks its cap at the call, so both caps refuse before
@@ -356,14 +354,9 @@ def _check_edge_solves(ewm: EdgeWeightMatrix, sizes: tuple[int, ...]) -> None:
             if (a, b) not in ewm.edges:
                 raise ValidationError(f"edge ({a}, {b}) has no pairwise solve")
             es = ewm.edges[(a, b)]
-            expected = (sizes[a - 1], sizes[b - 1])
             for name, matrix in (("plan", es.coupling.plan), ("cost", es.cost.matrix)):
-                if matrix.shape != expected:
-                    raise ValidationError(
-                        f"edge ({a}, {b}): {name} has shape {matrix.shape}, expected {expected}"
-                    )
-    if np.shape(ewm.g) != (s, s):
-        raise ValidationError(f"weight matrix shape {np.shape(ewm.g)} != ({s}, {s})")
+                check_shape(matrix, (sizes[a - 1], sizes[b - 1]), f"edge ({a}, {b}): {name}")
+    check_shape(ewm.g, (s, s), "weight matrix")
 
 
 def _direct_costs(

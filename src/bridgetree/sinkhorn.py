@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .config import check_cost_matrix, check_cost_scale, check_solver_params
+from .config import check_cost_matrix, check_cost_scale, check_shape, check_solver_params
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 
@@ -58,10 +58,7 @@ def build_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean") -> 
     from the support points; an (n1, n2) array is the cost matrix itself.
     """
     if not isinstance(cost, str):
-        if np.shape(cost) != (m1.n, m2.n):
-            raise ValidationError(
-                f"cost matrix shape {np.shape(cost)} does not match supports ({m1.n}, {m2.n})"
-            )
+        check_shape(cost, (m1.n, m2.n), "cost matrix")
         return PairwiseCost(cost)
     if cost not in COST_KINDS:
         raise ValidationError(f"unknown cost kind {cost!r}; expected one of {COST_KINDS}")
@@ -150,10 +147,7 @@ def sinkhorn_solve(
     is returned with converged=False and the caller decides.  log_kernel is
     log K = -C/eta as gibbs_kernel returns it.
     """
-    if log_kernel.shape != (m1.n, m2.n):
-        raise ValidationError(
-            f"log kernel shape {log_kernel.shape} does not match marginal sizes ({m1.n}, {m2.n})"
-        )
+    check_shape(log_kernel, (m1.n, m2.n), "log kernel")
     if not np.isfinite(log_kernel).all():
         raise ValidationError("log kernel has non-finite entries")
     check_solver_params(tol=tol, max_iter=max_iter)

@@ -19,7 +19,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TENSOR_CAP, as_index, check_edges, check_tensor_cap
+from .config import DEFAULT_TENSOR_CAP, as_index, check_edges, check_shape, check_tensor_cap
+from .config import check_vertex_count
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 from .sinkhorn import total_variation
@@ -92,9 +93,8 @@ def prufer_decode(code: Sequence[int], s: int) -> SpanningTree:
     Standard leaf construction: each entry of the code consumes the smallest
     current leaf; deg(v) = multiplicity of v in the code + 1.
     """
+    s = check_vertex_count(s)
     code = tuple(as_index(c, "code entry") for c in code)
-    if s < 2:
-        raise ValidationError(f"need s >= 2, got {s}")
     if len(code) != s - 2:
         raise ValidationError(f"code length {len(code)} invalid for s={s} (need {s - 2})")
     for c in code:
@@ -156,9 +156,7 @@ def _prufer_codes(s: int) -> Iterator[tuple[int, ...]]:
 def enumerate_trees(s: int) -> Iterator[SpanningTree]:
     """All s^(s-2) labeled trees, in lexicographic Prüfer-code order; s is
     checked against ENUMERATION_CAP at the call, before any tree is made."""
-    if s < 2:
-        raise ValidationError(f"need s >= 2, got {s}")
-    if s > ENUMERATION_CAP:
+    if check_vertex_count(s) > ENUMERATION_CAP:
         raise ValidationError(
             f"s={s} exceeds the enumeration cap of {ENUMERATION_CAP} "
             f"({ENUMERATION_CAP}^{ENUMERATION_CAP - 2} trees)"
@@ -211,8 +209,7 @@ def compose_tree_coupling(
     measures = list(measures)
     if len(measures) != tree.s:
         raise ValidationError(f"tree has s={tree.s} vertices but {len(measures)} measures given")
-    shape = tuple(m.n for m in measures)
-    check_tensor_cap(shape, cap)
+    shape = check_tensor_cap([m.n for m in measures], cap)
 
     out = np.ones(shape)
     for step, (parent, child) in enumerate(rooted_walk(tree)):
@@ -220,17 +217,13 @@ def compose_tree_coupling(
         if (a, b) not in plans:
             raise ValidationError(f"missing pairwise plan for tree edge ({a}, {b})")
         plan = np.asarray(plans[(a, b)], dtype=float)
-        if plan.shape != (shape[a - 1], shape[b - 1]):
-            raise ValidationError(
-                f"plan for edge ({a}, {b}) has shape {plan.shape}, expected "
-                f"({shape[a - 1]}, {shape[b - 1]})"
-            )
-        row_gap = total_variation(plan.sum(axis=1), measures[a - 1].weights)
-        col_gap = total_variation(plan.sum(axis=0), measures[b - 1].weights)
-        if max(row_gap, col_gap) > MARGINAL_TOL:
+        check_shape(plan, (shape[a - 1], shape[b - 1]), f"plan for edge ({a}, {b})")
+        gap = max(total_variation(plan.sum(axis=1), measures[a - 1].weights),
+                  total_variation(plan.sum(axis=0), measures[b - 1].weights))
+        if not gap <= MARGINAL_TOL:  # a NaN gap is refused too
             raise ValidationError(
                 f"plan for edge ({a}, {b}) violates its marginals "
-                f"(TV {max(row_gap, col_gap):.3e} > {MARGINAL_TOL:.1e})"
+                f"(TV {gap:.3e} > {MARGINAL_TOL:.1e})"
             )
         if step:  # every edge after the first enters as plan / mu_parent
             mu = on_axes(measures[parent - 1].weights, 2, 1 if parent == a else 2)
@@ -267,8 +260,7 @@ def tree_cost_additive(
     g[a, b] = sb[a, b] + H_a + H_b.
     """
     g = np.asarray(g_weights, dtype=float)
-    if g.shape != (tree.s, tree.s):
-        raise ValidationError(f"weight matrix shape {g.shape} != ({tree.s}, {tree.s})")
+    check_shape(g, (tree.s, tree.s), "weight matrix")
     if len(entropies) != tree.s:
         raise ValidationError(f"need {tree.s} entropies, got {len(entropies)}")
     total = sum(float(g[a - 1, b - 1]) for a, b in tree.edges)

@@ -1,8 +1,11 @@
 import argparse
 import ast
+import contextlib
 import dataclasses
 import importlib.util
 import inspect
+import io
+import json
 import os
 import re
 import subprocess
@@ -18,24 +21,34 @@ from bridgetree import (
     BimarginalCoupling,
     DiscreteMeasure,
     EdgeWeightMatrix,
+    GraphStructure,
     MeasureCollection,
     OptimalMsbResult,
     PairwiseCost,
     SolverConfig,
+    SpanningTree,
+    ValidationError,
     build_cost,
+    build_weight_matrix,
     compose_tree_coupling,
     cost_tensor,
     enumerate_trees,
+    graph_from_edges,
     mm_sinkhorn,
+    msb_objective,
     optimal_msb,
+    prufer_decode,
     rank_trees,
+    sample_gmm,
     save_measure,
     sb_value,
     sinkhorn_solve,
+    tree_cost_additive,
 )
 from bridgetree import cli, dense, mst, trees
 from bridgetree.cli import build_parser
 from bridgetree.config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TENSOR_CAP, DEFAULT_TOL
+from bridgetree.config import check_tensor_cap
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -284,3 +297,111 @@ def test_readme_documents_the_cli_as_built():
     assert sorted(f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", readme)) == []
     cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", cli_section)) - flags == set()
+
+
+TWO = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
+THREE = DiscreteMeasure([[0.0], [1.0], [2.0]], [0.25, 0.5, 0.25])
+EDGE = prufer_decode((), 2)
+PAIR = graph_from_edges(2, [(1, 2)])
+
+
+def refused_by_cli(tmp_path, argv):
+    """Run the CLI on two measure files; its exit-2 refusal is raised again
+    as a ValidationError with the message it printed."""
+    paths = []
+    for i, m in enumerate((TWO, TWO), 1):
+        paths.append(str(tmp_path / f"m{i}.json"))
+        save_measure(m, paths[-1])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([argv[0], *paths, *argv[1:], "--out-dir", str(tmp_path)])
+    assert code == 2
+    raise ValidationError(json.loads(err.getvalue())["error"]["message"])
+
+
+def mismatched_ewm_ranking(_):
+    ewm = build_weight_matrix([TWO, TWO], SolverConfig(eta=1.0))
+    rank_trees([THREE, TWO], SolverConfig(eta=1.0), ewm=ewm)
+
+
+CAP_ZERO = "cap must be an integer >= 1, got 0"
+CONTRACT_CALLS = {
+    # integer settings and sizes, and the vertex count
+    "prufer_decode": (lambda _: prufer_decode((), 2.0),
+                      "vertex count s must be an integer >= 2, got 2.0"),
+    "enumerate_trees": (lambda _: enumerate_trees(3.0),
+                        "vertex count s must be an integer >= 2, got 3.0"),
+    "SpanningTree": (lambda _: SpanningTree(3.0, ((1, 2), (2, 3))),
+                     "vertex count s must be an integer >= 2, got 3.0"),
+    "GraphStructure": (lambda _: GraphStructure(3.0, ((1, 2), (2, 3))),
+                       "vertex count s must be an integer >= 2, got 3.0"),
+    "sample_gmm": (lambda _: sample_gmm([(0.0, 1.0, 1.0)], n=2.5, seed=0),
+                   "sample count must be an integer >= 1, got 2.5"),
+    "cost_tensor-shape": (lambda _: cost_tensor(PAIR, {(1, 2): np.zeros((2, 2))}, shape=(2.7, 2)),
+                          "tensor axis size must be an integer >= 1, got 2.7"),
+    "check_tensor_cap": (lambda _: check_tensor_cap((2.9, 3), 10),
+                         "tensor axis size must be an integer >= 1, got 2.9"),
+    "threads": (lambda _: SolverConfig(eta=1.0, threads=True),
+                "threads must be an integer >= 1, got True"),
+    "max_iter": (lambda _: SolverConfig(eta=1.0, max_iter=True),
+                 "max_iter must be an integer >= 1, got True"),
+    # cap=0 gets one message on every route
+    "rank_trees-cap": (lambda _: rank_trees([TWO, TWO], SolverConfig(eta=1.0), cap=0), CAP_ZERO),
+    "compose-cap": (lambda _: compose_tree_coupling(EDGE, {}, [TWO, TWO], cap=0), CAP_ZERO),
+    "mm_sinkhorn-cap": (lambda _: mm_sinkhorn([TWO, TWO], PAIR, {(1, 2): np.zeros((2, 2))}, 1.0,
+                                              cap=0), CAP_ZERO),
+    "oracle-cap": (lambda tmp: refused_by_cli(tmp, ["oracle", "--eta", "1", "--tree", "",
+                                                    "--cap", "0"]), CAP_ZERO),
+    # one edge's (n_a, n_b) matrix, and an s x s or dense tensor shape
+    "build_cost": (lambda _: build_cost(TWO, THREE, np.zeros((3, 2))),
+                   "cost matrix has shape (3, 2), expected (2, 3)"),
+    "sinkhorn_solve": (lambda _: sinkhorn_solve(TWO, THREE, np.zeros((3, 2))),
+                       "log kernel has shape (3, 2), expected (2, 3)"),
+    "compose-plan": (lambda _: compose_tree_coupling(EDGE, {(1, 2): np.zeros((3, 2))},
+                                                     [TWO, THREE]),
+                     "plan for edge (1, 2) has shape (3, 2), expected (2, 3)"),
+    "rank_trees-ewm": (mismatched_ewm_ranking,
+                       "edge (1, 2): plan has shape (2, 2), expected (3, 2)"),
+    "cost_tensor-matrix": (lambda _: cost_tensor(PAIR, {(1, 2): np.zeros((3, 2))}, shape=(2, 3)),
+                           "cost matrix for edge (1, 2) has shape (3, 2), expected (2, 3)"),
+    "msb_objective": (lambda _: msb_objective(np.zeros((2, 3)), np.zeros((3, 2)), 1.0),
+                      "cost tensor has shape (3, 2), expected (2, 3)"),
+    "tree_cost_additive": (lambda _: tree_cost_additive(EDGE, np.zeros((3, 3)), [0.0, 0.0]),
+                           "weight matrix has shape (3, 3), expected (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CALLS)
+def test_each_input_contract_refuses_with_its_one_message(name, tmp_path):
+    """Every public step refuses a non-integer size, a bad vertex count, a cap
+    below 1 and a mis-shaped matrix with config.py's one message for it."""
+    call, message = CONTRACT_CALLS[name]
+    with pytest.raises(ValidationError) as refusal:
+        call(tmp_path)
+    assert str(refusal.value) == message
+
+
+def test_integer_and_shape_checks_live_in_config():
+    """Outside config.py no src/ module compares a .shape by hand or tests for
+    an integer with isinstance(..., (int, np.integer)) or operator.index: those
+    contracts are config.check_shape and config.as_index."""
+    package = Path(bridgetree.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [n for op in (node.left, *node.comparators) for n in ast.walk(op)]
+                hit = any(isinstance(n, ast.Attribute) and n.attr == "shape" for n in operands)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = [n for arg in node.args[1:] for n in ast.walk(arg)]
+                hit = any(getattr(n, "id", getattr(n, "attr", None)) in ("int", "integer")
+                          for n in kinds)
+            else:
+                hit = ((isinstance(node, ast.Attribute) and node.attr == "index"
+                        and getattr(node.value, "id", None) == "operator")
+                       or (isinstance(node, ast.ImportFrom) and node.module == "operator"))
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -77,6 +77,12 @@ class TestGen:
             assert err["error"]["type"] == "validation"
             assert str(bad) in err["error"]["message"]
 
+    def test_negative_seed_exits_2(self, tmp_path, spec_path, capsys):
+        rc = main(["gen", spec_path, "--seed", "-1", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["message"] == "--seed must be an integer >= 0, got -1"
+
     def test_python_dash_m_entry_point(self, tmp_path, spec_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -302,6 +308,16 @@ class TestEnumerate:
         rows = read_ranked_csv(out / "trees_ranked.csv")
         assert len(rows) == 5
         assert all(r["cost_direct"] == "" for r in rows)
+
+    def test_negative_top_k_exits_2_before_any_solve(self, tmp_path, rng, capsys, monkeypatch):
+        paths = write_measures(tmp_path, random_measures(rng, [2, 2, 2]))
+        refuse_pairwise_solves(monkeypatch)
+        rc = main(["enumerate", *paths, "--eta", "1.0", "--top-k", "-1",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["message"] == "--top-k must be an integer >= 0, got -1"
+        assert not (tmp_path / "trees_ranked.csv").exists()
 
     def test_solve_tree_is_rank_one(self, tmp_path, rng):
         paths = write_measures(tmp_path, random_measures(rng, [3, 2, 3, 2]))

@@ -179,6 +179,14 @@ def test_cost_matrix_is_held_as_a_read_only_copy():
     assert edge_weight(m, m, cfg).g == before
 
 
+def test_config_holding_a_cost_matrix_compares_and_hashes_by_identity():
+    # field-wise == would compare arrays: "truth value of an array is ambiguous"
+    cfg = SolverConfig(eta=1.0, cost=np.zeros((2, 2)))
+    twin = SolverConfig(eta=1.0, cost=np.zeros((2, 2)))
+    assert cfg == cfg and cfg != twin
+    assert len({cfg, twin, cfg}) == 2
+
+
 @pytest.mark.parametrize("kwargs", BAD_TOL_OR_MAX_ITER)
 def test_solvers_reject_bad_tol_and_max_iter(kwargs):
     # unchecked, nan or inf as max_iter never stops the bimarginal loop, and
@@ -288,6 +296,15 @@ class TestMstAlgorithms:
             assert mst_prim_dense(shifted) == base
             assert mst_boruvka(shifted) == base
 
+    def test_diagonal_is_never_read(self, rng):
+        sym = rng.uniform(0, 10, (5, 5))
+        w = (sym + sym.T) / 2
+        trees = set()
+        for diagonal in (0.0, np.inf, np.nan):
+            np.fill_diagonal(w, diagonal)
+            trees |= {mst_prim_dense(w), mst_boruvka(w)}
+        assert len(trees) == 1
+
     def test_nonfinite_rejected(self):
         w = np.array([[0.0, np.inf], [np.inf, 0.0]])
         with pytest.raises(ValidationError):
@@ -300,10 +317,10 @@ class TestMstAlgorithms:
 
     @pytest.mark.parametrize("mst", [mst_prim_dense, mst_boruvka])
     @pytest.mark.parametrize("w, match", [
-        (np.zeros((2, 3)), "square"),
-        (np.zeros(4), "square"),
-        (np.zeros((1, 1)), "at least 2"),
-    ])
+        (np.zeros((2, 3)), r"weight matrix has shape \(2, 3\), expected \(2, 2\)"),
+        (np.zeros(4), r"weight matrix has shape \(4,\), expected \(4, 4\)"),
+        (np.zeros((1, 1)), "vertex count s must be an integer >= 2, got 1"),
+    ], ids=["w0-square", "w1-square", "w2-at least 2"])
     def test_shape_rejected(self, mst, w, match):
         with pytest.raises(ValidationError, match=match):
             mst(w)

@@ -65,7 +65,7 @@ class TestSpanningTreeValidation:
 
     @pytest.mark.parametrize("build", [SpanningTree, graph_from_edges])
     @pytest.mark.parametrize("s, edges, match", [
-        (1, (), "at least 2 vertices"),
+        (1, (), "vertex count s must be an integer >= 2, got 1"),
         (3, ((1, 1), (1, 2)), "self-loop"),
         (3, ((1, 2), (4, 2)), r"\(2, 4\) out of range"),
         (3, ((0, 1), (1, 2)), r"\(0, 1\) out of range"),
@@ -117,7 +117,7 @@ class TestPruferCodes:
             prufer_decode((1, 2), 3)
 
     def test_decode_one_vertex(self):
-        with pytest.raises(ValidationError, match="s >= 2"):
+        with pytest.raises(ValidationError, match="vertex count s must be an integer >= 2, got 1"):
             prufer_decode((), 1)
 
     def test_encode_star(self):
@@ -173,7 +173,7 @@ class TestEnumeration:
             list(enumerate_trees(9))
 
     def test_one_vertex(self):
-        with pytest.raises(ValidationError, match="s >= 2"):
+        with pytest.raises(ValidationError, match="vertex count s must be an integer >= 2, got 1"):
             list(enumerate_trees(1))
 
 
@@ -283,6 +283,13 @@ class TestComposeTreeCoupling:
         bad = np.array([[0.9, 0.05], [0.03, 0.02]])
         with pytest.raises(ValidationError, match="marginal"):
             compose_tree_coupling(tree, {(1, 2): bad}, ms)
+
+    def test_plan_with_nan_rejected(self, rng):
+        ms = random_measures(rng, [2, 2])
+        plan = np.outer(ms[0].weights, ms[1].weights)
+        plan[0, 0] = np.nan
+        with pytest.raises(ValidationError, match=r"violates its marginals \(TV nan"):
+            compose_tree_coupling(prufer_decode((), 2), {(1, 2): plan}, ms)
 
     def test_cap_enforced(self, rng):
         ms = random_measures(rng, [50, 50, 50])
