@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import (
     DEFAULT_MAX_ITER,
-    DEFAULT_TENSOR_CAP,
     DEFAULT_TOL,
+    TENSOR_CAP,
     SolverConfig,
     as_index,
     check_tensor_cap,
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the flags every measure command shares, and the dense tensor cap
+    # the flags every measure command shares
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("measures", nargs="+", help="measure JSON files")
     solver.add_argument("--eta", type=float, required=True, help="entropic regularization (> 0)")
@@ -81,10 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="downgrade Sinkhorn non-convergence from error to warning",
     )
     solver.add_argument("--out-dir", default=".", help="directory for output files")
-    capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument(
-        "--cap", type=int, default=DEFAULT_TENSOR_CAP, help="dense tensor entry cap"
-    )
 
     p_gen = sub.add_parser("gen", help="sample measure files from a GMM spec")
     p_gen.add_argument("spec", help="JSON mixture spec file")
@@ -96,19 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", parents=[solver], help="optimal tree for measure files")
     p_solve.add_argument("--mst", choices=("prim", "boruvka"), default="prim")
 
-    p_enum = sub.add_parser(
-        "enumerate", parents=[solver, capped], help="rank all spanning trees by cost"
-    )
+    p_enum = sub.add_parser("enumerate", parents=[solver], help="rank all spanning trees by cost")
     p_enum.add_argument("--top-k", type=int, default=10, help="rows to report (0 = all)")
     p_enum.add_argument(
         "--direct",
         choices=("auto", "never", "always"),
         default="auto",
-        help="dense re-evaluation of each tree (auto: when within --cap)",
+        help=f"dense re-evaluation of each tree (auto: when at most {TENSOR_CAP} entries)",
     )
 
     p_oracle = sub.add_parser(
-        "oracle", parents=[solver, capped], help="dense multimarginal cross-check for one tree"
+        "oracle", parents=[solver], help="dense multimarginal cross-check for one tree"
     )
     p_oracle.add_argument(
         "--tree",
@@ -262,7 +256,7 @@ def _cmd_enumerate(args) -> int:
     top_k = as_index(args.top_k, "--top-k", 0)
     collection = _load_collection(args.measures)
     start = time.perf_counter()
-    rows = rank_trees(collection, config, direct=args.direct, cap=args.cap)
+    rows = rank_trees(collection, config, direct=args.direct)
     elapsed = time.perf_counter() - start
     top_k = len(rows) if top_k == 0 else min(top_k, len(rows))
 
@@ -290,20 +284,20 @@ def _cmd_enumerate(args) -> int:
 def _cmd_oracle(args) -> int:
     config = _config_from_args(args)
     collection = _load_collection(args.measures)
-    check_tensor_cap(collection.sizes, args.cap)  # before any pairwise solve
+    check_tensor_cap(collection.sizes)  # before any pairwise solve
     code = parse_prufer(args.tree)
     tree = prufer_decode(code, collection.s)
 
     solves = solve_edges(collection, config, tree.edges)  # the tree's s-1 edges only
     plans = {e: es.coupling.plan for e, es in solves.items()}
     sbs = {e: es.sb for e, es in solves.items()}
-    composed = compose_tree_coupling(tree, plans, list(collection), cap=args.cap)
+    composed = compose_tree_coupling(tree, plans, list(collection))
 
     graph = graph_from_edges(collection.s, tree.edges)
     costs = {e: es.cost.matrix for e, es in solves.items()}
     mm = mm_sinkhorn(
         list(collection), graph, costs, config.eta,
-        tol=config.tol, max_iter=config.max_iter, cap=args.cap,
+        tol=config.tol, max_iter=config.max_iter,
     )
     if not mm.converged and config.on_nonconverged == "error":
         raise SolverError(
@@ -313,7 +307,7 @@ def _cmd_oracle(args) -> int:
     sup_gap = float(np.abs(composed - mm.tensor).max())
     entropies = [entropy(m) for m in collection]
     cost_decomposed = tree_cost_decomposed(tree, sbs, entropies)
-    dense_cost = cost_tensor(graph, costs, shape=collection.sizes, cap=args.cap)
+    dense_cost = cost_tensor(graph, costs, shape=collection.sizes)
     cost_direct = msb_objective(mm.tensor, dense_cost, config.eta) / config.eta
     cost_gap = abs(cost_decomposed - cost_direct)
 

@@ -14,7 +14,7 @@ COST_KINDS = ("sqeuclidean", "euclidean")
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
-DEFAULT_TENSOR_CAP = 10_000_000
+TENSOR_CAP = 10_000_000
 
 
 def check_solver_params(eta=None, tol=None, max_iter=None) -> None:
@@ -79,14 +79,13 @@ def check_shape(array, expected: tuple[int, ...], what: str) -> None:
         raise ValidationError(f"{what} has shape {np.shape(array)}, expected {expected}")
 
 
-def check_tensor_cap(shape, cap: int) -> tuple[int, ...]:
-    """shape as a tuple of ints >= 1; refuses a cap below 1 and a dense tensor
-    of that shape with more than cap entries."""
+def check_tensor_cap(shape) -> tuple[int, ...]:
+    """shape as a tuple of ints >= 1; refuses a dense tensor of that shape with
+    more than TENSOR_CAP entries."""
     shape = tuple(as_index(n, "tensor axis size", 1) for n in shape)
-    cap = as_index(cap, "cap", 1)
     total = math.prod(shape)
-    if total > cap:
-        raise ValidationError(f"tensor with {total} entries exceeds the configured cap of {cap}")
+    if total > TENSOR_CAP:
+        raise ValidationError(f"tensor with {total} entries exceeds the cap of {TENSOR_CAP}")
     return shape
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .config import (
     DEFAULT_MAX_ITER,
-    DEFAULT_TENSOR_CAP,
     DEFAULT_TOL,
     check_cost_scale,
     check_edges,
@@ -54,7 +53,6 @@ def cost_tensor(
     graph: GraphStructure,
     costs: Mapping[Edge, np.ndarray],
     shape: Sequence[int],
-    cap: int = DEFAULT_TENSOR_CAP,
 ) -> np.ndarray:
     """Ground-cost tensor C[i_1..i_s] = sum over edges of C_edge[i_a, i_b].
 
@@ -71,7 +69,7 @@ def cost_tensor(
             raise ValidationError(f"cost matrix for edge {edge} has non-finite entries")
     if len(shape) != graph.s:
         raise ValidationError(f"shape has {len(shape)} axes but graph has s={graph.s}")
-    shape = check_tensor_cap(shape, cap)
+    shape = check_tensor_cap(shape)
     out = np.zeros(shape)
     for (a, b), m in mats.items():
         check_shape(m, (shape[a - 1], shape[b - 1]), f"cost matrix for edge {(a, b)}")
@@ -125,7 +123,6 @@ def mm_sinkhorn(
     eta: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    cap: int = DEFAULT_TENSOR_CAP,
 ) -> MultimarginalResult:
     """Multimarginal Sinkhorn on the dense tensor, cyclic sweep order.
 
@@ -152,7 +149,7 @@ def mm_sinkhorn(
     for m in mats.values():
         check_cost_scale(float(np.abs(m).max(initial=0.0)), eta)
     scaled = {e: -m / eta for e, m in mats.items()}
-    log_m = cost_tensor(graph, scaled, shape=full_shape, cap=cap)[np.ix_(*keeps)]
+    log_m = cost_tensor(graph, scaled, shape=full_shape)[np.ix_(*keeps)]
     log_mus = [np.log(mu) for mu in mus]
     iterations = 0
     residual = np.inf

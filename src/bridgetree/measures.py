@@ -166,7 +166,8 @@ def sample_gmm(
     the result is supported on the interval; an interval that holds no
     mixture mass in double precision is refused before any draw.  Weights
     are uniform 1/n.
-    Deterministic for a fixed seed (or a caller-supplied Generator).
+    Deterministic for a fixed seed, an integer >= 0 (or a caller-supplied
+    Generator).
     """
     if len(components) == 0:
         raise ValidationError("empty component list")
@@ -193,7 +194,10 @@ def sample_gmm(
             "in double precision)"
         )
 
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        rng = np.random.default_rng(None if seed is None else as_index(seed, "seed", 0))
     points = np.empty(n)
     filled = 0
     attempts = 0

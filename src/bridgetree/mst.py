@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TENSOR_CAP, SolverConfig, as_index, check_shape, check_tensor_cap
+from .config import TENSOR_CAP, SolverConfig, check_shape, check_tensor_cap
 from .config import check_vertex_count
 from .errors import SolverError, ValidationError
 from .measures import DiscreteMeasure, MeasureCollection, entropy
@@ -293,7 +293,6 @@ def rank_trees(
     config: SolverConfig,
     ewm: EdgeWeightMatrix | None = None,
     direct: str = "auto",
-    cap: int = DEFAULT_TENSOR_CAP,
 ) -> list[RankedTree]:
     """Cost every spanning tree, cheapest first.
 
@@ -303,8 +302,8 @@ def rank_trees(
     P = prod M_e / prod mu_v^(deg v - 1) is formed over every entry and
     cost_direct = <P, C/eta + log P> (see _direct_costs, which evaluates
     all trees at once, grouped by the last step of their walk).
-    direct="auto" computes it when the tensor has at most cap entries,
-    "never" skips it, "always" refuses if it cannot be computed.  A
+    direct="auto" computes it when the tensor is within the tensor cap
+    (TENSOR_CAP entries), "never" skips it, "always" refuses if it is not.  A
     supplied ewm must hold an (n_a, n_b) plan and cost for every pair
     a < b and an s x s g.
 
@@ -313,15 +312,14 @@ def rank_trees(
     """
     if direct not in ("auto", "never", "always"):
         raise ValidationError(f"direct must be auto/never/always, got {direct!r}")
-    cap = as_index(cap, "cap", 1)
     collection = MeasureCollection(measures)
     s = collection.s
     # enumerate_trees checks its cap at the call, so both caps refuse before
     # any edge is solved; the codes it decodes come alongside
     pending = enumerate_trees(s)
     if direct == "always":
-        check_tensor_cap(collection.sizes, cap)
-    elif direct == "auto" and math.prod(collection.sizes) > cap:
+        check_tensor_cap(collection.sizes)
+    elif direct == "auto" and math.prod(collection.sizes) > TENSOR_CAP:
         direct = "never"
     if ewm is None:
         ewm = build_weight_matrix(collection, config)

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TENSOR_CAP, as_index, check_edges, check_shape, check_tensor_cap
+from .config import as_index, check_edges, check_shape, check_tensor_cap
 from .config import check_vertex_count
 from .errors import ValidationError
 from .measures import DiscreteMeasure
@@ -195,7 +195,6 @@ def compose_tree_coupling(
     tree: SpanningTree,
     plans: Mapping[Edge, np.ndarray],
     measures: Sequence[DiscreteMeasure],
-    cap: int = DEFAULT_TENSOR_CAP,
 ) -> np.ndarray:
     """Dense tree-structured coupling from the pairwise plans on its edges.
 
@@ -209,7 +208,7 @@ def compose_tree_coupling(
     measures = list(measures)
     if len(measures) != tree.s:
         raise ValidationError(f"tree has s={tree.s} vertices but {len(measures)} measures given")
-    shape = check_tensor_cap([m.n for m in measures], cap)
+    shape = check_tensor_cap([m.n for m in measures])
 
     out = np.ones(shape)
     for step, (parent, child) in enumerate(rooted_walk(tree)):

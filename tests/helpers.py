@@ -1,8 +1,15 @@
-"""Graph constructors and reductions that only the tests call."""
+"""Graph constructors, reductions and constants that only the tests call."""
+
+import math
 
 import numpy as np
 
-from bridgetree import GraphStructure, ValidationError
+from bridgetree import DiscreteMeasure, GraphStructure, ValidationError
+
+# three measures of OVER_CAP_N points make a dense tensor just past the tensor
+# cap (216^3 = 10077696 > 10^7 entries); OVER_CAP is its refusal
+OVER_CAP_N = 216
+OVER_CAP = "tensor with 10077696 entries exceeds the cap of 10000000"
 
 
 def path_graph(s: int) -> GraphStructure:
@@ -46,3 +53,25 @@ def kl_divergence(p, q) -> float:
         raise ValidationError("KL divergence is infinite: P carries mass where Q vanishes")
     pm = p[mask]
     return float((pm * np.log(pm / q[mask])).sum())
+
+
+def gaussian_on_grid(mean: float, sd: float, n: int = 100) -> DiscreteMeasure:
+    """N(mean, sd^2) on n evenly spaced points over mean +- 7 sd, with weights
+    proportional to the density."""
+    x = np.linspace(mean - 7 * sd, mean + 7 * sd, n)
+    return DiscreteMeasure(x[:, None], np.exp(-0.5 * ((x - mean) / sd) ** 2))
+
+
+def gaussian_g(mean_a: float, sd_a: float, mean_b: float, sd_b: float, eta: float) -> float:
+    """Closed-form edge weight g = <C, M>/eta + I(M) between N(mean_a, sd_a^2)
+    and N(mean_b, sd_b^2) under the squared Euclidean cost: the 1-d case of
+    the entropic OT formula of Janati, Muzellec, Peyre, Cuturi 2020
+    (arXiv:2006.02572) and Mallasto, Gerolin, Minh 2021 (arXiv:2006.03416).
+    The optimal coupling is Gaussian with cross-covariance c, so its
+    transport cost is (mean_a - mean_b)^2 + sd_a^2 + sd_b^2 - 2c and its
+    mutual information 1/2 log(a^2 b^2 / (a^2 b^2 - c^2))."""
+    var = eta / 2
+    ab2 = (sd_a * sd_b) ** 2
+    c = (math.sqrt(4 * ab2 + var**2) - var) / 2
+    transport = (mean_a - mean_b) ** 2 + sd_a**2 + sd_b**2 - 2 * c
+    return transport / eta + 0.5 * math.log(ab2 / (ab2 - c**2))

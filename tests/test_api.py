@@ -45,10 +45,10 @@ from bridgetree import (
     sinkhorn_solve,
     tree_cost_additive,
 )
-from bridgetree import cli, dense, mst, trees
+from bridgetree import cli, config, dense, mst, trees
 from bridgetree.cli import build_parser
-from bridgetree.config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TENSOR_CAP, DEFAULT_TOL
-from bridgetree.config import check_tensor_cap
+from bridgetree.config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL, check_tensor_cap
+from helpers import OVER_CAP, OVER_CAP_N
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -74,10 +74,19 @@ class TestDefaultsLiveInOnePlace:
         assert default_of(fn, "max_iter") == DEFAULT_MAX_ITER
 
     def test_tensor_and_enumeration_caps(self):
-        assert default_of(mm_sinkhorn, "cap") == DEFAULT_TENSOR_CAP
-        assert default_of(compose_tree_coupling, "cap") == DEFAULT_TENSOR_CAP
-        assert default_of(cost_tensor, "cap") == DEFAULT_TENSOR_CAP
-        assert default_of(rank_trees, "cap") == DEFAULT_TENSOR_CAP
+        """Both caps are constants: no exported callable takes a cap and no
+        subcommand a --cap or --enum-cap."""
+        takes_cap = []
+        for name in bridgetree.__all__:
+            obj = getattr(bridgetree, name)
+            if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+                takes_cap += [f"{name}({p})" for p in inspect.signature(obj).parameters
+                              if p == "cap" or p.endswith("_cap")]
+        assert takes_cap == []
+        cap_flags = {name: flags & {"--cap", "--enum-cap"}
+                     for name, flags in cli_commands(build_parser()).items()}
+        assert not any(cap_flags.values()), cap_flags
+        assert (config.TENSOR_CAP, trees.ENUMERATION_CAP) == (10**7, 8)
 
     @pytest.mark.parametrize("command", ["solve", "enumerate", "oracle"])
     def test_cli_solver_flags(self, command):
@@ -87,11 +96,6 @@ class TestDefaultsLiveInOnePlace:
         args = build_parser().parse_args(argv)
         assert args.tol == DEFAULT_TOL
         assert args.max_iter == DEFAULT_MAX_ITER
-        # only the commands that build a dense tensor take a tensor cap
-        if command in ("enumerate", "oracle"):
-            assert args.cap == DEFAULT_TENSOR_CAP
-        else:
-            assert not hasattr(args, "cap")
 
 
 class TestExports:
@@ -116,6 +120,7 @@ class TestExports:
         assert "marginal_tol" not in inspect.signature(compose_tree_coupling).parameters
         assert not hasattr(bridgetree.trees, "_plan_array")
         assert not hasattr(bridgetree.dense, "_check_cap")
+        assert not hasattr(config, "DEFAULT_TENSOR_CAP")
         assert not hasattr(bridgetree.dense, "_broadcast_pair")
         assert not hasattr(bridgetree.trees, "_edge_lookup")
         assert "tensor_cap" not in {f.name for f in dataclasses.fields(SolverConfig)}
@@ -305,11 +310,11 @@ EDGE = prufer_decode((), 2)
 PAIR = graph_from_edges(2, [(1, 2)])
 
 
-def refused_by_cli(tmp_path, argv):
-    """Run the CLI on two measure files; its exit-2 refusal is raised again
-    as a ValidationError with the message it printed."""
+def refused_by_cli(tmp_path, argv, measures=(TWO, TWO)):
+    """Run the CLI on measure files, two by default; its exit-2 refusal is
+    raised again as a ValidationError with the message it printed."""
     paths = []
-    for i, m in enumerate((TWO, TWO), 1):
+    for i, m in enumerate(measures, 1):
         paths.append(str(tmp_path / f"m{i}.json"))
         save_measure(m, paths[-1])
     err = io.StringIO()
@@ -324,7 +329,9 @@ def mismatched_ewm_ranking(_):
     rank_trees([THREE, TWO], SolverConfig(eta=1.0), ewm=ewm)
 
 
-CAP_ZERO = "cap must be an integer >= 1, got 0"
+BIG = DiscreteMeasure(np.arange(OVER_CAP_N, dtype=float)[:, None], np.ones(OVER_CAP_N))
+PATH = graph_from_edges(3, [(1, 2), (2, 3)])
+BIG_ZEROS = {edge: np.zeros((OVER_CAP_N, OVER_CAP_N)) for edge in PATH.edges}
 CONTRACT_CALLS = {
     # integer settings and sizes, and the vertex count
     "prufer_decode": (lambda _: prufer_decode((), 2.0),
@@ -339,19 +346,25 @@ CONTRACT_CALLS = {
                    "sample count must be an integer >= 1, got 2.5"),
     "cost_tensor-shape": (lambda _: cost_tensor(PAIR, {(1, 2): np.zeros((2, 2))}, shape=(2.7, 2)),
                           "tensor axis size must be an integer >= 1, got 2.7"),
-    "check_tensor_cap": (lambda _: check_tensor_cap((2.9, 3), 10),
+    "check_tensor_cap": (lambda _: check_tensor_cap((2.9, 3)),
                          "tensor axis size must be an integer >= 1, got 2.9"),
     "threads": (lambda _: SolverConfig(eta=1.0, threads=True),
                 "threads must be an integer >= 1, got True"),
     "max_iter": (lambda _: SolverConfig(eta=1.0, max_iter=True),
                  "max_iter must be an integer >= 1, got True"),
-    # cap=0 gets one message on every route
-    "rank_trees-cap": (lambda _: rank_trees([TWO, TWO], SolverConfig(eta=1.0), cap=0), CAP_ZERO),
-    "compose-cap": (lambda _: compose_tree_coupling(EDGE, {}, [TWO, TWO], cap=0), CAP_ZERO),
-    "mm_sinkhorn-cap": (lambda _: mm_sinkhorn([TWO, TWO], PAIR, {(1, 2): np.zeros((2, 2))}, 1.0,
-                                              cap=0), CAP_ZERO),
-    "oracle-cap": (lambda tmp: refused_by_cli(tmp, ["oracle", "--eta", "1", "--tree", "",
-                                                    "--cap", "0"]), CAP_ZERO),
+    # a dense tensor over the cap gets one message on every route, before any solve
+    "rank_trees-cap": (lambda _: rank_trees([BIG] * 3, SolverConfig(eta=1.0), direct="always"),
+                       OVER_CAP),
+    "compose-cap": (lambda _: compose_tree_coupling(prufer_decode((2,), 3), {}, [BIG] * 3),
+                    OVER_CAP),
+    "cost_tensor-cap": (lambda _: cost_tensor(PATH, BIG_ZEROS, shape=(OVER_CAP_N,) * 3),
+                        OVER_CAP),
+    "mm_sinkhorn-cap": (lambda _: mm_sinkhorn([BIG] * 3, PATH, BIG_ZEROS, 1.0), OVER_CAP),
+    "enumerate-cap": (lambda tmp: refused_by_cli(tmp, ["enumerate", "--eta", "1",
+                                                       "--direct", "always"], [BIG] * 3),
+                      OVER_CAP),
+    "oracle-cap": (lambda tmp: refused_by_cli(tmp, ["oracle", "--eta", "1", "--tree", "2"],
+                                              [BIG] * 3), OVER_CAP),
     # one edge's (n_a, n_b) matrix, and an s x s or dense tensor shape
     "build_cost": (lambda _: build_cost(TWO, THREE, np.zeros((3, 2))),
                    "cost matrix has shape (3, 2), expected (2, 3)"),
@@ -373,8 +386,9 @@ CONTRACT_CALLS = {
 
 @pytest.mark.parametrize("name", CONTRACT_CALLS)
 def test_each_input_contract_refuses_with_its_one_message(name, tmp_path):
-    """Every public step refuses a non-integer size, a bad vertex count, a cap
-    below 1 and a mis-shaped matrix with config.py's one message for it."""
+    """Every public step refuses a non-integer size, a bad vertex count, a
+    dense tensor over the cap and a mis-shaped matrix with config.py's one
+    message for it."""
     call, message = CONTRACT_CALLS[name]
     with pytest.raises(ValidationError) as refusal:
         call(tmp_path)

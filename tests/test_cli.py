@@ -13,6 +13,7 @@ import pytest
 from bridgetree import DiscreteMeasure, edge_weight, load_measure, prufer_decode, save_measure
 from bridgetree.cli import main
 from conftest import GMM_SPEC, random_measures
+from helpers import OVER_CAP, OVER_CAP_N
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -341,20 +342,20 @@ class TestEnumerate:
 
     def test_direct_always_over_cap_exits_2_before_any_solve(self, tmp_path, rng, capsys,
                                                              monkeypatch):
-        paths = write_measures(tmp_path, random_measures(rng, [5, 5, 5]))
+        paths = write_measures(tmp_path, random_measures(rng, [OVER_CAP_N] * 3))
         refuse_pairwise_solves(monkeypatch)
-        rc = main(["enumerate", *paths, "--eta", "1.0", "--direct", "always", "--cap", "100",
+        rc = main(["enumerate", *paths, "--eta", "1.0", "--direct", "always",
                    "--out-dir", str(tmp_path)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"]["message"].startswith("tensor with 125 entries exceeds")
+        assert err["error"]["message"] == OVER_CAP
 
-    def test_over_cap_leaves_direct_column_empty(self, tmp_path, rng, capsys):
+    def test_over_cap_leaves_direct_column_empty(self, tmp_path, rng, capsys, monkeypatch):
         paths = write_measures(tmp_path, random_measures(rng, [3, 3, 3]))
-        for cap, dense in (("26", False), ("27", True)):
-            out = tmp_path / cap
-            rc = main(["enumerate", *paths, "--eta", "1.0", "--cap", cap,
-                       "--out-dir", str(out)])
+        for cap, dense in ((26, False), (27, True)):
+            monkeypatch.setattr("bridgetree.mst.TENSOR_CAP", cap)
+            out = tmp_path / str(cap)
+            rc = main(["enumerate", *paths, "--eta", "1.0", "--out-dir", str(out)])
             assert rc == 0
             rows = read_ranked_csv(out / "trees_ranked.csv")
             assert len(rows) == 3
@@ -367,19 +368,6 @@ def refuse_pairwise_solves(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("pairwise edges solved before the cap was checked")
     monkeypatch.setattr("bridgetree.mst.edge_weight", no_solve)
-
-
-@pytest.mark.parametrize("command", ["enumerate", "oracle"])
-def test_cap_below_one_exits_2(tmp_path, rng, capsys, monkeypatch, command):
-    paths = write_measures(tmp_path, random_measures(rng, [2, 2, 2]))
-    refuse_pairwise_solves(monkeypatch)
-    argv = [command, *paths, "--eta", "1.0", "--cap", "0", "--out-dir", str(tmp_path)]
-    if command == "oracle":
-        argv += ["--tree", "2"]
-    assert main(argv) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["type"] == "validation"
-    assert "cap" in err["error"]["message"]
 
 
 class TestOracle:
@@ -417,14 +405,13 @@ class TestOracle:
         assert report["sup_norm_gap"] < 1e-12
 
     def test_cap_exceeded_exit_2(self, tmp_path, rng, capsys, monkeypatch):
-        ms = random_measures(rng, [30, 30, 30])
+        ms = random_measures(rng, [OVER_CAP_N] * 3)
         paths = write_measures(tmp_path, ms)
         refuse_pairwise_solves(monkeypatch)
-        rc = main(["oracle", *paths, "--eta", "1.0", "--tree", "2",
-                   "--cap", "100", "--out-dir", str(tmp_path)])
+        rc = main(["oracle", *paths, "--eta", "1.0", "--tree", "2", "--out-dir", str(tmp_path)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
-        assert "cap" in err["error"]["message"]
+        assert err["error"] == {"type": "validation", "message": OVER_CAP}
 
 
     def test_solves_only_the_tree_edges(self, tmp_path, rng, monkeypatch):

@@ -19,7 +19,8 @@ from bridgetree import (
 )
 from bridgetree.config import check_tensor_cap
 from conftest import random_measures
-from helpers import complete_graph, kl_divergence, path_graph, project, star_graph
+from helpers import OVER_CAP, OVER_CAP_N, complete_graph, kl_divergence, path_graph, project
+from helpers import star_graph
 
 
 def chain_cost_by_loops(c_list):
@@ -99,9 +100,10 @@ class TestCostTensor:
             cost_tensor(path_graph(3), {(1, 2): np.zeros((2, 2))}, shape=(2, 2, 2))
 
     def test_cap_enforced(self):
-        costs = {(1, 2): np.zeros((100, 100)), (2, 3): np.zeros((100, 100))}
-        with pytest.raises(ValidationError, match="cap"):
-            cost_tensor(path_graph(3), costs, shape=(100, 100, 100), cap=10_000)
+        n = OVER_CAP_N
+        costs = {(1, 2): np.zeros((n, n)), (2, 3): np.zeros((n, n))}
+        with pytest.raises(ValidationError, match=OVER_CAP):
+            cost_tensor(path_graph(3), costs, shape=(n, n, n))
 
     def test_inconsistent_vertex_sizes(self):
         # vertex 2 has 3 points on edge (1, 2) but 2 on edge (2, 3)
@@ -129,11 +131,11 @@ class TestCostTensor:
     def test_tensor_cap_count_does_not_wrap(self, shape):
         # 2^64 entries: an int64 product wraps to 0 and would pass any cap
         with pytest.raises(ValidationError, match="cap"):
-            check_tensor_cap(shape, 10**7)
+            check_tensor_cap(shape)
 
     def test_tensor_cap_names_the_exact_count(self):
         with pytest.raises(ValidationError, match=r"with 100000000000000000000 entries"):
-            check_tensor_cap((10**5,) * 4, 10**7)
+            check_tensor_cap((10**5,) * 4)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_cost_refused(self, bad):
@@ -241,11 +243,11 @@ class TestMmSinkhorn:
                 mm_sinkhorn(ms, path_graph(3), costs, eta=1e-310)
 
     def test_cap_enforced(self, rng):
-        ms = random_measures(rng, [40, 40, 40])
+        ms = random_measures(rng, [OVER_CAP_N] * 3)
         graph = path_graph(3)
         costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]).matrix for e in graph.edges}
-        with pytest.raises(ValidationError, match="cap"):
-            mm_sinkhorn(ms, graph, costs, eta=1.0, cap=1000)
+        with pytest.raises(ValidationError, match=OVER_CAP):
+            mm_sinkhorn(ms, graph, costs, eta=1.0)
 
 
 class TestMsbObjective:

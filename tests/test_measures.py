@@ -188,6 +188,17 @@ class TestSampleGmm:
         b = sample_gmm([(0.0, 2.0, 1.0)], n=10, seed=33)
         assert np.array_equal(a.support, b.support)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(ValidationError, match=rf"seed must be an integer >= 0, got {seed!r}$"):
+            sample_gmm([(0.0, 1.0, 1.0)], n=2, seed=seed)
+
+    def test_seed_none_or_generator_passes(self):
+        assert sample_gmm([(0.0, 1.0, 1.0)], n=2, seed=None).n == 2
+        a = sample_gmm([(0.0, 1.0, 1.0)], n=4, seed=np.random.default_rng(7))
+        b = sample_gmm([(0.0, 1.0, 1.0)], n=4, seed=7)
+        assert np.array_equal(a.support, b.support)
+
     def test_empty_components(self):
         with pytest.raises(ValidationError):
             sample_gmm([], n=5, seed=0)

@@ -31,7 +31,7 @@ from bridgetree import (
 from bridgetree import mst, sinkhorn
 from bridgetree.mst import EdgeWeightMatrix
 from conftest import random_measure, random_measures
-from helpers import complete_graph
+from helpers import OVER_CAP, OVER_CAP_N, complete_graph, gaussian_g, gaussian_on_grid
 
 
 def exhaustive_mst(weights):
@@ -113,6 +113,21 @@ class TestEdgeWeight:
         es = edge_weight(m, m, cfg)
         assert es.sb == pytest.approx(-1.0064088680781682, abs=1e-12)
         assert es.g == pytest.approx(0.3798854930417224, abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0, 10.0])
+    def test_gaussian_weights_match_closed_form(self, eta):
+        # eight 1-d Gaussians, (mean, sd), each on a 100-point grid: every
+        # pair's g is within 1e-6 of the continuous closed form
+        gaussians = [(0.0, 1.0), (3.0, 2.0), (-2.5, 0.5), (1.0, 1.5),
+                     (-1.0, 0.8), (2.0, 0.6), (-3.0, 1.7), (0.5, 1.2)]
+        ms = [gaussian_on_grid(mean, sd) for mean, sd in gaussians]
+        cfg = SolverConfig(eta=eta)
+        errors = {}
+        for a in range(len(ms)):
+            for b in range(a + 1, len(ms)):
+                g = edge_weight(ms[a], ms[b], cfg).g
+                errors[(a + 1, b + 1)] = abs(g - gaussian_g(*gaussians[a], *gaussians[b], eta))
+        assert {edge: err for edge, err in errors.items() if not err <= 1e-6} == {}
 
     def test_nonconvergence_raises_by_default(self):
         m1 = DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6])
@@ -358,10 +373,12 @@ class TestOptimalMsb:
         assert tensor.sum() == pytest.approx(1.0, abs=1e-8)
 
     def test_compose_respects_cap(self, rng):
-        ms = random_measures(rng, [30, 30, 30])
-        res = optimal_msb(ms, SolverConfig(eta=1.0))
-        with pytest.raises(ValidationError, match="cap"):
-            compose_tree_coupling(res.tree, tree_plans(res), ms, cap=100)
+        # outer-product plans stand in for pairwise solves of 216-point measures
+        ms = random_measures(rng, [OVER_CAP_N] * 3)
+        tree = SpanningTree(3, ((1, 2), (2, 3)))
+        plans = {(a, b): np.outer(ms[a - 1].weights, ms[b - 1].weights) for a, b in tree.edges}
+        with pytest.raises(ValidationError, match=OVER_CAP):
+            compose_tree_coupling(tree, plans, ms)
 
     def test_total_cost_matches_dense_objective_of_composed_tensor(self, rng):
         # structure-free consistency: edge-weight total vs the transport
@@ -503,10 +520,10 @@ class TestRankTrees:
         assert all(row.cost_direct is None for row in rows)
 
     def test_direct_always_refuses_over_cap(self, rng, monkeypatch):
-        ms = random_measures(rng, [30, 30, 30])
+        ms = random_measures(rng, [OVER_CAP_N] * 3)
         refuse_weight_matrix(monkeypatch)
-        with pytest.raises(ValidationError, match="cap"):
-            rank_trees(ms, SolverConfig(eta=1.0), direct="always", cap=100)
+        with pytest.raises(ValidationError, match=OVER_CAP):
+            rank_trees(ms, SolverConfig(eta=1.0), direct="always")
 
     def test_enumeration_cap_refuses_before_any_solve(self, rng, monkeypatch):
         ms = random_measures(rng, [2] * 9)
@@ -514,12 +531,14 @@ class TestRankTrees:
         with pytest.raises(ValidationError, match="s=9 exceeds the enumeration cap"):
             rank_trees(ms, SolverConfig(eta=1.0))
 
-    def test_direct_auto_over_cap_skips_column(self, rng):
+    def test_direct_auto_over_cap_skips_column(self, rng, monkeypatch):
         ms = random_measures(rng, [3, 3, 3])
         ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
-        rows = rank_trees(ms, SolverConfig(eta=1.0), ewm=ewm, direct="auto", cap=26)
+        monkeypatch.setattr(mst, "TENSOR_CAP", 26)
+        rows = rank_trees(ms, SolverConfig(eta=1.0), ewm=ewm, direct="auto")
         assert all(row.cost_direct is None for row in rows)
-        rows = rank_trees(ms, SolverConfig(eta=1.0), ewm=ewm, direct="auto", cap=27)
+        monkeypatch.setattr(mst, "TENSOR_CAP", 27)
+        rows = rank_trees(ms, SolverConfig(eta=1.0), ewm=ewm, direct="auto")
         assert all(row.cost_direct is not None for row in rows)
 
     def test_ties_keep_enumeration_order(self, rng):

@@ -27,7 +27,7 @@ from bridgetree import (
 )
 from bridgetree.trees import DisjointSet
 from conftest import random_measures
-from helpers import project
+from helpers import OVER_CAP, OVER_CAP_N, project
 
 
 def random_tree(rng, s):
@@ -292,14 +292,14 @@ class TestComposeTreeCoupling:
             compose_tree_coupling(prufer_decode((), 2), {(1, 2): plan}, ms)
 
     def test_cap_enforced(self, rng):
-        ms = random_measures(rng, [50, 50, 50])
+        ms = random_measures(rng, [OVER_CAP_N] * 3)
         tree = SpanningTree(3, ((1, 2), (2, 3)))
         plans = {
             (1, 2): np.outer(ms[0].weights, ms[1].weights),
             (2, 3): np.outer(ms[1].weights, ms[2].weights),
         }
-        with pytest.raises(ValidationError, match="cap"):
-            compose_tree_coupling(tree, plans, ms, cap=1000)
+        with pytest.raises(ValidationError, match=OVER_CAP):
+            compose_tree_coupling(tree, plans, ms)
 
 
 class TestTreeCosts:
