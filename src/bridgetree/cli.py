@@ -167,10 +167,10 @@ def _edge_report(ewm) -> list[dict]:
                 "edge": [a, b],
                 "g": float(es.g),
                 "sb": float(es.sb),
-                "iterations": es.coupling.iterations,
-                "residual": es.coupling.residual,
-                "converged": es.coupling.converged,
-                "transport_cost": float((es.cost.matrix * es.coupling.plan).sum()),
+                "iterations": es.iterations,
+                "residual": es.residual,
+                "converged": es.converged,
+                "transport_cost": es.transport_cost,
                 "seconds": es.seconds,
             }
         )
@@ -289,12 +289,13 @@ def _cmd_oracle(args) -> int:
     tree = prufer_decode(code, collection.s)
 
     solves = solve_edges(collection, config, tree.edges)  # the tree's s-1 edges only
-    plans = {e: es.coupling.plan for e, es in solves.items()}
+    rebuilt = {e: es.rebuild() for e, es in solves.items()}  # one cost build per edge
+    plans = {e: coupling.plan for e, (_, coupling) in rebuilt.items()}
     sbs = {e: es.sb for e, es in solves.items()}
     composed = compose_tree_coupling(tree, plans, list(collection))
 
     graph = graph_from_edges(collection.s, tree.edges)
-    costs = {e: es.cost.matrix for e, es in solves.items()}
+    costs = {e: cost.matrix for e, (cost, _) in rebuilt.items()}
     mm = mm_sinkhorn(
         list(collection), graph, costs, config.eta,
         tol=config.tol, max_iter=config.max_iter,

@@ -93,11 +93,11 @@ def _log_marginal(log_m: np.ndarray, ax: int) -> np.ndarray:
     """log of the marginal of exp(log_m) on axis ax (0-based).
 
     A log-sum-exp over the other axes, each slice shifted by its own max.
-    The slices are copied out as contiguous rows first: reducing a 5**6
-    tensor over five strided axes costs several times the copy.  An all
-    -inf slice gives -inf, as scipy.special.logsumexp does.
+    The slices are copied out as contiguous rows first, in one copy for any
+    axis: reducing a 5**6 tensor over five strided axes costs several times
+    the copy.  An all -inf slice gives -inf, as scipy.special.logsumexp does.
     """
-    rows = np.moveaxis(log_m, ax, 0).reshape(log_m.shape[ax], -1).copy()
+    rows = np.array(np.moveaxis(log_m, ax, 0), order="C").reshape(log_m.shape[ax], -1)
     top = rows.max(axis=1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     rows -= top

@@ -36,6 +36,7 @@ from .sinkhorn import (
     PairwiseCost,
     build_cost,
     gibbs_kernel,
+    rebuild_plan,
     sb_value,
     sinkhorn_solve,
 )
@@ -53,17 +54,47 @@ from .trees import (
 
 @dataclass(frozen=True, eq=False)
 class EdgeSolve:
-    """One pairwise solve: weight g, its sb value, and the full coupling.
+    """One pairwise solve as an O(n) record: weight g, its sb value, the two
+    log duals of the plan and the solve's diagnostics.
 
     seconds is the wall time of the whole edge: cost build, Gibbs kernel,
-    Sinkhorn solve and sb value.
+    Sinkhorn solve and sb value.  transport_cost is <C, P> of the solved
+    plan.  No n1 x n2 array is kept: cost and coupling rebuild the cost and
+    the plan from the measures, config and duals on every access,
+    bit-identical to the solved ones (sinkhorn.rebuild_plan).
     """
 
     g: float
     sb: float
-    coupling: BimarginalCoupling
-    cost: PairwiseCost
     seconds: float
+    log_u1: np.ndarray  # (n1,), -inf at zero-weight points
+    log_u2: np.ndarray  # (n2,)
+    iterations: int
+    residual: float
+    converged: bool
+    absorptions: int
+    transport_cost: float
+    m1: DiscreteMeasure
+    m2: DiscreteMeasure
+    config: SolverConfig
+
+    def rebuild(self) -> tuple[PairwiseCost, BimarginalCoupling]:
+        """The cost and the coupling, rebuilt together from one cost build."""
+        cost, plan = rebuild_plan(self.m1, self.m2, self.config.cost, self.config.eta,
+                                  self.log_u1, self.log_u2)
+        coupling = BimarginalCoupling(
+            plan=plan, log_u1=self.log_u1, log_u2=self.log_u2, iterations=self.iterations,
+            residual=self.residual, converged=self.converged, absorptions=self.absorptions,
+        )
+        return cost, coupling
+
+    @property
+    def cost(self) -> PairwiseCost:
+        return self.rebuild()[0]
+
+    @property
+    def coupling(self) -> BimarginalCoupling:
+        return self.rebuild()[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +111,7 @@ def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) 
     cost = build_cost(m1, m2, config.cost)
     log_kernel = gibbs_kernel(cost, config.eta)
     coupling = sinkhorn_solve(m1, m2, log_kernel, tol=config.tol, max_iter=config.max_iter)
+    del log_kernel  # spent: dropped before <C, P> is formed, one n1 x n2 array fewer
     if not coupling.converged:
         message = (
             f"Sinkhorn stopped at max_iter={config.max_iter} with residual "
@@ -90,8 +122,14 @@ def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) 
         warnings.warn(message, stacklevel=2)
     sb = sb_value(coupling)
     g = sb + entropy(m1) + entropy(m2)
+    transport_cost = float((cost.matrix * coupling.plan).sum())
     elapsed = time.perf_counter() - start
-    return EdgeSolve(g=g, sb=sb, coupling=coupling, cost=cost, seconds=elapsed)
+    return EdgeSolve(
+        g=g, sb=sb, seconds=elapsed, log_u1=coupling.log_u1, log_u2=coupling.log_u2,
+        iterations=coupling.iterations, residual=coupling.residual,
+        converged=coupling.converged, absorptions=coupling.absorptions,
+        transport_cost=transport_cost, m1=m1, m2=m2, config=config,
+    )
 
 
 def solve_edges(
@@ -242,10 +280,11 @@ def optimal_msb(
 ) -> OptimalMsbResult:
     """Weight construction followed by an MST: the full structure solve.
 
-    The result carries only the pairwise plans, which is all the tree cost
-    needs.  The dense coupling tensor of the winning tree is
-    compose_tree_coupling(result.tree, plans, measures), with plans the
-    coupling.plan of each edge in result.weight_matrix.edges.
+    The result carries each pair's weight and O(n) log duals, not its plan:
+    the tree cost needs only the weights.  The dense coupling tensor of the
+    winning tree is compose_tree_coupling(result.tree, plans, measures),
+    with plans the coupling.plan of each tree edge in
+    result.weight_matrix.edges, rebuilt from its duals on access.
     """
     collection = MeasureCollection(measures)
     if mst_algorithm not in MST_ALGORITHMS:
@@ -304,8 +343,8 @@ def rank_trees(
     all trees at once, grouped by the last step of their walk).
     direct="auto" computes it when the tensor is within the tensor cap
     (TENSOR_CAP entries), "never" skips it, "always" refuses if it is not.  A
-    supplied ewm must hold an (n_a, n_b) plan and cost for every pair
-    a < b and an s x s g.
+    supplied ewm must hold a solve with (n_a,) and (n_b,) duals for every
+    pair a < b and an s x s g; each edge's plan and cost are rebuilt once.
 
     Ties in cost keep lexicographic Prüfer order (the enumeration order,
     via stable sort).
@@ -352,8 +391,8 @@ def _check_edge_solves(ewm: EdgeWeightMatrix, sizes: tuple[int, ...]) -> None:
             if (a, b) not in ewm.edges:
                 raise ValidationError(f"edge ({a}, {b}) has no pairwise solve")
             es = ewm.edges[(a, b)]
-            for name, matrix in (("plan", es.coupling.plan), ("cost", es.cost.matrix)):
-                check_shape(matrix, (sizes[a - 1], sizes[b - 1]), f"edge ({a}, {b}): {name}")
+            check_shape(es.log_u1, (sizes[a - 1],), f"edge ({a}, {b}): log_u1")
+            check_shape(es.log_u2, (sizes[b - 1],), f"edge ({a}, {b}): log_u2")
     check_shape(ewm.g, (s, s), "weight matrix")
 
 
@@ -397,7 +436,8 @@ def _direct_costs(
     # (a, b) axes of the edge whichever end is the parent
     steps = {}
     for (a, b), es in ewm.edges.items():
-        plan, cost = es.coupling.plan, es.cost.matrix
+        pairwise, coupling = es.rebuild()  # one cost build and one plan per edge
+        plan, cost = coupling.plan, pairwise.matrix
         rows_mu, cols_mu = weights[a - 1][:, None], weights[b - 1][None, :]
         for parent, child, mu in ((a, b, rows_mu), (b, a, cols_mu)):
             q = np.divide(plan, mu, out=np.zeros_like(plan), where=mu > 0)

@@ -119,17 +119,41 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.exp(x, out=x)
 
 
+def _plan_from_duals(log_kernel: np.ndarray, log_u1: np.ndarray, log_u2: np.ndarray):
+    """The plan exp(log_u1 ⊕ log_u2 + log K), as sinkhorn_solve returns it.
+
+    Every entry is formed on its own, so a -inf dual gives an exact zero row
+    or column and the other entries are bit-identical to a solve over the
+    kept points only.  This is how a plan is rebuilt from O(n) duals.
+    """
+    plan = log_u1[:, None] + log_kernel
+    plan += log_u2[None, :]  # in place: one n1 x n2 temporary, not two
+    return _exp(plan)
+
+
+def rebuild_plan(
+    m1: DiscreteMeasure, m2: DiscreteMeasure, cost, eta: float,
+    log_u1: np.ndarray, log_u2: np.ndarray,
+) -> tuple[PairwiseCost, np.ndarray]:
+    """The cost and plan of a solved pair, rebuilt from its log duals.
+
+    cost and eta are those of the solve; the cost and log K are built as the
+    solve built them, so the plan is bit-identical to the one it returned.
+    """
+    pairwise = build_cost(m1, m2, cost)
+    return pairwise, _plan_from_duals(gibbs_kernel(pairwise, eta), log_u1, log_u2)
+
+
 def _reset(log_k: np.ndarray, f: np.ndarray, g: np.ndarray):
     """Scalings a = b = 1 and the kernel K~ = exp(f ⊕ g + log K) rebuilt."""
-    kernel = f[:, None] + log_k
-    kernel += g[None, :]  # in place: one n1 x n2 temporary, not two
-    return np.ones(f.size), np.ones(g.size), _exp(kernel)
+    return np.ones(f.size), np.ones(g.size), _plan_from_duals(log_k, f, g)
 
 
 def _row_lse(x: np.ndarray) -> np.ndarray:
-    """log sum_j exp(x_ij) for each row i."""
+    """log sum_j exp(x_ij) for each row i; x is a temporary and is overwritten."""
     top = x.max(axis=1)
-    return top + np.log(_exp(x - top[:, None]).sum(axis=1))
+    x -= top[:, None]
+    return top + np.log(_exp(x).sum(axis=1))
 
 
 def sinkhorn_solve(
@@ -156,9 +180,8 @@ def sinkhorn_solve(
     keep2 = m2.weights > 0
     mu = m1.weights[keep1]
     nu = m2.weights[keep2]
-    kept = np.ix_(keep1, keep2)
     pruned = mu.size < m1.n or nu.size < m2.n
-    log_k = log_kernel[kept] if pruned else log_kernel  # a gather copies
+    log_k = log_kernel[np.ix_(keep1, keep2)] if pruned else log_kernel  # a gather copies
     log_mu = np.log(mu)
     log_nu = np.log(nu)
 
@@ -202,16 +225,13 @@ def sinkhorn_solve(
 
     f += np.log(a)
     g += np.log(b)
-    plan = _reset(log_k, f, g)[2]
-    if pruned:  # restore the pruned points as zero rows and columns
-        plan, kept_plan = np.zeros((m1.n, m2.n)), plan
-        plan[kept] = kept_plan
+    del kernel  # K~ is spent: dropped before the plan is formed, one n1 x n2 array fewer
     log_u1 = np.full(m1.n, -np.inf)
     log_u1[keep1] = f
     log_u2 = np.full(m2.n, -np.inf)
     log_u2[keep2] = g
     return BimarginalCoupling(
-        plan=plan,
+        plan=_plan_from_duals(log_kernel, log_u1, log_u2),  # pruned points: zero rows, columns
         log_u1=log_u1,
         log_u2=log_u2,
         iterations=iterations,

@@ -72,6 +72,15 @@ class SpanningTree:
                 raise ValidationError(f"edges contain a cycle through ({a}, {b})")
         object.__setattr__(self, "edges", canon)
 
+    @classmethod
+    def _trusted(cls, s: int, edges: tuple[Edge, ...]) -> SpanningTree:
+        """A tree from s - 1 canonical sorted edges known to be acyclic,
+        made without __post_init__'s checks."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "s", s)
+        object.__setattr__(tree, "edges", edges)
+        return tree
+
     def degrees(self) -> np.ndarray:
         """Degree of each vertex; index i holds the degree of vertex i+1."""
         deg = np.zeros(self.s, dtype=int)
@@ -100,6 +109,11 @@ def prufer_decode(code: Sequence[int], s: int) -> SpanningTree:
     for c in code:
         if not 1 <= c <= s:
             raise ValidationError(f"code entry {c} out of range 1..{s}")
+    return SpanningTree(s, _decode(code, s))
+
+
+def _decode(code: Sequence[int], s: int) -> tuple[Edge, ...]:
+    """The canonical sorted edges of the tree of a valid Prüfer code."""
     deg = [1] * (s + 1)
     for c in code:
         deg[c] += 1
@@ -108,12 +122,13 @@ def prufer_decode(code: Sequence[int], s: int) -> SpanningTree:
     edges = []
     for c in code:
         leaf = heapq.heappop(leaves)
-        edges.append((leaf, c))
+        edges.append((leaf, c) if leaf < c else (c, leaf))
         deg[c] -= 1
         if deg[c] == 1:
             heapq.heappush(leaves, c)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return SpanningTree(s, tuple(edges))
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))  # ascending pops
+    edges.sort()
+    return tuple(edges)
 
 
 def prufer_encode(tree: SpanningTree) -> tuple[int, ...]:
@@ -161,7 +176,8 @@ def enumerate_trees(s: int) -> Iterator[SpanningTree]:
             f"s={s} exceeds the enumeration cap of {ENUMERATION_CAP} "
             f"({ENUMERATION_CAP}^{ENUMERATION_CAP - 2} trees)"
         )
-    return (prufer_decode(code, s) for code in _prufer_codes(s))
+    # the codes are valid by construction, so each tree skips the checks
+    return (SpanningTree._trusted(s, _decode(code, s)) for code in _prufer_codes(s))
 
 
 def on_axes(array: np.ndarray, s: int, *vertices: int) -> np.ndarray:

@@ -374,7 +374,7 @@ CONTRACT_CALLS = {
                                                      [TWO, THREE]),
                      "plan for edge (1, 2) has shape (3, 2), expected (2, 3)"),
     "rank_trees-ewm": (mismatched_ewm_ranking,
-                       "edge (1, 2): plan has shape (2, 2), expected (3, 2)"),
+                       "edge (1, 2): log_u1 has shape (2,), expected (3,)"),
     "cost_tensor-matrix": (lambda _: cost_tensor(PAIR, {(1, 2): np.zeros((3, 2))}, shape=(2, 3)),
                            "cost matrix for edge (1, 2) has shape (3, 2), expected (2, 3)"),
     "msb_objective": (lambda _: msb_objective(np.zeros((2, 3)), np.zeros((3, 2)), 1.0),

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bridgetree import DiscreteMeasure, edge_weight, load_measure, prufer_decode, save_measure
+from bridgetree import DiscreteMeasure, build_cost, edge_weight, gibbs_kernel, load_measure
+from bridgetree import prufer_decode, save_measure, sinkhorn_solve
+from bridgetree import sinkhorn
 from bridgetree.cli import main
 from conftest import GMM_SPEC, random_measures
 from helpers import OVER_CAP, OVER_CAP_N
@@ -163,6 +165,27 @@ class TestSolve:
             assert row["converged"]
         prufer = (out / "prufer.txt").read_text().strip()
         assert prufer == " ".join(str(c) for c in report["tree"]["prufer"])
+
+    def test_report_reads_the_lean_records(self, tmp_path, rng, monkeypatch):
+        # report.json takes each edge's diagnostics and <C, P> from its
+        # record; rebuilding a plan would call sinkhorn.build_cost
+        paths = write_measures(tmp_path, random_measures(rng, [3, 2, 3]))
+        out = tmp_path / "out"
+
+        def rebuild(*args):
+            raise AssertionError("solve rebuilt a plan")
+
+        monkeypatch.setattr(sinkhorn, "build_cost", rebuild)
+        assert main(["solve", *paths, "--eta", "1.0", "--out-dir", str(out)]) == 0
+        monkeypatch.undo()
+        ms = [load_measure(p) for p in paths]
+        for row in json.loads((out / "report.json").read_text())["edges"]:
+            a, b = row["edge"]
+            cost = build_cost(ms[a - 1], ms[b - 1])
+            solved = sinkhorn_solve(ms[a - 1], ms[b - 1], gibbs_kernel(cost, 1.0))
+            assert row["transport_cost"] == float((cost.matrix * solved.plan).sum())
+            assert (row["iterations"], row["residual"], row["converged"]) == (
+                solved.iterations, solved.residual, solved.converged)
 
     def test_weight_csv_roundtrip(self, tmp_path, rng):
         paths = write_measures(tmp_path, random_measures(rng, [2, 3, 2]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from bridgetree import (
     DiscreteMeasure,
@@ -18,6 +19,7 @@ from bridgetree import (
     total_variation,
 )
 from bridgetree.config import check_tensor_cap
+from bridgetree.dense import _log_marginal
 from conftest import random_measures
 from helpers import OVER_CAP, OVER_CAP_N, complete_graph, kl_divergence, path_graph, project
 from helpers import star_graph
@@ -248,6 +250,21 @@ class TestMmSinkhorn:
         costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]).matrix for e in graph.edges}
         with pytest.raises(ValidationError, match=OVER_CAP):
             mm_sinkhorn(ms, graph, costs, eta=1.0)
+
+
+class TestLogMarginal:
+    def test_every_axis_matches_logsumexp_and_leaves_the_tensor(self, rng):
+        # axes 0 and s-1 reshape to views, the middle ones to copies: the
+        # in-place shift must land on a copy for every axis
+        log_m = np.log(rng.uniform(0.1, 1.0, (3, 4, 2, 5)))
+        log_m[1, :, :, :] = -np.inf  # an all -inf slice on axis 0
+        before = log_m.copy()
+        for ax in range(log_m.ndim):
+            others = tuple(a for a in range(log_m.ndim) if a != ax)
+            with np.errstate(divide="ignore"):
+                expected = logsumexp(log_m, axis=others)
+            assert np.allclose(_log_marginal(log_m, ax), expected, rtol=1e-13, atol=0.0)
+            assert np.array_equal(log_m, before)
 
 
 class TestMsbObjective:

@@ -1,5 +1,7 @@
+import time
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -265,6 +267,73 @@ class TestBuildWeightMatrix:
             build_weight_matrix(ms, SolverConfig(eta=1.0, max_iter=2))
 
 
+class TestLeanEdgeRecords:
+    """An EdgeSolve keeps O(n) duals; its cost and plan are rebuilt on access."""
+
+    def test_no_field_is_a_matrix(self, rng):
+        es = edge_weight(*random_measures(rng, [4, 5]), SolverConfig(eta=1.0))
+        for field in fields(es):
+            value = getattr(es, field.name)
+            if isinstance(value, np.ndarray):
+                assert value.ndim == 1, field.name
+            else:  # the measures and config are shared references, not copies
+                assert isinstance(value, (int, float, DiscreteMeasure, SolverConfig)), field.name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rebuilt_plan_is_the_solved_plan(self, rng, threads):
+        ms = random_measures(rng, [4, 5, 3])
+        w = ms[1].weights.copy()
+        w[2] = 0.0  # a zero-weight point: the solve prunes it
+        ms[1] = DiscreteMeasure(ms[1].support, w)
+        ewm = build_weight_matrix(ms, SolverConfig(eta=1.0, threads=threads))
+        for (a, b), es in ewm.edges.items():
+            cost = build_cost(ms[a - 1], ms[b - 1])
+            solved = sinkhorn_solve(ms[a - 1], ms[b - 1], gibbs_kernel(cost, 1.0))
+            coupling = es.coupling
+            assert np.array_equal(coupling.plan, solved.plan)
+            assert np.array_equal(es.cost.matrix, cost.matrix)
+            for name in ("log_u1", "log_u2"):
+                assert np.array_equal(getattr(coupling, name), getattr(solved, name))
+            for name in ("iterations", "residual", "converged", "absorptions"):
+                assert getattr(coupling, name) == getattr(solved, name) == getattr(es, name)
+            assert es.transport_cost == float((cost.matrix * solved.plan).sum())
+
+    def test_rank_trees_rebuilds_each_edge_once(self, rng, monkeypatch):
+        # edge solves build their costs through mst.build_cost; a rebuild
+        # goes through sinkhorn.build_cost
+        ms = random_measures(rng, [3, 2, 3, 2])
+        cfg = SolverConfig(eta=1.0)
+        ewm = build_weight_matrix(ms, cfg)
+        calls = []
+        original = sinkhorn.build_cost
+        monkeypatch.setattr(sinkhorn, "build_cost", lambda *a: calls.append(a) or original(*a))
+        rank_trees(ms, cfg, ewm=ewm, direct="always")
+        assert len(calls) == len(ewm.edges) == 6
+
+    def test_peak_memory_is_one_edge_not_all(self):
+        # s=6 uniform 2-d measures at eta 50: what the records keep is O(n),
+        # and the peak is one edge's n x n working set, not all 15 plans
+        rng = np.random.default_rng(0)
+        start = time.perf_counter()
+        kept, peak = {}, {}
+        for n in (50, 200):
+            ms = [DiscreteMeasure(rng.uniform(-10, 10, (n, 2)), np.ones(n)) for _ in range(6)]
+            tracemalloc.start()
+            try:
+                ewm = build_weight_matrix(ms, SolverConfig(eta=50.0))
+                kept[n], peak[n] = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                edge_weight(ms[0], ms[1], SolverConfig(eta=50.0))
+                one_edge = tracemalloc.get_traced_memory()[1] - kept[n]
+            finally:
+                tracemalloc.stop()
+            del ewm
+        assert kept[200] < 6 * kept[50]  # records holding plans grow about 16x
+        assert peak[200] < 2 * one_edge  # records holding plans peak at about 7x
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"{elapsed:.1f}s over the 10 s budget"
+
+
 class TestMstAlgorithms:
     def test_three_vertex_hand_instance(self):
         w = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
@@ -505,8 +574,12 @@ class TestRankTrees:
         cfg = SolverConfig(eta=1.0)
         ewm = build_weight_matrix(random_measures(rng, [3, 3, 3]), cfg)
         ms = random_measures(rng, [4, 3, 3])
-        with pytest.raises(ValidationError, match=r"edge \(1, 2\): plan has shape \(3, 3\)"):
+        with pytest.raises(ValidationError,
+                           match=r"edge \(1, 2\): log_u1 has shape \(3,\), expected \(4,\)"):
             rank_trees(ms, cfg, ewm=ewm, direct="always")
+        with pytest.raises(ValidationError,
+                           match=r"edge \(1, 2\): log_u2 has shape \(3,\), expected \(4,\)"):
+            rank_trees(random_measures(rng, [3, 4, 3]), cfg, ewm=ewm, direct="always")
         with pytest.raises(ValidationError, match=r"edge \(1, 4\) has no pairwise solve"):
             rank_trees(random_measures(rng, [3, 3, 3, 3]), cfg, ewm=ewm, direct="never")
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,14 @@ class TestEnumeration:
         trees = list(enumerate_trees(4))
         assert trees[0] == prufer_decode((1, 1), 4)
         assert trees[-1] == prufer_decode((4, 4), 4)
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+    def test_matches_checked_decode(self, s):
+        # enumeration skips SpanningTree's checks; the checked path agrees
+        codes = itertools.product(range(1, s + 1), repeat=s - 2)
+        trees = list(enumerate_trees(s))
+        assert trees == [prufer_decode(code, s) for code in codes]
+        assert all(SpanningTree(s, t.edges).edges == t.edges for t in trees)
 
     def test_cap(self):
         with pytest.raises(ValidationError, match="cap"):
