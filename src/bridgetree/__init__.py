@@ -22,8 +22,6 @@ from .measures import (
     DiscreteMeasure,
     MeasureCollection,
     entropy,
-    image_to_measure,
-    load_image_grid,
     load_measure,
     normalize_weights,
     sample_gmm,
@@ -89,8 +87,6 @@ __all__ = [
     "format_prufer",
     "gibbs_kernel",
     "graph_from_edges",
-    "image_to_measure",
-    "load_image_grid",
     "load_measure",
     "mm_sinkhorn",
     "msb_objective",

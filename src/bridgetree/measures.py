@@ -217,33 +217,6 @@ def sample_gmm(
     return DiscreteMeasure(points[:, None], np.full(n, 1.0 / n))
 
 
-def image_to_measure(grid) -> DiscreteMeasure:
-    """Measure from a grayscale intensity grid.
-
-    Support points are the (row, col) coordinates of strictly positive
-    pixels; weights are the intensities normalized to sum 1.
-    """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 2:
-        raise ValidationError(f"image grid must be 2-d, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValidationError("image grid contains non-finite values")
-    neg = np.argwhere(g < 0)
-    if len(neg):
-        r, c = neg[0]
-        raise ValidationError(f"negative intensity at pixel ({r}, {c}): {g[r, c]}")
-    mask = g > 0
-    if not mask.any():
-        raise ValidationError("all-zero image has no probability mass")
-    support = np.argwhere(mask).astype(float)
-    return DiscreteMeasure(support, g[mask])
-
-
-# ---------------------------------------------------------------------------
-# File formats: measures as JSON, image grids as CSV or PGM (P2) text.
-# ---------------------------------------------------------------------------
-
-
 def save_measure(measure: DiscreteMeasure, path) -> None:
     """Write a measure as {"support": [[...], ...], "weights": [...]}."""
     payload = {
@@ -267,30 +240,3 @@ def load_measure(path) -> DiscreteMeasure:
     except (ValidationError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
-
-def load_image_grid(path) -> np.ndarray:
-    """Read an intensity grid from CSV rows of numbers or PGM (P2) text."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("P2"):
-        tokens = []
-        for line in stripped.splitlines():
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
-        # tokens: P2 width height maxval pixels...
-        if len(tokens) < 4:
-            raise ValidationError(f"{path}: truncated PGM header")
-        try:
-            width, height = int(tokens[1]), int(tokens[2])
-            pixels = np.array([float(t) for t in tokens[4:]])
-        except ValueError as exc:
-            raise ValidationError(f"{path}: malformed PGM data ({exc})") from exc
-        if min(width, height) < 1 or pixels.size != width * height:
-            raise ValidationError(
-                f"{path}: PGM declares {width}x{height} pixels but carries {pixels.size}"
-            )
-        return pixels.reshape(height, width)
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: could not parse CSV grid ({exc})") from exc

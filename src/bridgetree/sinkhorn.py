@@ -3,15 +3,18 @@
 Solves  min_{M in Pi(mu1, mu2)}  <C + eta log M, M>,  equivalently the KL
 projection  min eta * D_KL(M || K)  with Gibbs kernel K = exp(-C / eta).
 The optimizer factors as M = K ⊙ (u1 ⊗ u2).  The classical alternating
-scalings run as stabilized scaling sweeps (Schmitzer 2019, Alg. 2): log
-duals f, g are absorbed into a kernel K~ = exp(f ⊕ g - C/eta), and a sweep
-is two matrix-vector products, a = mu / (K~ b) and b = nu / (K~^T a).  When
-a scaling leaves [1e-50, 1e50], its log is absorbed into the duals and K~
-is rebuilt; a half sweep whose product would underflow runs in the log
-domain instead.  The first a update is such a log-domain half sweep, from
-f = g = 0.  The iterates are those of the log-domain (log-sum-exp)
-recursion, without the underflow that raw exp(-C/eta) suffers for small
-eta.  The caller builds gibbs_kernel's log K = -C/eta once per edge.
+scalings run as stabilized scaling sweeps (Schmitzer 2019, Alg. 2) on a
+SweepState: log duals f, g are absorbed into a kernel K~ = exp(f ⊕ g - C/eta),
+and a sweep is two matrix-vector products, a = mu / (K~ b) and
+b = nu / (K~^T a).  When a scaling leaves [1e-50, 1e50], its log is absorbed
+into the duals; a half sweep whose product would underflow runs in the log
+domain instead, the first a update from f = g = 0 among them.  Each ends in
+the state's one rebuild of K~, written over the spent K~, whose buffer the
+log-domain half sweeps also use as their temporary, so a solve holds one
+n1 x n2 array beyond log K.  A state advanced, read and advanced again gives
+the bits of one straight solve.  The iterates are those of the log-domain
+(log-sum-exp) recursion, without the underflow that raw exp(-C/eta) suffers
+for small eta.  The caller builds gibbs_kernel's log K = -C/eta once per edge.
 
 The optimal value reported for an edge, which may be negative since K is
 unnormalized, is read off the returned log duals f, g:
@@ -109,7 +112,6 @@ class BimarginalCoupling:
     iterations: int
     residual: float
     converged: bool
-    residual_history: tuple[float, ...] | None = None
     absorptions: int = 0
 
 
@@ -119,14 +121,15 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.exp(x, out=x)
 
 
-def _plan_from_duals(log_kernel: np.ndarray, log_u1: np.ndarray, log_u2: np.ndarray):
+def _plan_from_duals(log_kernel: np.ndarray, log_u1: np.ndarray, log_u2: np.ndarray, out=None):
     """The plan exp(log_u1 ⊕ log_u2 + log K), as sinkhorn_solve returns it.
 
     Every entry is formed on its own, so a -inf dual gives an exact zero row
     or column and the other entries are bit-identical to a solve over the
-    kept points only.  This is how a plan is rebuilt from O(n) duals.
+    kept points only.  This is how a plan is rebuilt from O(n) duals, and
+    how a sweep state rebuilds K~ over its old one (out=).
     """
-    plan = log_u1[:, None] + log_kernel
+    plan = np.add(log_u1[:, None], log_kernel, out=out)
     plan += log_u2[None, :]  # in place: one n1 x n2 temporary, not two
     return _exp(plan)
 
@@ -144,16 +147,92 @@ def rebuild_plan(
     return pairwise, _plan_from_duals(gibbs_kernel(pairwise, eta), log_u1, log_u2)
 
 
-def _reset(log_k: np.ndarray, f: np.ndarray, g: np.ndarray):
-    """Scalings a = b = 1 and the kernel K~ = exp(f ⊕ g + log K) rebuilt."""
-    return np.ones(f.size), np.ones(g.size), _plan_from_duals(log_k, f, g)
-
-
 def _row_lse(x: np.ndarray) -> np.ndarray:
     """log sum_j exp(x_ij) for each row i; x is a temporary and is overwritten."""
     top = x.max(axis=1)
     x -= top[:, None]
     return top + np.log(_exp(x).sum(axis=1))
+
+
+def _reset(kernel: np.ndarray, log_k: np.ndarray, f: np.ndarray, g: np.ndarray):
+    """Scalings a = b = 1, with K~ = exp(f ⊕ g + log K) rebuilt over the spent K~."""
+    _plan_from_duals(log_k, f, g, out=kernel)
+    return np.ones(f.size), np.ones(g.size)
+
+
+class SweepState:
+    """The loop variables of one solve, over the kept block of a pair.
+
+    u1 = exp(f) * a, u2 = exp(g) * b, and the plan is K~ * (a ⊗ b).  The
+    state starts at f = g = 0; residual, iterations and absorptions can be
+    read between calls to advance.
+    """
+
+    def __init__(self, m1: DiscreteMeasure, m2: DiscreteMeasure, log_kernel: np.ndarray):
+        self.keep1 = m1.weights > 0
+        self.keep2 = m2.weights > 0
+        self.mu = m1.weights[self.keep1]
+        self.nu = m2.weights[self.keep2]
+        pruned = self.mu.size < m1.n or self.nu.size < m2.n
+        # a gather copies, so the kernel is read as given when nothing is pruned
+        self.log_k = log_kernel[np.ix_(self.keep1, self.keep2)] if pruned else log_kernel
+        self.f = np.zeros(self.mu.size)
+        self.g = np.zeros(self.nu.size)
+        self.a = np.ones(self.mu.size)
+        self.b = np.ones(self.nu.size)
+        # kb = 0 sends the first row half down the log-domain branch, so every
+        # kernel row keeps its largest entry however small eta is.
+        self.kb = np.zeros(self.mu.size)
+        self.kernel = np.empty(self.log_k.shape)
+        self.residual = np.inf
+        self.iterations = 0
+        self.absorptions = 0
+
+    def advance(self, sweeps: int, tol: float) -> None:
+        """Run sweeps until the residual is <= tol or `sweeps` more have run.
+
+        One sweep updates u1 then u2 (cyclic order).  After the column half
+        the column marginal equals nu, so the residual is the row TV
+        deviation a * (K~ b), and K~ b is the product the next row half needs.
+        """
+        log_k, kernel, mu, nu = self.log_k, self.kernel, self.mu, self.nu
+        log_mu, log_nu = np.log(mu), np.log(nu)
+        f, g, a, b, kb = self.f, self.g, self.a, self.b, self.kb
+        residual, iterations, absorptions = self.residual, self.iterations, self.absorptions
+        stop = iterations + sweeps
+        while residual > tol and iterations < stop:
+            if kb.min() < _MIN_PRODUCT:  # a row underflows: log-domain half sweep
+                g += np.log(b)
+                f = log_mu - _row_lse(np.add(log_k, g[None, :], out=kernel))
+                a, b = _reset(kernel, log_k, f, g)
+            else:
+                a = mu / kb
+            ktb = kernel.T @ a
+            if ktb.min() < _MIN_PRODUCT:  # a column underflows: log-domain half sweep
+                f += np.log(a)
+                g = log_nu - _row_lse(np.add(log_k, f[:, None], out=kernel).T)
+                a, b = _reset(kernel, log_k, f, g)
+            else:
+                b = nu / ktb
+            iterations += 1
+            if max(a.max(), b.max()) > _SCALE_BOUND or min(a.min(), b.min()) < 1 / _SCALE_BOUND:
+                f += np.log(a)
+                g += np.log(b)
+                a, b = _reset(kernel, log_k, f, g)
+                absorptions += 1
+            kb = kernel @ b
+            residual = total_variation(a * kb, mu)
+
+        self.f, self.g, self.a, self.b, self.kb = f, g, a, b, kb
+        self.residual, self.iterations, self.absorptions = residual, iterations, absorptions
+
+    def log_duals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Full-size log u1 = f + log a and log u2 = g + log b, -inf at pruned points."""
+        log_u1 = np.full(self.keep1.size, -np.inf)
+        log_u1[self.keep1] = self.f + np.log(self.a)
+        log_u2 = np.full(self.keep2.size, -np.inf)
+        log_u2[self.keep2] = self.g + np.log(self.b)
+        return log_u1, log_u2
 
 
 def sinkhorn_solve(
@@ -162,83 +241,31 @@ def sinkhorn_solve(
     log_kernel: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    record_history: bool = False,
 ) -> BimarginalCoupling:
     """Alternating KL projections onto the two marginal constraints.
 
-    One sweep updates u1 then u2 (cyclic order).  Stops when the larger of
-    the two marginal TV residuals drops to tol; on max_iter the last iterate
-    is returned with converged=False and the caller decides.  log_kernel is
-    log K = -C/eta as gibbs_kernel returns it.
+    Runs a SweepState until the larger of the two marginal TV residuals drops
+    to tol; on max_iter the last iterate is returned with converged=False and
+    the caller decides.  log_kernel is log K = -C/eta as gibbs_kernel
+    returns it.
     """
     check_shape(log_kernel, (m1.n, m2.n), "log kernel")
     if not np.isfinite(log_kernel).all():
         raise ValidationError("log kernel has non-finite entries")
     check_solver_params(tol=tol, max_iter=max_iter)
 
-    keep1 = m1.weights > 0
-    keep2 = m2.weights > 0
-    mu = m1.weights[keep1]
-    nu = m2.weights[keep2]
-    pruned = mu.size < m1.n or nu.size < m2.n
-    log_k = log_kernel[np.ix_(keep1, keep2)] if pruned else log_kernel  # a gather copies
-    log_mu = np.log(mu)
-    log_nu = np.log(nu)
-
-    # u1 = exp(f) * a and u2 = exp(g) * b; the plan is kernel * (a ⊗ b).
-    f = np.zeros(mu.size)
-    g = np.zeros(nu.size)
-    b = np.ones(nu.size)
-    kb = np.zeros(mu.size)
-    residual = np.inf
-    history: list[float] = []
-    iterations = 0
-    absorptions = 0
-    # kb = 0 sends the first row half down the log-domain branch, so every
-    # kernel row keeps its largest entry however small eta is.  After the
-    # column half the column marginal equals nu, so the residual is the row
-    # deviation a * (K~ b), and K~ b is the product the next row half needs.
-    while residual > tol and iterations < max_iter:
-        if kb.min() < _MIN_PRODUCT:  # a row underflows: log-domain half sweep
-            g += np.log(b)
-            f = log_mu - _row_lse(log_k + g[None, :])
-            a, b, kernel = _reset(log_k, f, g)
-        else:
-            a = mu / kb
-        ktb = kernel.T @ a
-        if ktb.min() < _MIN_PRODUCT:  # a column underflows: log-domain half sweep
-            f += np.log(a)
-            g = log_nu - _row_lse((log_k + f[:, None]).T)
-            a, b, kernel = _reset(log_k, f, g)
-        else:
-            b = nu / ktb
-        iterations += 1
-        if max(a.max(), b.max()) > _SCALE_BOUND or min(a.min(), b.min()) < 1 / _SCALE_BOUND:
-            f += np.log(a)
-            g += np.log(b)
-            a, b, kernel = _reset(log_k, f, g)
-            absorptions += 1
-        kb = kernel @ b
-        residual = total_variation(a * kb, mu)
-        if record_history:
-            history.append(residual)
-
-    f += np.log(a)
-    g += np.log(b)
-    del kernel  # K~ is spent: dropped before the plan is formed, one n1 x n2 array fewer
-    log_u1 = np.full(m1.n, -np.inf)
-    log_u1[keep1] = f
-    log_u2 = np.full(m2.n, -np.inf)
-    log_u2[keep2] = g
+    state = SweepState(m1, m2, log_kernel)
+    state.advance(max_iter, tol)
+    log_u1, log_u2 = state.log_duals()
+    state.kernel = None  # K~ is spent: released before the plan is formed
     return BimarginalCoupling(
         plan=_plan_from_duals(log_kernel, log_u1, log_u2),  # pruned points: zero rows, columns
         log_u1=log_u1,
         log_u2=log_u2,
-        iterations=iterations,
-        residual=float(residual),
-        converged=residual <= tol,
-        residual_history=tuple(history) if record_history else None,
-        absorptions=absorptions,
+        iterations=state.iterations,
+        residual=float(state.residual),
+        converged=state.residual <= tol,
+        absorptions=state.absorptions,
     )
 
 

@@ -10,8 +10,6 @@ from bridgetree import (
     MeasureCollection,
     ValidationError,
     entropy,
-    image_to_measure,
-    load_image_grid,
     load_measure,
     normalize_weights,
     sample_gmm,
@@ -229,41 +227,6 @@ class TestSampleGmm:
         assert np.all(np.abs(m.support) <= 1.0)
 
 
-class TestImageToMeasure:
-    def test_two_pixel_row(self):
-        m = image_to_measure([[1.0, 1.0]])
-        assert np.array_equal(m.support, [[0.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(m.weights, [0.5, 0.5])
-
-    def test_single_bright_pixel_is_dirac(self):
-        m = image_to_measure([[4.0, 0.0], [0.0, 0.0]])
-        assert m.n == 1
-        assert np.array_equal(m.support, [[0.0, 0.0]])
-        assert m.weights[0] == 1.0
-
-    def test_uniform_image(self):
-        m = image_to_measure(np.ones((2, 2)))
-        assert m.n == 4
-        assert np.allclose(m.weights, 0.25)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValidationError):
-            image_to_measure(np.zeros((3, 3)))
-
-    def test_negative_pixel_rejected(self):
-        with pytest.raises(ValidationError, match=r"\(1, 0\)"):
-            image_to_measure([[1.0, 0.0], [-2.0, 0.0]])
-
-    @pytest.mark.parametrize("grid, match", [
-        (np.ones((2, 2, 2)), "2-d"),
-        ([[1.0, np.nan]], "non-finite"),
-        ([[1.0, np.inf]], "non-finite"),
-    ])
-    def test_malformed_grid_rejected(self, grid, match):
-        with pytest.raises(ValidationError, match=match):
-            image_to_measure(grid)
-
-
 class TestFileFormats:
     def test_measure_roundtrip(self, tmp_path):
         m = DiscreteMeasure([[0.5, -1.25], [3.0, 4.0]], [0.3, 0.7])
@@ -284,42 +247,3 @@ class TestFileFormats:
         path.write_text(json.dumps({"points": [1, 2]}))
         with pytest.raises(ValidationError, match="support"):
             load_measure(path)
-
-    def test_csv_grid(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        path.write_text("0,1,2\n3,4,5\n")
-        grid = load_image_grid(path)
-        assert np.array_equal(grid, [[0, 1, 2], [3, 4, 5]])
-
-    def test_pgm_grid(self, tmp_path):
-        path = tmp_path / "grid.pgm"
-        path.write_text("P2\n# comment line\n3 2\n255\n0 1 2\n3 4 5\n")
-        grid = load_image_grid(path)
-        assert grid.shape == (2, 3)
-        assert np.array_equal(grid, [[0, 1, 2], [3, 4, 5]])
-
-    def test_pgm_pixel_count_mismatch(self, tmp_path):
-        path = tmp_path / "short.pgm"
-        path.write_text("P2\n3 2\n255\n0 1 2\n")
-        with pytest.raises(ValidationError, match="carries"):
-            load_image_grid(path)
-
-    @pytest.mark.parametrize("header, pixels", [("-1 -2", "1 2"), ("0 2", ""), ("2 -1", "1 2")])
-    def test_pgm_dimensions_below_one(self, tmp_path, header, pixels):
-        # (-1) * (-2) = 2 matches the pixel count, and reshape then raised a raw
-        # ValueError; a 0x2 header without pixels loaded as an empty grid
-        path = tmp_path / "dims.pgm"
-        path.write_text(f"P2\n{header}\n255\n{pixels}\n")
-        with pytest.raises(ValidationError, match="dims.pgm: PGM declares"):
-            load_image_grid(path)
-
-    @pytest.mark.parametrize("name, text, match", [
-        ("truncated.pgm", "P2\n3 2\n", "truncated PGM header"),
-        ("token.pgm", "P2\n2 1\n255\n1 x\n", "malformed PGM data"),
-        ("grid.csv", "0,1\n2,two\n", "could not parse CSV"),
-    ])
-    def test_unparsable_grid_names_path(self, tmp_path, name, text, match):
-        path = tmp_path / name
-        path.write_text(text)
-        with pytest.raises(ValidationError, match=f"{name}: {match}"):
-            load_image_grid(path)

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from bridgetree import (
     sinkhorn_solve,
     total_variation,
 )
+from bridgetree.config import DEFAULT_MAX_ITER, DEFAULT_TOL
+from bridgetree.sinkhorn import SweepState, rebuild_plan
 from conftest import random_measure
 from helpers import kl_divergence
 
@@ -53,6 +56,41 @@ def reference_sinkhorn(m1, m2, cost, eta, tol=1e-9, max_iter=100_000):
     plan = np.zeros((m1.n, m2.n))
     plan[np.ix_(keep1, keep2)] = np.exp(f[:, None] + log_k + g[None, :])
     return plan, iterations, converged
+
+
+def residuals_per_sweep(state, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """The residual after each sweep, advancing the state one sweep a call."""
+    history = []
+    while state.residual > tol and state.iterations < max_iter:
+        state.advance(1, tol)
+        history.append(state.residual)
+    return history
+
+
+def plain_pair():
+    rng = np.random.default_rng(0)
+    m1 = DiscreteMeasure(rng.uniform(-3, 3, (9, 2)), rng.uniform(0.5, 1.5, 9))
+    m2 = DiscreteMeasure(rng.uniform(-3, 3, (7, 2)), rng.uniform(0.5, 1.5, 7))
+    return m1, m2, 1.0
+
+
+def zero_weight_pair():
+    """Supports 30 apart: about 1000 sweeps and 3 absorptions at eta 0.05."""
+    rng = np.random.default_rng(1)
+    w1 = rng.uniform(0.5, 1.5, 9)
+    w1[4] = 0.0
+    m1 = DiscreteMeasure(rng.uniform(-3, 3, (9, 2)), w1)
+    m2 = DiscreteMeasure(rng.uniform(-3, 3, (7, 2)) + [30.0, 0.0], rng.uniform(0.5, 1.5, 7))
+    return m1, m2, 0.05
+
+
+def blob_pair():
+    """Two 200-point 2-d blobs whose centres are 30 apart: at eta 0.05 the
+    solve takes about 3500 sweeps and absorbs 3 times."""
+    rng = np.random.default_rng(0)
+    m1 = DiscreteMeasure(rng.uniform(-3, 3, (200, 2)), np.ones(200))
+    m2 = DiscreteMeasure(rng.uniform(-3, 3, (200, 2)) + [30.0, 0.0], np.ones(200))
+    return m1, m2, 0.05
 
 
 @functools.cache
@@ -221,8 +259,7 @@ class TestSinkhornSolve:
             m1 = random_measure(rng, 6, low=-3, high=3)
             m2 = random_measure(rng, 5, low=-3, high=3)
             cost = build_cost(m1, m2)
-            coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, 0.8), record_history=True)
-            h = np.array(coup.residual_history)
+            h = np.array(residuals_per_sweep(SweepState(m1, m2, gibbs_kernel(cost, 0.8))))
             assert np.all(h[1:] <= h[:-1] + 1e-12)
 
     def test_zero_weight_entries_pruned_and_restored(self):
@@ -313,13 +350,13 @@ class TestLogDomainParity:
         m1 = DiscreteMeasure(np.array([[-8.0], [9.0]]), [0.4, 0.6])
         m2 = DiscreteMeasure(np.array([[-7.5], [8.5]]), [0.7, 0.3])
         cost = build_cost(m1, m2)
+        log_k = gibbs_kernel(cost, 1.0)
         for max_iter in (1, 2, 5):
-            coup = sinkhorn_solve(
-                m1, m2, gibbs_kernel(cost, 1.0), max_iter=max_iter, record_history=True
-            )
+            coup = sinkhorn_solve(m1, m2, log_k, max_iter=max_iter)
             plan, iterations, converged = reference_sinkhorn(m1, m2, cost, 1.0, max_iter=max_iter)
             assert (coup.iterations, coup.converged) == (iterations, converged)
-            assert len(coup.residual_history) == iterations
+            history = residuals_per_sweep(SweepState(m1, m2, log_k), max_iter=max_iter)
+            assert len(history) == iterations and history[-1] == coup.residual
             assert np.abs(coup.plan - plan).max() <= 1e-12
 
     @pytest.mark.parametrize("eta", [0.01, 0.05])
@@ -339,6 +376,55 @@ class TestLogDomainParity:
             if coup.converged:
                 assert total_variation(coup.plan.sum(axis=1), m1.weights) <= 1e-9
                 assert total_variation(coup.plan.sum(axis=0), m2.weights) <= 1e-9
+
+
+class TestSweepState:
+    @pytest.mark.parametrize("pair", [plain_pair, zero_weight_pair, blob_pair])
+    def test_resumed_state_matches_straight_solve(self, pair):
+        m1, m2, eta = pair()
+        log_k = gibbs_kernel(build_cost(m1, m2), eta)
+        straight = sinkhorn_solve(m1, m2, log_k)
+        # one sweep a call is a resume at every sweep; it finds the absorptions
+        stepped = SweepState(m1, m2, log_k)
+        absorbed_at = []
+        while stepped.residual > DEFAULT_TOL:
+            absorptions = stepped.absorptions
+            stepped.advance(1, DEFAULT_TOL)
+            if stepped.absorptions > absorptions:
+                absorbed_at.append(stepped.iterations)
+        assert len(absorbed_at) == straight.absorptions == (0 if pair is plain_pair else 3)
+        resumed = [stepped]
+        for k in sorted({1, 2, straight.iterations // 2, *(j - 1 for j in absorbed_at[:1])}):
+            state = SweepState(m1, m2, log_k)
+            state.advance(k, DEFAULT_TOL)
+            assert state.iterations == k and state.residual > DEFAULT_TOL
+            state.log_duals()  # reading the duals leaves f and g as they are
+            state.advance(DEFAULT_MAX_ITER - k, DEFAULT_TOL)
+            resumed.append(state)
+        for state in resumed:
+            log_u1, log_u2 = state.log_duals()
+            _, plan = rebuild_plan(m1, m2, "sqeuclidean", eta, log_u1, log_u2)
+            assert (state.iterations, state.residual, state.absorptions) == (
+                straight.iterations, straight.residual, straight.absorptions)
+            assert np.array_equal(log_u1, straight.log_u1)
+            assert np.array_equal(log_u2, straight.log_u2)
+            assert np.array_equal(plan, straight.plan)
+
+    def test_absorbing_solve_holds_one_kernel_array(self):
+        # K~ is rebuilt over itself and the log-domain half sweeps use it as
+        # their temporary: beyond log K, the solve holds one n x n array (the
+        # plan at the end) and numpy's broadcast buffers.  An old K~ kept
+        # alive across a rebuild read 2.27 arrays here.
+        m1, m2, eta = blob_pair()
+        log_k = gibbs_kernel(build_cost(m1, m2), eta)
+        tracemalloc.start()
+        try:
+            coup = sinkhorn_solve(m1, m2, log_k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coup.converged and coup.absorptions == 3
+        assert peak <= 1.3 * log_k.nbytes
 
 
 class TestSbValue:
