@@ -335,16 +335,17 @@ def rank_trees(
 ) -> list[RankedTree]:
     """Cost every spanning tree, cheapest first.
 
-    cost_additive is the degree-free edge-weight sum minus the entropy sum.
-    cost_direct re-evaluates each tree without that shortcut, from the
-    pairwise plans and costs alone: the dense coupling
-    P = prod M_e / prod mu_v^(deg v - 1) is formed over every entry and
-    cost_direct = <P, C/eta + log P> (see _direct_costs, which evaluates
-    all trees at once, grouped by the last step of their walk).
+    cost_additive is the degree-free edge-weight sum minus the entropy sum,
+    the same value as tree_cost_additive.  cost_direct re-evaluates each
+    tree without that shortcut, from the pairwise plans and costs alone:
+    cost_direct = <P, C/eta + log P> for the tree coupling
+    P = prod M_e / prod mu_v^(deg v - 1) (see _direct_costs, which sums the
+    last leaf's axis first and never forms P).
     direct="auto" computes it when the tensor is within the tensor cap
     (TENSOR_CAP entries), "never" skips it, "always" refuses if it is not.  A
-    supplied ewm must hold a solve with (n_a,) and (n_b,) duals for every
-    pair a < b and an s x s g; each edge's plan and cost are rebuilt once.
+    supplied ewm must hold, for every pair a < b, a solve of measures a and
+    b at config's eta and cost with (n_a,) and (n_b,) duals, and an s x s
+    g; each edge's plan and cost are rebuilt once.
 
     Ties in cost keep lexicographic Prüfer order (the enumeration order,
     via stable sort).
@@ -363,36 +364,57 @@ def rank_trees(
     if ewm is None:
         ewm = build_weight_matrix(collection, config)
     else:
-        _check_edge_solves(ewm, collection.sizes)
+        _check_edge_solves(ewm, collection, config)
     entropies = np.array([entropy(m) for m in collection])
     trees = list(pending)
     if direct == "never":
         direct_costs = [None] * len(trees)
     else:
         direct_costs = _direct_costs(collection, ewm, config.eta, trees).tolist()
+    # one gather of g at the flat index of every tree's edges, tree by tree;
+    # each row must sum in edge order, as tree_cost_additive does, so that
+    # ties sort alike (a test compares every row bit for bit)
+    flat = np.fromiter(((a - 1) * s + b - 1 for tree in trees for a, b in tree.edges),
+                       dtype=np.intp, count=len(trees) * (s - 1))
+    additive = (np.asarray(ewm.g, dtype=float).ravel()[flat].reshape(-1, s - 1).sum(axis=1)
+                - entropies.sum()).tolist()
+    del flat  # dropped before the rows are built, which is where the call peaks
     rows = [
-        RankedTree(
-            prufer=code,
-            edges=tree.edges,
-            cost_additive=tree_cost_additive(tree, ewm.g, entropies),
-            cost_direct=cost,
-        )
-        for tree, code, cost in zip(trees, _prufer_codes(s), direct_costs)
+        RankedTree(prufer=code, edges=tree.edges, cost_additive=add, cost_direct=cost)
+        for tree, code, add, cost in zip(trees, _prufer_codes(s), additive, direct_costs)
     ]
     rows.sort(key=lambda r: r.cost_additive)
     return rows
 
 
-def _check_edge_solves(ewm: EdgeWeightMatrix, sizes: tuple[int, ...]) -> None:
-    """Refuse an ewm that does not belong to measures of these sizes."""
-    s = len(sizes)
-    for a in range(1, s + 1):
-        for b in range(a + 1, s + 1):
-            if (a, b) not in ewm.edges:
-                raise ValidationError(f"edge ({a}, {b}) has no pairwise solve")
-            es = ewm.edges[(a, b)]
-            check_shape(es.log_u1, (sizes[a - 1],), f"edge ({a}, {b}): log_u1")
-            check_shape(es.log_u2, (sizes[b - 1],), f"edge ({a}, {b}): log_u2")
+def _same_measure(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
+    return a is b or (np.array_equal(a.support, b.support)
+                      and np.array_equal(a.weights, b.weights))
+
+
+def _check_edge_solves(
+    ewm: EdgeWeightMatrix, collection: MeasureCollection, config: SolverConfig
+) -> None:
+    """Refuse an ewm that was not solved on these measures at config's eta
+    and cost; the first offending edge is named."""
+    s, sizes = collection.s, collection.sizes
+    pairs = [(a, b) for a in range(1, s + 1) for b in range(a + 1, s + 1)]
+    for a, b in pairs:
+        if (a, b) not in ewm.edges:
+            raise ValidationError(f"edge ({a}, {b}) has no pairwise solve")
+    for a, b in pairs:
+        es = ewm.edges[(a, b)]
+        check_shape(es.log_u1, (sizes[a - 1],), f"edge ({a}, {b}): log_u1")
+        check_shape(es.log_u2, (sizes[b - 1],), f"edge ({a}, {b}): log_u2")
+        if es.config.eta != config.eta:
+            raise ValidationError(
+                f"edge ({a}, {b}) was solved at eta={es.config.eta}, not at eta={config.eta}"
+            )
+        if not np.array_equal(es.config.cost, config.cost):  # a kind or a matrix
+            raise ValidationError(f"edge ({a}, {b}) was solved with another cost")
+        if not (_same_measure(es.m1, collection[a - 1])
+                and _same_measure(es.m2, collection[b - 1])):
+            raise ValidationError(f"edge ({a}, {b}) was solved on other measures than {a} and {b}")
     check_shape(ewm.g, (s, s), "weight matrix")
 
 
@@ -410,18 +432,17 @@ def _direct_costs(
     W = C/eta + log P = log mu_1 + sum over edges of (C_e/eta + log Q_pc).
     Q_pc and its term T_pc are precomputed once per edge and direction.
 
-    The last child c of a breadth-first walk is a leaf, so every step but
-    the last grows P' and W' over all axes but c, N / n_c entries.  The
-    trees are grouped by that last step (p, c); per group, Q_pc and T_pc
-    are expanded once into full-size buffers with c's axis outermost, so
-    that a tree forms P = P' * Q_pc as one contiguous (n_c, N / n_c)
-    product and returns
-    <P, W> = sum_c P[c, :] . W'  +  <P, T_pc>,
-    one matrix-vector product and one dot product; W itself is never
-    formed.  Three full-size buffers serve the whole call.  The walks are
-    recomputed rather than held.  Logs are taken where the argument is
-    positive and are 0 elsewhere: P vanishes there, so the entry
-    contributes 0 log 0 = 0.
+    The last child c of a breadth-first walk is a leaf, so its axis is
+    summed first.  Every step but the last grows P' and W' over all axes
+    but c, N / n_c entries, and with the sums over c's axis
+    qs_pc = sum_c Q_pc and qt_pc = sum_c Q_pc T_pc, taken from the plan and
+    not assumed to be 1, the distributive law gives
+    <P, W> = <P' W', qs_pc> + <P', qt_pc>;
+    neither P nor W is formed.  Each walk is computed once, and the trees
+    are visited in walk order, so trees that share a walk prefix are
+    adjacent and a stack of P', W' grows each shared prefix once.  Logs are
+    taken where the argument is positive and are 0 elsewhere: P vanishes
+    there, so the entry contributes 0 log 0 = 0.
     """
     s = collection.s
     shape = collection.sizes
@@ -432,40 +453,46 @@ def _direct_costs(
         return out
 
     weights = [m.weights for m in collection]
-    # steps[(p, c)]: Q_pc and C_e/eta + log Q_pc, both on the canonical
-    # (a, b) axes of the edge whichever end is the parent
-    steps = {}
+    # a walk is a string of one character per step p -> c, chr((p - 1) * s
+    # + c - 1), so walks sort as their step sequences.  grow[step]: Q_pc
+    # and T_pc on the canonical (a, b) axes of the edge whichever end is the
+    # parent.  leaf[step]: the (before p, p, after p) shape of an array over
+    # all axes but c, and qs_pc, qt_pc as (n_p, 1) columns
+    grow, leaf = {}, {}
     for (a, b), es in ewm.edges.items():
         pairwise, coupling = es.rebuild()  # one cost build and one plan per edge
         plan, cost = coupling.plan, pairwise.matrix
         rows_mu, cols_mu = weights[a - 1][:, None], weights[b - 1][None, :]
-        for parent, child, mu in ((a, b, rows_mu), (b, a, cols_mu)):
+        for parent, child, mu, child_axis in ((a, b, rows_mu, 1), (b, a, cols_mu, 0)):
             q = np.divide(plan, mu, out=np.zeros_like(plan), where=mu > 0)
             term = np.where(q > 0, cost / eta + masked_log(q), 0.0)
-            steps[(parent, child)] = (on_axes(q, s, a, b), on_axes(term, s, a, b))
-    root_plan = on_axes(weights[0], s, 1)
-    root_term = on_axes(masked_log(weights[0]), s, 1)
+            step = chr((parent - 1) * s + child - 1)
+            grow[step] = (on_axes(q, s, a, b), on_axes(term, s, a, b))
+            grown = list(shape)
+            grown[child - 1] = 1
+            split = (math.prod(grown[: parent - 1]), shape[parent - 1], math.prod(grown[parent:]))
+            leaf[step] = (split, q.sum(axis=child_axis)[:, None],
+                          (q * term).sum(axis=child_axis)[:, None])
 
-    groups: dict[Edge, list[int]] = {}
-    for i, tree in enumerate(trees):
-        groups.setdefault(rooted_walk(tree)[-1], []).append(i)
-    size = math.prod(shape)
-    plan_buf, q_buf, term_buf = np.empty(size), np.empty(size), np.empty(size)
+    walks = ["".join(chr((p - 1) * s + c - 1) for p, c in rooted_walk(tree)) for tree in trees]
     costs = np.empty(len(trees))
-    for last, members in groups.items():
-        child = last[1]
-        n_c = shape[child - 1]
-        # the full tensor with the child's axis moved outermost
-        moved = (n_c,) + shape[: child - 1] + shape[child:]
-        for buf, factor in zip((q_buf, term_buf), steps[last]):
-            np.copyto(buf.reshape(moved), np.moveaxis(np.broadcast_to(factor, shape), child - 1, 0))
-        q_mat, t_mat, p_mat = (buf.reshape(n_c, -1) for buf in (q_buf, term_buf, plan_buf))
-        for i in members:
-            plan, term = root_plan, root_term
-            for step in rooted_walk(trees[i])[:-1]:
-                q, t = steps[step]
-                plan = plan * q
-                term = term + t
-            np.multiply(q_mat, plan.reshape(1, -1), out=p_mat)
-            costs[i] = (p_mat @ term.reshape(-1)).sum() + np.vdot(p_mat, t_mat)
+    # stack[k]: P' and W' grown over the first k steps of the last walk
+    stack = [(on_axes(weights[0], s, 1), on_axes(masked_log(weights[0]), s, 1))]
+    last = ""
+    for i in sorted(range(len(walks)), key=walks.__getitem__):
+        walk = walks[i]
+        shared = 0
+        while shared < len(stack) - 1 and walk[shared] == last[shared]:
+            shared += 1
+        del stack[shared + 1:]
+        for step in walk[shared:-1]:
+            plan, term = stack[-1]
+            q, t = grow[step]
+            stack.append((plan * q, term + t))
+        plan, term = stack[-1]
+        split, q_sum, qt_sum = leaf[walk[-1]]
+        weighted = term.reshape(split) * q_sum
+        weighted += qt_sum
+        costs[i] = np.vdot(plan, weighted)
+        last = walk
     return costs

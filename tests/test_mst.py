@@ -29,8 +29,10 @@ from bridgetree import (
     prufer_encode,
     rank_trees,
     sinkhorn_solve,
+    tree_cost_additive,
 )
 from bridgetree import mst, sinkhorn
+from bridgetree.measures import MeasureCollection
 from bridgetree.mst import EdgeWeightMatrix
 from conftest import random_measure, random_measures
 from helpers import OVER_CAP, OVER_CAP_N, complete_graph, gaussian_g, gaussian_on_grid
@@ -532,6 +534,7 @@ class TestRankTrees:
         ([3, 4], 1.0),
         ([1, 3, 2, 4], 2.0),  # a length-1 axis, outermost in every layout
         ([2, 2, 3, 2, 2, 2], 1.0),  # s=6: all 21 possible last walk steps occur
+        ([12, 9, 10, 11], 2.0),  # N = 11880 entries against 16 trees
     ])
     @pytest.mark.parametrize("zero_weight", [False, True])
     def test_direct_matches_reference_evaluator(self, rng, sizes, eta, zero_weight):
@@ -569,6 +572,88 @@ class TestRankTrees:
         assert all(np.isnan(r.cost_additive) for r in blind_rows)
         assert ({r.prufer: r.cost_direct for r in blind_rows}
                 == {r.prufer: r.cost_direct for r in rows})
+
+    def test_direct_costs_do_not_depend_on_visiting_order(self, rng):
+        # each tree's prefix is grown along its own walk whatever the trees
+        # around it, so reversing or subsetting the input moves no bit
+        ms = random_measures(rng, [3, 2, 3, 2, 3])
+        w = ms[2].weights.copy()
+        w[0] = 0.0
+        ms[2] = DiscreteMeasure(ms[2].support, w)
+        ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
+        collection = MeasureCollection(ms)
+        trees = list(enumerate_trees(5))
+        costs = mst._direct_costs(collection, ewm, 1.0, trees)
+        reversed_costs = mst._direct_costs(collection, ewm, 1.0, trees[::-1])
+        assert np.array_equal(reversed_costs, costs[::-1])
+        subset = rng.permutation(len(trees))[:40]
+        subset_costs = mst._direct_costs(collection, ewm, 1.0, [trees[i] for i in subset])
+        assert np.array_equal(subset_costs, costs[subset])
+
+    def test_direct_costs_hold_no_full_size_buffer(self, rng):
+        # five 8-point measures: N = 32768 entries, and the largest array the
+        # evaluator grows covers N / 8.  It peaks at about 0.92 N doubles;
+        # one full-size buffer would add N more
+        ms = random_measures(rng, [8] * 5)
+        ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
+        collection = MeasureCollection(ms)
+        trees = list(enumerate_trees(5))
+        full = 8 ** 5 * 8  # bytes of one N-entry float array
+        tracemalloc.start()
+        try:
+            mst._direct_costs(collection, ewm, 1.0, trees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * full
+
+    def test_ewm_from_another_solve_is_refused(self, rng):
+        ms = random_measures(rng, [3, 3, 3])
+        cfg = SolverConfig(eta=5.0)
+        ewm = build_weight_matrix(ms, cfg)
+        with pytest.raises(ValidationError,
+                           match=r"edge \(1, 2\) was solved at eta=1.0, not at eta=5.0"):
+            rank_trees(ms, cfg, ewm=build_weight_matrix(ms, SolverConfig(eta=1.0)),
+                       direct="always")
+        matrix = build_cost(ms[0], ms[1]).matrix
+        by_matrix = build_weight_matrix(ms, SolverConfig(eta=5.0, cost=matrix))
+        for solved, asked in ((ewm, SolverConfig(eta=5.0, cost="euclidean")),
+                              (ewm, SolverConfig(eta=5.0, cost=matrix)),
+                              (by_matrix, SolverConfig(eta=5.0, cost=2.0 * matrix))):
+            with pytest.raises(ValidationError,
+                               match=r"edge \(1, 2\) was solved with another cost"):
+                rank_trees(ms, asked, ewm=solved, direct="never")
+        other = random_measure(rng, 3)
+        moved = DiscreteMeasure(ms[1].support + 1.0, ms[1].weights)
+        reweighted = DiscreteMeasure(ms[2].support, ms[2].weights[::-1])
+        for swapped, edge in (([other, ms[1], ms[2]], r"\(1, 2\)"),
+                              ([ms[0], moved, ms[2]], r"\(1, 2\)"),
+                              ([ms[0], ms[1], reweighted], r"\(1, 3\)")):
+            with pytest.raises(ValidationError,
+                               match=edge + " was solved on other measures"):
+                rank_trees(swapped, cfg, ewm=ewm, direct="never")
+        # equal values pass: fresh measures and fresh configs of the same eta
+        # and cost, a kind or an equal matrix
+        fresh = [DiscreteMeasure(m.support.copy(), m.weights.copy()) for m in ms]
+        assert len(rank_trees(fresh, SolverConfig(eta=5.0), ewm=ewm, direct="always")) == 3
+        rows = rank_trees(ms, SolverConfig(eta=5.0, cost=matrix.copy()), ewm=by_matrix)
+        assert len(rows) == 3
+
+    @pytest.mark.parametrize("s", [3, 5, 7])
+    def test_cost_additive_is_tree_cost_additive(self, rng, s):
+        # a g of mixed magnitudes: each row must carry tree_cost_additive's
+        # value bit for bit, so the stable sort sees the same ties
+        ms = random_measures(rng, [2] * s)
+        ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
+        g = rng.uniform(0, 10, (s, s)) * 10.0 ** rng.integers(-6, 7, (s, s))
+        g = g + g.T
+        rows = rank_trees(ms, SolverConfig(eta=1.0), direct="never",
+                          ewm=EdgeWeightMatrix(g=g, edges=ewm.edges))
+        entropies = [entropy(m) for m in ms]
+        assert len(rows) == s ** (s - 2)
+        for row in rows:
+            tree = SpanningTree(s, row.edges)
+            assert row.cost_additive == tree_cost_additive(tree, g, entropies)
 
     def test_mismatched_ewm_names_edge(self, rng):
         cfg = SolverConfig(eta=1.0)
