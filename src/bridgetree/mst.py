@@ -18,7 +18,9 @@ and the two algorithms always return the identical tree.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -46,10 +48,10 @@ from .trees import (
     SpanningTree,
     _prufer_codes,
     enumerate_trees,
-    on_axes,
-    rooted_walk,
     tree_cost_additive,
 )
+
+_BLOCK = 2048  # trees per sum-product pass: s <= 6 takes one, larger s several
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,8 +341,8 @@ def rank_trees(
     the same value as tree_cost_additive.  cost_direct re-evaluates each
     tree without that shortcut, from the pairwise plans and costs alone:
     cost_direct = <P, C/eta + log P> for the tree coupling
-    P = prod M_e / prod mu_v^(deg v - 1) (see _direct_costs, which sums the
-    last leaf's axis first and never forms P).
+    P = prod M_e / prod mu_v^(deg v - 1), summed by a leaves-first
+    recursion over each tree that never forms P (see _direct_costs).
     direct="auto" computes it when the tensor is within the tensor cap
     (TENSOR_CAP entries), "never" skips it, "always" refuses if it is not.  A
     supplied ewm must hold, for every pair a < b, a solve of measures a and
@@ -426,26 +428,30 @@ def _direct_costs(
 ) -> np.ndarray:
     """Dense direct cost <P, C/eta + log P> of each tree, in input order.
 
-    Rooted at vertex 1, where rooted_walk starts, a tree coupling factors as
-    P = mu_1 * prod over edges p -> c of Q_pc,  Q_pc = M_e / mu_p,
+    Rooted at vertex s, a tree coupling factors as
+    P = mu_s * prod over edges p -> c of Q_pc,  Q_pc = M_e / mu_p,
     the conditional of c given its parent p, and so
-    W = C/eta + log P = log mu_1 + sum over edges of (C_e/eta + log Q_pc).
-    Q_pc and its term T_pc are precomputed once per edge and direction.
+    W = C/eta + log P = log mu_s + sum over edges of T_pc,
+    T_pc = C_e/eta + log Q_pc.  Neither P nor W is formed: a sum-product
+    recursion runs from the leaves to the root.  Each vertex v carries,
+    over the entries of its subtree with i_v = i fixed,
+    Z_v(i) = sum prod Q and S_v(i) = sum prod Q * sum T; a leaf has Z = 1
+    and S = 0.  A child c sends its parent z = Q_pc Z_c and
+    x = (Q_pc * T_pc) Z_c + Q_pc S_c, which the parent folds in as
+    (Z_p, S_p) <- (Z_p z, S_p z + Z_p x), and
+    <P, W> = sum_i mu_s(i) (log mu_s(i) Z_s(i) + S_s(i)).
+    Z is taken from the plans, not assumed to be 1.
 
-    The last child c of a breadth-first walk is a leaf, so its axis is
-    summed first.  Every step but the last grows P' and W' over all axes
-    but c, N / n_c entries, and with the sums over c's axis
-    qs_pc = sum_c Q_pc and qt_pc = sum_c Q_pc T_pc, taken from the plan and
-    not assumed to be 1, the distributive law gives
-    <P, W> = <P' W', qs_pc> + <P', qt_pc>;
-    neither P nor W is formed.  Each walk is computed once, and the trees
-    are visited in walk order, so trees that share a walk prefix are
-    adjacent and a stack of P', W' grows each shared prefix once.  Logs are
-    taken where the argument is positive and are 0 elsewhere: P vanishes
-    there, so the entry contributes 0 log 0 = 0.
+    Q_pc and Q_pc * T_pc are formed once per edge and direction.  The
+    trees are peeled together (_peel), and each peel step makes one
+    contraction per directed edge over all trees whose step it is, so no
+    Python runs per tree and no array covers the N = prod n entries.  The
+    contractions use einsum, whose bits in a row do not depend on the other
+    rows, so each tree's cost does not depend on the trees around it.  Logs
+    are taken where the argument is positive and are 0 elsewhere: P
+    vanishes there, so the entry contributes 0 log 0 = 0.
     """
     s = collection.s
-    shape = collection.sizes
 
     def masked_log(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
@@ -453,46 +459,105 @@ def _direct_costs(
         return out
 
     weights = [m.weights for m in collection]
-    # a walk is a string of one character per step p -> c, chr((p - 1) * s
-    # + c - 1), so walks sort as their step sequences.  grow[step]: Q_pc
-    # and T_pc on the canonical (a, b) axes of the edge whichever end is the
-    # parent.  leaf[step]: the (before p, p, after p) shape of an array over
-    # all axes but c, and qs_pc, qt_pc as (n_p, 1) columns
-    grow, leaf = {}, {}
+    # messages[(c - 1) * s + p - 1]: the (2 n_p, 2 n_c) map [[Q, 0], [Q T, Q]]
+    # from a child's [Z_c, S_c] to its message [z, x]
+    messages = {}
     for (a, b), es in ewm.edges.items():
         pairwise, coupling = es.rebuild()  # one cost build and one plan per edge
         plan, cost = coupling.plan, pairwise.matrix
-        rows_mu, cols_mu = weights[a - 1][:, None], weights[b - 1][None, :]
-        for parent, child, mu, child_axis in ((a, b, rows_mu, 1), (b, a, cols_mu, 0)):
-            q = np.divide(plan, mu, out=np.zeros_like(plan), where=mu > 0)
-            term = np.where(q > 0, cost / eta + masked_log(q), 0.0)
-            step = chr((parent - 1) * s + child - 1)
-            grow[step] = (on_axes(q, s, a, b), on_axes(term, s, a, b))
-            grown = list(shape)
-            grown[child - 1] = 1
-            split = (math.prod(grown[: parent - 1]), shape[parent - 1], math.prod(grown[parent:]))
-            leaf[step] = (split, q.sum(axis=child_axis)[:, None],
-                          (q * term).sum(axis=child_axis)[:, None])
+        for parent, child, joint, c_e in ((a, b, plan, cost), (b, a, plan.T, cost.T)):
+            mu = weights[parent - 1][:, None]
+            q = np.divide(joint, mu, out=np.zeros_like(joint), where=mu > 0)
+            n_p, n_c = q.shape
+            message = np.zeros((2 * n_p, 2 * n_c))
+            message[:n_p, :n_c] = q
+            message[n_p:, :n_c] = np.where(q > 0, q * (c_e / eta + masked_log(q)), 0.0)
+            message[n_p:, n_c:] = q
+            messages[(child - 1) * s + parent - 1] = message
+    mu_s = weights[s - 1]
+    at_root = np.concatenate([mu_s * masked_log(mu_s), mu_s])
 
-    walks = ["".join(chr((p - 1) * s + c - 1) for p, c in rooted_walk(tree)) for tree in trees]
     costs = np.empty(len(trees))
-    # stack[k]: P' and W' grown over the first k steps of the last walk
-    stack = [(on_axes(weights[0], s, 1), on_axes(masked_log(weights[0]), s, 1))]
-    last = ""
-    for i in sorted(range(len(walks)), key=walks.__getitem__):
-        walk = walks[i]
-        shared = 0
-        while shared < len(stack) - 1 and walk[shared] == last[shared]:
-            shared += 1
-        del stack[shared + 1:]
-        for step in walk[shared:-1]:
-            plan, term = stack[-1]
-            q, t = grow[step]
-            stack.append((plan * q, term + t))
-        plan, term = stack[-1]
-        split, q_sum, qt_sum = leaf[walk[-1]]
-        weighted = term.reshape(split) * q_sum
-        weighted += qt_sum
-        costs[i] = np.vdot(plan, weighted)
-        last = walk
+    for start in range(0, len(trees), _BLOCK):
+        block = trees[start:start + _BLOCK]
+        root = _sum_product(*_peel(block, s), weights, messages)
+        costs[start:start + len(block)] = np.einsum("tj,j->t", root, at_root)
     return costs
+
+
+def _peel(trees: Sequence[SpanningTree], s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every tree's leaves-first order toward the root s, computed for all
+    trees at once from their canonical edges.
+
+    steps[k, t] is (c - 1) * s + p - 1 for the leaf c that tree t removes at
+    step k and its parent p, the leaf's one neighbour left; the smallest
+    leaf goes first; s <= ENUMERATION_CAP keeps the codes within int8.
+    inner[t, v - 1] is True where vertex v has a child in tree t, which
+    holds for the root and for every other vertex of degree above 1.
+    """
+    count = len(trees)
+    chain = itertools.chain.from_iterable
+    ends = np.fromiter(chain(chain(map(operator.attrgetter("edges"), trees))), dtype=np.int8,
+                       count=2 * (s - 1) * count).reshape(count, s - 1, 2) - 1
+    rows = np.arange(count)
+    # each vertex's degree and the sum of its neighbours, which is its parent
+    # once it is a leaf
+    degree = np.zeros((count, s), dtype=np.int8)
+    others = np.zeros((count, s), dtype=np.int8)
+    for a, b in ends.transpose(1, 2, 0):
+        degree[rows, a] += 1
+        degree[rows, b] += 1
+        others[rows, a] += b
+        others[rows, b] += a
+    inner = degree > 1
+    inner[:, -1] = True
+    degree[:, -1] = s  # the root is never a leaf to peel
+    steps = np.empty((s - 1, count), dtype=np.int8)
+    for step in steps:
+        leaf = np.argmax(degree == 1, axis=1)
+        parent = others[rows, leaf]
+        degree[rows, leaf] = 0
+        degree[rows, parent] -= 1
+        others[rows, parent] -= leaf
+        step[:] = leaf * s + parent
+    return steps, inner
+
+
+def _sum_product(
+    steps: np.ndarray,
+    inner: np.ndarray,
+    weights: Sequence[np.ndarray],
+    messages: Mapping[int, np.ndarray],
+) -> np.ndarray:
+    """The root's [Z_s, S_s] of each tree peeled as steps, a (trees, 2 n_s)
+    array: one einsum per directed edge and step, over the trees whose step
+    it is.
+
+    Vertex v keeps one (2, n_v) state [Z_v, S_v] per tree in which it has a
+    child, and row 0, the leaf's [1, 0], which every other tree reads and
+    none writes.
+    """
+    s = len(weights)
+    slots, states = [], []
+    for v, w in enumerate(weights):
+        rank = np.cumsum(inner[:, v], dtype=np.int32)
+        slots.append(np.where(inner[:, v], rank, 0))
+        state = np.zeros((int(rank[-1]) + 1, 2, len(w)))
+        state[:, 0] = 1.0
+        states.append(state)
+    for codes in steps:
+        order = np.argsort(codes)
+        counts = np.bincount(codes, minlength=s * s)
+        start = 0
+        for code in np.flatnonzero(counts).tolist():
+            group = order[start:start + counts[code]]
+            start += counts[code]
+            c, p = divmod(code, s)
+            below, above = slots[c][group], slots[p][group]
+            sent = np.einsum("ij,gj->gi", messages[code],
+                             states[c][below].reshape(len(group), -1))
+            held = states[p][above]
+            folded = held * sent[:, None, :len(weights[p])]
+            folded[:, 1] += held[:, 0] * sent[:, len(weights[p]):]
+            states[p][above] = folded
+    return states[-1][1:].reshape(steps.shape[1], -1)

@@ -532,9 +532,10 @@ class TestRankTrees:
         ([3, 4, 2, 5, 3], 5.0),
         ([5, 3, 4], 0.5),
         ([3, 4], 1.0),
-        ([1, 3, 2, 4], 2.0),  # a length-1 axis, outermost in every layout
-        ([2, 2, 3, 2, 2, 2], 1.0),  # s=6: all 21 possible last walk steps occur
+        ([1, 3, 2, 4], 2.0),  # a one-point measure
+        ([2, 2, 3, 2, 2, 2], 1.0),  # s=6: all 25 possible peel steps c -> p, c != s, occur
         ([12, 9, 10, 11], 2.0),  # N = 11880 entries against 16 trees
+        ([3, 2, 4, 2, 5], 1.0),  # the largest measure is the root, vertex s
     ])
     @pytest.mark.parametrize("zero_weight", [False, True])
     def test_direct_matches_reference_evaluator(self, rng, sizes, eta, zero_weight):
@@ -558,6 +559,21 @@ class TestRankTrees:
             expected = reference_direct_cost(tree, ewm, ms, eta)
             assert abs(row.cost_direct - expected) <= 1e-12
 
+    def test_direct_matches_reference_evaluator_on_a_sample_at_s7(self):
+        # 16807 trees, so the evaluator runs several blocks; a seeded sample
+        # from all of them is checked, with a zero-weight point on the root
+        rng = np.random.default_rng(7)
+        ms = random_measures(rng, [2, 3, 2, 3, 2, 3, 4])
+        w = ms[6].weights.copy()
+        w[2] = 0.0
+        ms[6] = DiscreteMeasure(ms[6].support, w)
+        ewm = build_weight_matrix(ms, SolverConfig(eta=2.0))
+        trees = list(enumerate_trees(7))
+        assert len(trees) > 4 * mst._BLOCK
+        costs = mst._direct_costs(MeasureCollection(ms), ewm, 2.0, trees)
+        for i in rng.choice(len(trees), size=40, replace=False):
+            assert abs(costs[i] - reference_direct_cost(trees[i], ewm, ms, 2.0)) <= 1e-12
+
     def test_direct_reads_plans_and_costs_only(self, rng):
         # g and sb replaced by NaN: cost_additive is lost, cost_direct is not
         ms = random_measures(rng, [2, 3, 2, 3])
@@ -574,7 +590,7 @@ class TestRankTrees:
                 == {r.prufer: r.cost_direct for r in rows})
 
     def test_direct_costs_do_not_depend_on_visiting_order(self, rng):
-        # each tree's prefix is grown along its own walk whatever the trees
+        # each tree's recursion follows its own peel whatever the trees
         # around it, so reversing or subsetting the input moves no bit
         ms = random_measures(rng, [3, 2, 3, 2, 3])
         w = ms[2].weights.copy()
@@ -591,9 +607,9 @@ class TestRankTrees:
         assert np.array_equal(subset_costs, costs[subset])
 
     def test_direct_costs_hold_no_full_size_buffer(self, rng):
-        # five 8-point measures: N = 32768 entries, and the largest array the
-        # evaluator grows covers N / 8.  It peaks at about 0.92 N doubles;
-        # one full-size buffer would add N more
+        # five 8-point measures: N = 32768 entries.  The evaluator holds
+        # O(n^2) per edge and O(n) per tree and peaks at about 0.54 N
+        # doubles; one full-size buffer would add N more
         ms = random_measures(rng, [8] * 5)
         ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
         collection = MeasureCollection(ms)
@@ -606,6 +622,24 @@ class TestRankTrees:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * full
+
+    def test_direct_costs_keep_one_block_of_state(self, rng):
+        # s=7: 16807 trees.  [Z_v, S_v] of every vertex and tree is 2 * sum(n)
+        # doubles a tree, 5.6 MB here; held for all trees at once, even with
+        # the shared leaf rows, the call peaks at about 5.3 MB, and a block
+        # of trees at a time keeps it near 1.1 MB
+        ms = random_measures(rng, [3] * 7)
+        ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
+        collection = MeasureCollection(ms)
+        trees = list(enumerate_trees(7))
+        all_trees = len(trees) * 2 * 21 * 8
+        tracemalloc.start()
+        try:
+            mst._direct_costs(collection, ewm, 1.0, trees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < all_trees / 2
 
     def test_ewm_from_another_solve_is_refused(self, rng):
         ms = random_measures(rng, [3, 3, 3])
