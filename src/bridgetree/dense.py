@@ -1,10 +1,10 @@
 """Dense multimarginal reference solver (exponential in s, for verification).
 
-Materializes the full s-way coupling tensor and runs the multimarginal
-Sinkhorn recursion with projections taken by direct summation over the
-tensor (in log space).  No message passing, no factorization: this path is
-deliberately independent of the pairwise machinery it is used to check,
-and it is gated by a hard entry cap because the cost is prod(n_sigma).
+Multimarginal Sinkhorn in scaling form (Benamou et al. 2015) on the full
+s-way coupling tensor, stabilized as in Schmitzer 2019: large scalings are
+absorbed into log M and underflowing marginals are taken in log space.  No
+message passing, no factorization: this path is deliberately independent of
+the pairwise machinery it checks; a hard cap bounds its prod(n_sigma) cost.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from .errors import ValidationError
 from .measures import DiscreteMeasure
 from .sinkhorn import total_variation
 from .trees import DisjointSet, Edge, on_axes
+
+# mm_sinkhorn's bounds: the pairwise solver's, restated as dense.py shares no code
+_LOG_SCALE_BOUND = np.log(1e50)
+_FLOOR = np.exp(-400.0)
+_MIN_MARGINAL = 1e-200
 
 
 @dataclass(frozen=True)
@@ -89,21 +94,31 @@ def msb_objective(tensor: np.ndarray, cost: np.ndarray, eta: float) -> float:
     return float(np.vdot(tensor, cost) + eta * np.vdot(tensor, log_m))
 
 
-def _log_marginal(log_m: np.ndarray, ax: int) -> np.ndarray:
+def _log_marginal(log_m: np.ndarray, ax: int, out: np.ndarray | None = None) -> np.ndarray:
     """log of the marginal of exp(log_m) on axis ax (0-based).
 
-    A log-sum-exp over the other axes, each slice shifted by its own max.
-    The slices are copied out as contiguous rows first, in one copy for any
-    axis: reducing a 5**6 tensor over five strided axes costs several times
-    the copy.  An all -inf slice gives -inf, as scipy.special.logsumexp does.
+    A log-sum-exp over the other axes, each slice shifted by its own max, for
+    mm_sinkhorn's log-domain fallback only.  The slices are first copied out
+    as contiguous rows, into out (log_m's size) if given: a reduction over
+    strided axes costs several times the copy.  An all -inf slice gives -inf.
     """
-    rows = np.array(np.moveaxis(log_m, ax, 0), order="C").reshape(log_m.shape[ax], -1)
+    moved = np.moveaxis(log_m, ax, 0)
+    buffer = np.empty(moved.shape) if out is None else out.reshape(moved.shape)
+    np.copyto(buffer, moved)
+    rows = buffer.reshape(log_m.shape[ax], -1)
     top = rows.max(axis=1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     rows -= top
     np.exp(rows, out=rows)
     with np.errstate(divide="ignore"):
         return np.log(rows.sum(axis=1)) + top[:, 0]
+
+
+def _marginal(view: np.ndarray) -> np.ndarray:
+    """Marginal on the middle axis of a (pre, n, post) view, as two products with ones."""
+    pre, n, post = view.shape
+    rows = view.reshape(pre * n, post) @ np.ones(post) if post > 1 else view.reshape(pre * n)
+    return np.ones(pre) @ rows.reshape(pre, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +141,13 @@ def mm_sinkhorn(
 ) -> MultimarginalResult:
     """Multimarginal Sinkhorn on the dense tensor, cyclic sweep order.
 
-    Maintains log M = log K + sum_sigma phi_sigma and rescales one marginal
-    at a time: phi_sigma += log mu_sigma - log proj_sigma(M).  Stops when
-    every marginal matches within TV tolerance `tol` after a full sweep.
-    Zero-weight support points are pruned up front and restored as zero
-    slices in the returned tensor.
+    The tensor M = exp(log_m) * prod u_sigma is rescaled one marginal at a
+    time: r = mu_sigma / proj_sigma(M), M *= r on axis sigma, log u_sigma += log r.
+    Past sum_sigma max |log u_sigma| = log 1e50 the log u are absorbed into
+    log_m and M = exp(log_m), entries below exp(-400) as zeros.  A marginal
+    under 1e-200 is not divided by: its axis takes the log-domain update
+    log_m += log mu_sigma - log proj_sigma(M) after an absorption.  Stops when all
+    marginals are within TV `tol` after a sweep; zero-weight points are pruned.
     """
     measures = list(measures)
     s = graph.s
@@ -149,31 +166,44 @@ def mm_sinkhorn(
     for m in mats.values():
         check_cost_scale(float(np.abs(m).max(initial=0.0)), eta)
     scaled = {e: -m / eta for e, m in mats.items()}
-    log_m = cost_tensor(graph, scaled, shape=full_shape)[np.ix_(*keeps)]
-    log_mus = [np.log(mu) for mu in mus]
-    iterations = 0
-    residual = np.inf
-    converged = False
-    log_marginals = [_log_marginal(log_m, 0)]
+    log_m = cost_tensor(graph, scaled, shape=full_shape)
+    for ax, keep in enumerate(keeps):
+        if not keep.all():  # gathered axis by axis: read as given when nothing is pruned
+            log_m = log_m.compress(keep, axis=ax)
+    shape = log_m.shape
+    tensor = np.empty(shape)  # exp(log_m) times the pending scalings exp(log_u)
+    views = [tensor.reshape(int(np.prod(shape[:ax])), n, -1) for ax, n in enumerate(shape)]
+    log_u = [np.zeros(n) for n in shape]
+    spread = [0.0] * s  # max |log_u[ax]|
+    marginals = [np.zeros(shape[0])]  # zero: the first update is a log-domain one
     for iterations in range(1, max_iter + 1):
         for ax in range(s):
             # the axis-0 marginal of the unchanged tensor is already known
-            log_marginal = log_marginals[0] if ax == 0 else _log_marginal(log_m, ax)
-            log_m += on_axes(log_mus[ax] - log_marginal, s, ax + 1)
+            marginal = marginals[0] if ax == 0 else _marginal(views[ax])
+            underflow = marginal.min() < _MIN_MARGINAL  # then no division
+            if not underflow:
+                ratio = mus[ax] / marginal
+                views[ax] *= ratio[:, None]
+                log_u[ax] += np.log(ratio)
+                spread[ax] = float(np.abs(log_u[ax]).max())
+            if underflow or sum(spread) > _LOG_SCALE_BOUND:
+                for pending in np.flatnonzero(spread):  # absorb
+                    log_m += on_axes(log_u[pending], s, pending + 1)
+                    log_u[pending][:] = spread[pending] = 0.0
+                if underflow:  # the log-domain update
+                    log_m += on_axes(np.log(mus[ax]) - _log_marginal(log_m, ax, tensor), s, ax + 1)
+                np.exp(log_m, out=tensor)
+                tensor[tensor < _FLOOR] = 0.0
         # fresh projections of the end-of-sweep tensor, all s marginals
-        log_marginals = [_log_marginal(log_m, ax) for ax in range(s)]
-        residual = 0.0
-        for ax in range(s):
-            residual = max(residual, total_variation(np.exp(log_marginals[ax]), mus[ax]))
+        marginals = [_marginal(view) for view in views]
+        residual = max(total_variation(m, mu) for m, mu in zip(marginals, mus))
         if residual <= tol:
-            converged = True
             break
 
-    tensor = np.zeros(full_shape)
-    tensor[np.ix_(*keeps)] = np.exp(log_m)
-    return MultimarginalResult(
-        tensor=tensor,
-        iterations=iterations,
-        residual=float(residual),
-        converged=converged,
-    )
+    log_m = None  # spent: released before zero slices are put back, axis by axis
+    for ax, keep in enumerate(keeps):
+        if not keep.all():
+            full = np.zeros(tensor.shape[:ax] + keep.shape + tensor.shape[ax + 1:])
+            full[(slice(None),) * ax + (keep,)] = tensor
+            tensor = full
+    return MultimarginalResult(tensor, iterations, float(residual), residual <= tol)

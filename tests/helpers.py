@@ -1,10 +1,12 @@
-"""Graph constructors, reductions and constants that only the tests call."""
+"""Graph constructors, reductions, constants and reference solvers that only the tests call."""
 
 import math
 
 import numpy as np
 
-from bridgetree import DiscreteMeasure, GraphStructure, ValidationError
+from bridgetree import DiscreteMeasure, GraphStructure, ValidationError, cost_tensor, total_variation
+from bridgetree.dense import MultimarginalResult, _log_marginal
+from bridgetree.trees import on_axes
 
 # three measures of OVER_CAP_N points make a dense tensor just past the tensor
 # cap (216^3 = 10077696 > 10^7 entries); OVER_CAP is its refusal
@@ -75,3 +77,31 @@ def gaussian_g(mean_a: float, sd_a: float, mean_b: float, sd_b: float, eta: floa
     c = (math.sqrt(4 * ab2 + var**2) - var) / 2
     transport = (mean_a - mean_b) ** 2 + sd_a**2 + sd_b**2 - 2 * c
     return transport / eta + 0.5 * math.log(ab2 / (ab2 - c**2))
+
+
+def mm_sinkhorn_log_domain(measures, graph, costs, eta, tol, max_iter=100_000):
+    """Reference for mm_sinkhorn: the same cyclic multimarginal Sinkhorn sweeps
+    and stopping rule, with every projection a log-sum-exp of the log tensor
+    and every update an addition to it, so no scaling, floor or absorption
+    is involved."""
+    s = graph.s
+    keeps = [m.weights > 0 for m in measures]
+    mus = [m.weights[k] for m, k in zip(measures, keeps)]
+    full_shape = tuple(m.n for m in measures)
+    scaled = {e: -np.asarray(c, dtype=float) / eta for e, c in costs.items()}
+    log_m = cost_tensor(graph, scaled, shape=full_shape)[np.ix_(*keeps)]
+    log_mus = [np.log(mu) for mu in mus]
+    iterations, residual, converged = 0, np.inf, False
+    log_marginals = [_log_marginal(log_m, 0)]
+    for iterations in range(1, max_iter + 1):
+        for ax in range(s):
+            log_marginal = log_marginals[0] if ax == 0 else _log_marginal(log_m, ax)
+            log_m += on_axes(log_mus[ax] - log_marginal, s, ax + 1)
+        log_marginals = [_log_marginal(log_m, ax) for ax in range(s)]
+        residual = max(total_variation(np.exp(lm), mu) for lm, mu in zip(log_marginals, mus))
+        if residual <= tol:
+            converged = True
+            break
+    tensor = np.zeros(full_shape)
+    tensor[np.ix_(*keeps)] = np.exp(log_m)
+    return MultimarginalResult(tensor, iterations, float(residual), converged)

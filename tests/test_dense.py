@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,11 +19,12 @@ from bridgetree import (
     sinkhorn_solve,
     total_variation,
 )
+from bridgetree import dense
 from bridgetree.config import check_tensor_cap
 from bridgetree.dense import _log_marginal
 from conftest import random_measures
 from helpers import OVER_CAP, OVER_CAP_N, complete_graph, kl_divergence, path_graph, project
-from helpers import star_graph
+from helpers import mm_sinkhorn_log_domain, star_graph
 
 
 def chain_cost_by_loops(c_list):
@@ -250,6 +252,78 @@ class TestMmSinkhorn:
         costs = {e: build_cost(ms[e[0] - 1], ms[e[1] - 1]).matrix for e in graph.edges}
         with pytest.raises(ValidationError, match=OVER_CAP):
             mm_sinkhorn(ms, graph, costs, eta=1.0)
+
+
+def edge_costs(measures, graph):
+    return {(a, b): build_cost(measures[a - 1], measures[b - 1]).matrix for a, b in graph.edges}
+
+
+class TestScalingForm:
+    """mm_sinkhorn's scaling form against the log-domain recursion it replaced
+    (tests/helpers.py): the same sweeps to rounding, so the same count."""
+
+    @staticmethod
+    def assert_matches_reference(measures, graph, eta):
+        costs = edge_costs(measures, graph)
+        mm = mm_sinkhorn(measures, graph, costs, eta, tol=1e-9)
+        ref = mm_sinkhorn_log_domain(measures, graph, costs, eta, tol=1e-9)
+        assert mm.converged and ref.converged
+        assert mm.iterations == ref.iterations
+        assert np.abs(mm.tensor - ref.tensor).max() <= 1e-12
+        return mm
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 5.0])
+    @pytest.mark.parametrize("s", [3, 4])
+    def test_matches_log_domain_reference(self, s, eta):
+        # at eta 0.5 and 1 these draws absorb 3 to 6 times; at eta 0.5 a
+        # marginal also underflows after an absorption
+        rng = np.random.default_rng(5)
+        measures = random_measures(rng, rng.integers(2, 5, size=s))
+        self.assert_matches_reference(measures, path_graph(s), eta)
+
+    def test_zero_weight_point_matches_reference(self):
+        rng = np.random.default_rng(3)
+        measures = random_measures(rng, [3, 4, 2, 3])
+        m = measures[1]
+        measures[1] = DiscreteMeasure(m.support, np.where(np.arange(m.n) == 2, 0.0, m.weights))
+        mm = self.assert_matches_reference(measures, star_graph(4), 1.0)
+        assert np.all(mm.tensor[:, 2] == 0.0)
+
+    def test_marginal_underflowing_before_the_first_sweep(self):
+        # the far point's slice of exp(-C/eta) is exactly 0 on axis 2, so its
+        # update must be taken in the log domain: no division by 0, no warning
+        measures = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5]),
+                    DiscreteMeasure([[0.0], [1.0], [40.0]], [0.4, 0.4, 0.2]),
+                    DiscreteMeasure([[0.0], [2.0]], [0.3, 0.7])]
+        graph = path_graph(3)
+        kernel = np.exp(-cost_tensor(graph, edge_costs(measures, graph), shape=(2, 3, 2)) / 0.5)
+        assert project(kernel, 2)[2] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_matches_reference(measures, graph, 0.5)
+
+    def test_absorbing_after_every_update_matches_reference(self, monkeypatch):
+        # a zero bound absorbs every scaling into log M as soon as it is taken
+        monkeypatch.setattr(dense, "_LOG_SCALE_BOUND", 0.0)
+        rng = np.random.default_rng(5)
+        self.assert_matches_reference(random_measures(rng, [3, 2, 4]), star_graph(3, 2), 1.0)
+
+    def test_unpruned_solve_peaks_under_three_tensors(self):
+        # six 5-point measures at eta 50, as perfbench's oracle_s6: the cost
+        # tensor is the working log tensor and the linear tensor is returned
+        # as is, so the solve holds about 2.6 tensors at its peak
+        rng = np.random.default_rng(1)
+        measures = random_measures(rng, [5] * 6)
+        graph = path_graph(6)
+        costs = edge_costs(measures, graph)
+        tracemalloc.start()
+        try:
+            mm = mm_sinkhorn(measures, graph, costs, 50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mm.converged
+        assert peak <= 3 * mm.tensor.nbytes, f"peak {peak / mm.tensor.nbytes:.2f} tensors"
 
 
 class TestLogMarginal:
