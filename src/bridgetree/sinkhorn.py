@@ -5,16 +5,18 @@ projection  min eta * D_KL(M || K)  with Gibbs kernel K = exp(-C / eta).
 The optimizer factors as M = K ⊙ (u1 ⊗ u2).  The classical alternating
 scalings run as stabilized scaling sweeps (Schmitzer 2019, Alg. 2) on a
 SweepState: log duals f, g are absorbed into a kernel K~ = exp(f ⊕ g - C/eta),
-and a sweep is two matrix-vector products, a = mu / (K~ b) and
-b = nu / (K~^T a).  When a scaling leaves [1e-50, 1e50], its log is absorbed
-into the duals; a half sweep whose product would underflow runs in the log
-domain instead, the first a update from f = g = 0 among them.  Each ends in
-the state's one rebuild of K~, written over the spent K~, whose buffer the
-log-domain half sweeps also use as their temporary, so a solve holds one
-n1 x n2 array beyond log K.  A state advanced, read and advanced again gives
-the bits of one straight solve.  The iterates are those of the log-domain
-(log-sum-exp) recursion, without the underflow that raw exp(-C/eta) suffers
-for small eta.  The caller builds gibbs_kernel's log K = -C/eta once per edge.
+and a sweep is a = mu / (K~ b), b = nu / (K~^T a), then one guard: every new
+scaling in [1e-50, 1e50].  With every weight at least 1e-149 a pass proves
+the sweep ordinary; otherwise half sweeps that check each product redo it.
+There a scaling outside [1e-50, 1e50] is absorbed into the duals, and a half
+sweep whose product would underflow runs in the log domain, the first a
+update from f = g = 0 among them.  Each ends in the state's one rebuild of
+K~, over the spent K~, whose buffer the log-domain half sweeps also use as
+their temporary, so a solve holds one n1 x n2 array beyond log K.  A state
+advanced, read and advanced again gives the bits of one straight solve.  The
+iterates are those of the log-domain (log-sum-exp) recursion, without the
+underflow that raw exp(-C/eta) suffers for small eta.  The caller builds
+gibbs_kernel's log K = -C/eta once per edge.
 
 The optimal value reported for an edge, which may be negative since K is
 unnormalized, is read off the returned log duals f, g:
@@ -38,9 +40,12 @@ from .measures import DiscreteMeasure
 # duals are stored as exact zeros, and a half sweep whose product has an
 # entry below _MIN_PRODUCT runs in the log domain.  These keep every
 # product, quotient and exponential of a sweep in the normal float range.
+# A weight >= _MIN_WEIGHT over a product < _MIN_PRODUCT is a scaling above
+# 10 * _SCALE_BOUND, so the guard refuses it with a factor 10 for rounding.
 _SCALE_BOUND = 1e50
 _LOG_FLOOR = -400.0
 _MIN_PRODUCT = 1e-200
+_MIN_WEIGHT = 1e-149
 _LOWEST = np.finfo(float).min
 
 
@@ -154,36 +159,36 @@ def _row_lse(x: np.ndarray) -> np.ndarray:
     return top + np.log(_exp(x).sum(axis=1))
 
 
-def _reset(kernel: np.ndarray, log_k: np.ndarray, f: np.ndarray, g: np.ndarray):
-    """Scalings a = b = 1, with K~ = exp(f ⊕ g + log K) rebuilt over the spent K~."""
+def _reset(kernel: np.ndarray, log_k: np.ndarray, f: np.ndarray, g: np.ndarray, ab: np.ndarray):
+    """Scalings ab = (a, b) = 1, with K~ = exp(f ⊕ g + log K) rebuilt over the spent K~."""
     _plan_from_duals(log_k, f, g, out=kernel)
-    return np.ones(f.size), np.ones(g.size)
+    ab.fill(1.0)
 
 
 class SweepState:
     """The loop variables of one solve, over the kept block of a pair.
 
-    u1 = exp(f) * a, u2 = exp(g) * b, and the plan is K~ * (a ⊗ b).  The
-    state starts at f = g = 0; residual, iterations and absorptions can be
-    read between calls to advance.
+    u1 = exp(f) * a, u2 = exp(g) * b with ab = (a, b), and the plan is
+    K~ * (a ⊗ b).  The state starts at f = g = 0; residual, iterations and
+    absorptions can be read between calls to advance.
     """
 
     def __init__(self, m1: DiscreteMeasure, m2: DiscreteMeasure, log_kernel: np.ndarray):
         self.keep1 = m1.weights > 0
         self.keep2 = m2.weights > 0
-        self.mu = m1.weights[self.keep1]
-        self.nu = m2.weights[self.keep2]
+        # a gather copies, so weights and kernel are read as given when nothing is pruned
+        self.mu = m1.weights if self.keep1.all() else m1.weights[self.keep1]
+        self.nu = m2.weights if self.keep2.all() else m2.weights[self.keep2]
         pruned = self.mu.size < m1.n or self.nu.size < m2.n
-        # a gather copies, so the kernel is read as given when nothing is pruned
         self.log_k = log_kernel[np.ix_(self.keep1, self.keep2)] if pruned else log_kernel
         self.f = np.zeros(self.mu.size)
         self.g = np.zeros(self.nu.size)
-        self.a = np.ones(self.mu.size)
-        self.b = np.ones(self.nu.size)
+        self.ab = np.ones(self.mu.size + self.nu.size)  # a, then b
         # kb = 0 sends the first row half down the log-domain branch, so every
         # kernel row keeps its largest entry however small eta is.
         self.kb = np.zeros(self.mu.size)
         self.kernel = np.empty(self.log_k.shape)
+        self.guarded = min(self.mu.min(), self.nu.min()) >= _MIN_WEIGHT
         self.residual = np.inf
         self.iterations = 0
         self.absorptions = 0
@@ -194,44 +199,62 @@ class SweepState:
         One sweep updates u1 then u2 (cyclic order).  After the column half
         the column marginal equals nu, so the residual is the row TV
         deviation a * (K~ b), and K~ b is the product the next row half needs.
+        A sweep runs unchecked into spare vectors; if every weight is at least
+        _MIN_WEIGHT (`guarded`), one guard, every new scaling in [1e-50, 1e50],
+        proves it ordinary.  Otherwise half sweeps that check each product, under
+        the caller's floating-point handling, redo it from the untouched state.
         """
         log_k, kernel, mu, nu = self.log_k, self.kernel, self.mu, self.nu
-        log_mu, log_nu = np.log(mu), np.log(nu)
-        f, g, a, b, kb = self.f, self.g, self.a, self.b, self.kb
+        f, g, kb, n1, guarded = self.f, self.g, self.kb, mu.size, self.guarded
+        # a, b view one buffer and a', b' a spare: one min and one max read both
+        cur, new = self.ab, np.empty(self.ab.size)
+        a, b, a2, b2 = cur[:n1], cur[n1:], new[:n1], new[n1:]
         residual, iterations, absorptions = self.residual, self.iterations, self.absorptions
         stop = iterations + sweeps
-        while residual > tol and iterations < stop:
-            if kb.min() < _MIN_PRODUCT:  # a row underflows: log-domain half sweep
-                g += np.log(b)
-                f = log_mu - _row_lse(np.add(log_k, g[None, :], out=kernel))
-                a, b = _reset(kernel, log_k, f, g)
-            else:
-                a = mu / kb
-            ktb = kernel.T @ a
-            if ktb.min() < _MIN_PRODUCT:  # a column underflows: log-domain half sweep
-                f += np.log(a)
-                g = log_nu - _row_lse(np.add(log_k, f[:, None], out=kernel).T)
-                a, b = _reset(kernel, log_k, f, g)
-            else:
-                b = nu / ktb
-            iterations += 1
-            if max(a.max(), b.max()) > _SCALE_BOUND or min(a.min(), b.min()) < 1 / _SCALE_BOUND:
-                f += np.log(a)
-                g += np.log(b)
-                a, b = _reset(kernel, log_k, f, g)
-                absorptions += 1
-            kb = kernel @ b
-            residual = total_variation(a * kb, mu)
+        caller = np.geterr()
+        with np.errstate(all="ignore"):  # the unchecked sweep divides by kb = 0 at first
+            while residual > tol and iterations < stop:
+                if guarded:
+                    np.divide(mu, kb, out=a2)
+                    np.divide(nu, np.matmul(kernel.T, a2, out=b2), out=b2)
+                if guarded and 1 / _SCALE_BOUND <= new.min() and new.max() <= _SCALE_BOUND:
+                    cur, new, a, b, a2, b2 = new, cur, a2, b2, a, b
+                else:
+                    with np.errstate(**caller):  # checked half sweeps: the caller's handling
+                        if kb.min() < _MIN_PRODUCT:  # a row underflows: log-domain half sweep
+                            g += np.log(b)
+                            np.negative(_row_lse(np.add(log_k, g[None, :], out=kernel)), out=f)
+                            f += np.log(mu)  # f = log mu - lse bit for bit, in its own buffer
+                            _reset(kernel, log_k, f, g, cur)
+                        else:
+                            np.divide(mu, kb, out=a)
+                        ktb = np.matmul(kernel.T, a, out=b)  # b is spent
+                        if ktb.min() < _MIN_PRODUCT:  # a column underflows: log-domain half sweep
+                            f += np.log(a)
+                            np.negative(_row_lse(np.add(log_k, f[:, None], out=kernel).T), out=g)
+                            g += np.log(nu)
+                            _reset(kernel, log_k, f, g, cur)
+                        else:
+                            np.divide(nu, ktb, out=b)
+                        if cur.max() > _SCALE_BOUND or cur.min() < 1 / _SCALE_BOUND:
+                            f += np.log(a)
+                            g += np.log(b)
+                            _reset(kernel, log_k, f, g, cur)
+                            absorptions += 1
+                iterations += 1
+                deviation = np.multiply(a, np.matmul(kernel, b, out=kb), out=a2)  # a2 is spent
+                deviation -= mu
+                residual = 0.5 * float(np.abs(deviation, out=deviation).sum())
 
-        self.f, self.g, self.a, self.b, self.kb = f, g, a, b, kb
+        self.ab = cur  # f, g and kb were updated in place
         self.residual, self.iterations, self.absorptions = residual, iterations, absorptions
 
     def log_duals(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-size log u1 = f + log a and log u2 = g + log b, -inf at pruned points."""
         log_u1 = np.full(self.keep1.size, -np.inf)
-        log_u1[self.keep1] = self.f + np.log(self.a)
+        log_u1[self.keep1] = self.f + np.log(self.ab[:self.f.size])
         log_u2 = np.full(self.keep2.size, -np.inf)
-        log_u2[self.keep2] = self.g + np.log(self.b)
+        log_u2[self.keep2] = self.g + np.log(self.ab[self.f.size:])
         return log_u1, log_u2
 
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from bridgetree import DiscreteMeasure, GraphStructure, ValidationError, cost_tensor, total_variation
 from bridgetree.dense import MultimarginalResult, _log_marginal
+from bridgetree.sinkhorn import _MIN_PRODUCT, _SCALE_BOUND, _plan_from_duals, _row_lse
 from bridgetree.trees import on_axes
 
 # three measures of OVER_CAP_N points make a dense tensor just past the tensor
@@ -105,3 +106,47 @@ def mm_sinkhorn_log_domain(measures, graph, costs, eta, tol, max_iter=100_000):
     tensor = np.zeros(full_shape)
     tensor[np.ix_(*keeps)] = np.exp(log_m)
     return MultimarginalResult(tensor, iterations, float(residual), converged)
+
+
+def _reset_reference(kernel, log_k, f, g):
+    _plan_from_duals(log_k, f, g, out=kernel)
+    return np.ones(f.size), np.ones(g.size)
+
+
+def sweep_reference(self, sweeps, tol):
+    """Reference for SweepState.advance, advancing the state `self`: the loop
+    before the guarded sweep, kept verbatim but for reading and writing the
+    scalings as the one vector ab.  Every half sweep checks its product for
+    underflow, every sweep checks both scalings for absorption and takes its
+    residual with total_variation, and no sweep is tried twice."""
+    log_k, kernel, mu, nu = self.log_k, self.kernel, self.mu, self.nu
+    log_mu, log_nu = np.log(mu), np.log(nu)
+    f, g, kb = self.f, self.g, self.kb
+    a, b = self.ab[:mu.size], self.ab[mu.size:]
+    residual, iterations, absorptions = self.residual, self.iterations, self.absorptions
+    stop = iterations + sweeps
+    while residual > tol and iterations < stop:
+        if kb.min() < _MIN_PRODUCT:  # a row underflows: log-domain half sweep
+            g += np.log(b)
+            f = log_mu - _row_lse(np.add(log_k, g[None, :], out=kernel))
+            a, b = _reset_reference(kernel, log_k, f, g)
+        else:
+            a = mu / kb
+        ktb = kernel.T @ a
+        if ktb.min() < _MIN_PRODUCT:  # a column underflows: log-domain half sweep
+            f += np.log(a)
+            g = log_nu - _row_lse(np.add(log_k, f[:, None], out=kernel).T)
+            a, b = _reset_reference(kernel, log_k, f, g)
+        else:
+            b = nu / ktb
+        iterations += 1
+        if max(a.max(), b.max()) > _SCALE_BOUND or min(a.min(), b.min()) < 1 / _SCALE_BOUND:
+            f += np.log(a)
+            g += np.log(b)
+            a, b = _reset_reference(kernel, log_k, f, g)
+            absorptions += 1
+        kb = kernel @ b
+        residual = total_variation(a * kb, mu)
+
+    self.f, self.g, self.ab, self.kb = f, g, np.concatenate((a, b)), kb
+    self.residual, self.iterations, self.absorptions = residual, iterations, absorptions

@@ -12,14 +12,15 @@ from bridgetree import (
     build_cost,
     entropy,
     gibbs_kernel,
+    sample_gmm,
     sb_value,
     sinkhorn_solve,
     total_variation,
 )
 from bridgetree.config import DEFAULT_MAX_ITER, DEFAULT_TOL
-from bridgetree.sinkhorn import SweepState, rebuild_plan
-from conftest import random_measure
-from helpers import kl_divergence
+from bridgetree.sinkhorn import SweepState, _row_lse, rebuild_plan
+from conftest import GMM_MIXTURES, random_measure
+from helpers import kl_divergence, sweep_reference
 
 UNIFORM2 = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
 SWAP_COST = PairwiseCost([[0.0, 1.0], [1.0, 0.0]])
@@ -91,6 +92,61 @@ def blob_pair():
     m1 = DiscreteMeasure(rng.uniform(-3, 3, (200, 2)), np.ones(200))
     m2 = DiscreteMeasure(rng.uniform(-3, 3, (200, 2)) + [30.0, 0.0], np.ones(200))
     return m1, m2, 0.05
+
+
+def tiny_edges():
+    """Six swarm-like edges of 4-12 points at eta 50: every sweep after the
+    first passes the guard."""
+    rng = np.random.default_rng(16)
+    return [(random_measure(rng, int(n1)), random_measure(rng, int(n2)), 50.0)
+            for n1, n2 in rng.integers(4, 13, (6, 2))]
+
+
+def gmm_edge():
+    """Two 200-point GMM samples at eta 20: 166 sweeps."""
+    rng = np.random.default_rng(20)
+    measures = [sample_gmm(mix, 200, (-10.0, 10.0), seed=rng) for mix in GMM_MIXTURES]
+    return [(measures[0], measures[4], 20.0)]
+
+
+def far_edges():
+    """The far-support edges of test_small_eta_far_supports_absorb."""
+    edges = []
+    for eta in (0.01, 0.05):
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            m1 = DiscreteMeasure(rng.uniform(-3, 3, (7, 2)), rng.uniform(0.5, 1.5, 7))
+            m2 = DiscreteMeasure(rng.uniform(-3, 3, (6, 2)) + [30.0, 0.0], rng.uniform(0.5, 1.5, 6))
+            edges.append((m1, m2, eta))
+    return edges
+
+
+def underflow_edges():
+    """test_tiny_weight_row_underflow's edges: the tiny row's K~ b underflows."""
+    rng = np.random.default_rng(3)
+    mu = DiscreteMeasure(rng.uniform(-3, 3, (3, 2)), [1.0, 1.0, 1e-250])
+    nu = DiscreteMeasure(rng.uniform(-3, 3, (4, 2)), rng.uniform(0.5, 1.5, 4))
+    return [(mu, nu, eta) for eta in (0.5, 1.0, 5.0)]
+
+
+def tiny_weight_edges():
+    """A kept weight of 1e-160, below _MIN_WEIGHT, so no sweep is guarded.  On
+    the far edge a guarded sweep would pass where a product underflowed."""
+    edges = []
+    for m1, m2, eta in (plain_pair(), far_edges()[2]):
+        weights = m1.weights.copy()
+        weights[1] = 1e-160
+        edges.append((DiscreteMeasure(m1.support, weights), m2, eta))
+    return edges
+
+
+def zero_weight_edges():
+    m1, m2, eta = zero_weight_pair()
+    rng = np.random.default_rng(4)
+    w = rng.uniform(0.5, 1.5, 8)
+    w[[0, 5]] = 0.0
+    small = DiscreteMeasure(rng.uniform(-3, 3, (8, 2)), w)
+    return [(m1, m2, eta), (small, random_measure(rng, 5), 50.0)]
 
 
 @functools.cache
@@ -409,6 +465,46 @@ class TestSweepState:
             assert np.array_equal(log_u1, straight.log_u1)
             assert np.array_equal(log_u2, straight.log_u2)
             assert np.array_equal(plan, straight.plan)
+
+    @pytest.mark.parametrize("stepped", [False, True], ids=["straight", "stepped"])
+    @pytest.mark.parametrize("edges", [tiny_edges, gmm_edge, far_edges, underflow_edges,
+                                       tiny_weight_edges, zero_weight_edges])
+    def test_guarded_sweep_matches_reference(self, edges, stepped):
+        # the guarded sweep reproduces the loop that checks every half sweep
+        # and every scaling, bit for bit, whether it runs straight or resumes
+        # after every sweep
+        cap = 20_000
+        for m1, m2, eta in edges():
+            log_k = gibbs_kernel(build_cost(m1, m2), eta)
+            state, reference = SweepState(m1, m2, log_k), SweepState(m1, m2, log_k)
+            while state.residual > DEFAULT_TOL and state.iterations < cap:
+                state.advance(1 if stepped else cap, DEFAULT_TOL)
+                sweep_reference(reference, 1 if stepped else cap, DEFAULT_TOL)
+            assert (state.iterations, state.absorptions, state.residual) == (
+                reference.iterations, reference.absorptions, reference.residual)
+            for log_u, reference_log_u in zip(state.log_duals(), reference.log_duals()):
+                assert np.array_equal(log_u, reference_log_u)
+
+    @pytest.mark.parametrize("pair", [plain_pair, zero_weight_pair, blob_pair])
+    def test_solve_raises_no_floating_point_error(self, pair):
+        # the first sweep's guarded try divides by kb = 0; its own errstate
+        # must keep that from reaching the caller's, here one that raises
+        m1, m2, eta = pair()
+        with np.errstate(all="raise"):
+            coup = sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
+        assert coup.converged
+
+    def test_checked_half_sweeps_keep_the_callers_error_handling(self, monkeypatch):
+        # only the unchecked sweep is silenced: a floating-point error in a
+        # checked half sweep (here the first, log-domain one) still raises
+        def row_lse(x):
+            np.divide(1.0, np.zeros(1))
+            return _row_lse(x)
+
+        monkeypatch.setattr("bridgetree.sinkhorn._row_lse", row_lse)
+        m1, m2, eta = plain_pair()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
 
     def test_absorbing_solve_holds_one_kernel_array(self):
         # K~ is rebuilt over itself and the log-domain half sweeps use it as
