@@ -29,6 +29,12 @@ def check_solver_params(eta=None, tol=None, max_iter=None) -> None:
         as_index(max_iter, "max_iter", 1)
 
 
+def check_cost_kind(kind: str) -> None:
+    """Refuse a cost kind that is not in COST_KINDS."""
+    if kind not in COST_KINDS:
+        raise ValidationError(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")
+
+
 def check_cost_scale(c_max: float, eta: float) -> None:
     """Refuse an eta at which C/eta overflows: by monotone rounding, exactly when
     c_max / eta does for the top cost c_max.  A non-finite c_max is left to
@@ -133,10 +139,10 @@ class SolverConfig:
 
     def __post_init__(self):
         check_solver_params(self.eta, self.tol, self.max_iter)
-        if not isinstance(self.cost, str):
+        if isinstance(self.cost, str):
+            check_cost_kind(self.cost)
+        else:
             object.__setattr__(self, "cost", check_cost_matrix(self.cost))
-        elif self.cost not in COST_KINDS:
-            raise ValidationError(f"unknown cost kind {self.cost!r}; expected one of {COST_KINDS}")
         as_index(self.threads, "threads", 1)
         if self.on_nonconverged not in ("error", "warn"):
             raise ValidationError(

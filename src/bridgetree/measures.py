@@ -130,10 +130,11 @@ class MeasureCollection:
 def entropy(measure) -> float:
     """Shannon entropy -sum w log w with the 0 log 0 = 0 convention.
 
-    Accepts a DiscreteMeasure or a bare probability vector.  The zero branch
-    is explicit so Dirac components never produce NaN.
+    Accepts a DiscreteMeasure or a bare vector, which normalize_weights
+    checks and scales to sum 1.  The zero branch is explicit so Dirac
+    components never produce NaN.
     """
-    w = measure.weights if isinstance(measure, DiscreteMeasure) else np.asarray(measure, float)
+    w = measure.weights if isinstance(measure, DiscreteMeasure) else normalize_weights(measure)
     nz = w[w > 0]
     return float(-(nz * np.log(nz)).sum())
 

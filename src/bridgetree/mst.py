@@ -18,9 +18,7 @@ and the two algorithms always return the identical tree.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -46,7 +44,8 @@ from .trees import (
     DisjointSet,
     Edge,
     SpanningTree,
-    _prufer_codes,
+    _codes,
+    _decode_codes,
     enumerate_trees,
     tree_cost_additive,
 )
@@ -357,7 +356,7 @@ def rank_trees(
     collection = MeasureCollection(measures)
     s = collection.s
     # enumerate_trees checks its cap at the call, so both caps refuse before
-    # any edge is solved; the codes it decodes come alongside
+    # any edge is solved
     pending = enumerate_trees(s)
     if direct == "always":
         check_tensor_cap(collection.sizes)
@@ -369,21 +368,21 @@ def rank_trees(
         _check_edge_solves(ewm, collection, config)
     entropies = np.array([entropy(m) for m in collection])
     trees = list(pending)
+    codes = _codes(s, 0, len(trees))
     if direct == "never":
         direct_costs = [None] * len(trees)
     else:
-        direct_costs = _direct_costs(collection, ewm, config.eta, trees).tolist()
-    # one gather of g at the flat index of every tree's edges, tree by tree;
-    # each row must sum in edge order, as tree_cost_additive does, so that
-    # ties sort alike (a test compares every row bit for bit)
-    flat = np.fromiter(((a - 1) * s + b - 1 for tree in trees for a, b in tree.edges),
-                       dtype=np.intp, count=len(trees) * (s - 1))
-    additive = (np.asarray(ewm.g, dtype=float).ravel()[flat].reshape(-1, s - 1).sum(axis=1)
+        direct_costs = _direct_costs(collection, ewm, config.eta, codes).tolist()
+    # one gather of g at every tree's sorted edge keys; each row must sum in
+    # canonical edge order, as tree_cost_additive does, so that ties sort
+    # alike (a test compares every row bit for bit)
+    keys = _decode_codes(codes, s)[2]
+    additive = (np.asarray(ewm.g, dtype=float).ravel()[keys].sum(axis=1)
                 - entropies.sum()).tolist()
-    del flat  # dropped before the rows are built, which is where the call peaks
+    del keys  # dropped before the rows are built, which is where the call peaks
     rows = [
-        RankedTree(prufer=code, edges=tree.edges, cost_additive=add, cost_direct=cost)
-        for tree, code, add, cost in zip(trees, _prufer_codes(s), additive, direct_costs)
+        RankedTree(prufer=tuple(code), edges=tree.edges, cost_additive=add, cost_direct=cost)
+        for tree, code, add, cost in zip(trees, codes.tolist(), additive, direct_costs)
     ]
     rows.sort(key=lambda r: r.cost_additive)
     return rows
@@ -424,9 +423,10 @@ def _direct_costs(
     collection: MeasureCollection,
     ewm: EdgeWeightMatrix,
     eta: float,
-    trees: Sequence[SpanningTree],
+    codes: np.ndarray,
 ) -> np.ndarray:
-    """Dense direct cost <P, C/eta + log P> of each tree, in input order.
+    """Dense direct cost <P, C/eta + log P> of the tree of each Prüfer code
+    (a row of codes), in input order.
 
     Rooted at vertex s, a tree coupling factors as
     P = mu_s * prod over edges p -> c of Q_pc,  Q_pc = M_e / mu_p,
@@ -443,7 +443,8 @@ def _direct_costs(
     Z is taken from the plans, not assumed to be 1.
 
     Q_pc and Q_pc * T_pc are formed once per edge and direction.  The
-    trees are peeled together (_peel), and each peel step makes one
+    codes are decoded into leaves-first peels toward the root s
+    (trees._decode_codes), and each peel step makes one
     contraction per directed edge over all trees whose step it is, so no
     Python runs per tree and no array covers the N = prod n entries.  The
     contractions use einsum, whose bits in a row do not depend on the other
@@ -477,50 +478,12 @@ def _direct_costs(
     mu_s = weights[s - 1]
     at_root = np.concatenate([mu_s * masked_log(mu_s), mu_s])
 
-    costs = np.empty(len(trees))
-    for start in range(0, len(trees), _BLOCK):
-        block = trees[start:start + _BLOCK]
-        root = _sum_product(*_peel(block, s), weights, messages)
-        costs[start:start + len(block)] = np.einsum("tj,j->t", root, at_root)
+    costs = np.empty(len(codes))
+    for start in range(0, len(codes), _BLOCK):
+        steps, inner, _ = _decode_codes(codes[start:start + _BLOCK], s)
+        root = _sum_product(steps, inner, weights, messages)
+        costs[start:start + len(root)] = np.einsum("tj,j->t", root, at_root)
     return costs
-
-
-def _peel(trees: Sequence[SpanningTree], s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every tree's leaves-first order toward the root s, computed for all
-    trees at once from their canonical edges.
-
-    steps[k, t] is (c - 1) * s + p - 1 for the leaf c that tree t removes at
-    step k and its parent p, the leaf's one neighbour left; the smallest
-    leaf goes first; s <= ENUMERATION_CAP keeps the codes within int8.
-    inner[t, v - 1] is True where vertex v has a child in tree t, which
-    holds for the root and for every other vertex of degree above 1.
-    """
-    count = len(trees)
-    chain = itertools.chain.from_iterable
-    ends = np.fromiter(chain(chain(map(operator.attrgetter("edges"), trees))), dtype=np.int8,
-                       count=2 * (s - 1) * count).reshape(count, s - 1, 2) - 1
-    rows = np.arange(count)
-    # each vertex's degree and the sum of its neighbours, which is its parent
-    # once it is a leaf
-    degree = np.zeros((count, s), dtype=np.int8)
-    others = np.zeros((count, s), dtype=np.int8)
-    for a, b in ends.transpose(1, 2, 0):
-        degree[rows, a] += 1
-        degree[rows, b] += 1
-        others[rows, a] += b
-        others[rows, b] += a
-    inner = degree > 1
-    inner[:, -1] = True
-    degree[:, -1] = s  # the root is never a leaf to peel
-    steps = np.empty((s - 1, count), dtype=np.int8)
-    for step in steps:
-        leaf = np.argmax(degree == 1, axis=1)
-        parent = others[rows, leaf]
-        degree[rows, leaf] = 0
-        degree[rows, parent] -= 1
-        others[rows, parent] -= leaf
-        step[:] = leaf * s + parent
-    return steps, inner
 
 
 def _sum_product(

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL
-from .config import check_cost_matrix, check_cost_scale, check_shape, check_solver_params
+from .config import DEFAULT_MAX_ITER, DEFAULT_TOL, check_cost_kind, check_cost_matrix
+from .config import check_cost_scale, check_shape, check_solver_params
 from .errors import ValidationError
 from .measures import DiscreteMeasure
 
@@ -68,8 +68,7 @@ def build_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean") -> 
     if not isinstance(cost, str):
         check_shape(cost, (m1.n, m2.n), "cost matrix")
         return PairwiseCost(cost)
-    if cost not in COST_KINDS:
-        raise ValidationError(f"unknown cost kind {cost!r}; expected one of {COST_KINDS}")
+    check_cost_kind(cost)
     if m1.dim != m2.dim:
         raise ValidationError(f"support dimensions differ: {m1.dim} vs {m2.dim}")
     diff = m1.support[:, None, :] - m2.support[None, :, :]

@@ -1,6 +1,11 @@
 """Spanning trees over measure vertices: Prüfer codes, enumeration, and the
 composition/cost rules that make tree-structured couplings tractable.
 
+Every Prüfer decode, of one code (prufer_decode) or of all codes
+(enumerate_trees, rank_trees), is one vectorised peel over a block of codes
+(_decode_codes): step k removes the smallest leaf and joins it to code entry
+k, so the same steps drive the direct evaluator's leaves-first recursion.
+
 A tree-structured optimal coupling factors over its edges:
 
     M_T[i_1..i_s] = prod_edges M_edge[i_a, i_b] / prod_v mu_v[i_v]^(deg v - 1)
@@ -13,7 +18,6 @@ g_edge = sb_edge + H(mu_a) + H(mu_b).
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -109,26 +113,42 @@ def prufer_decode(code: Sequence[int], s: int) -> SpanningTree:
     for c in code:
         if not 1 <= c <= s:
             raise ValidationError(f"code entry {c} out of range 1..{s}")
-    return SpanningTree(s, _decode(code, s))
+    keys = _decode_codes(np.array([code], dtype=np.intp), s)[2][0].tolist()
+    return SpanningTree._trusted(s, tuple((k // s + 1, k % s + 1) for k in keys))
 
 
-def _decode(code: Sequence[int], s: int) -> tuple[Edge, ...]:
-    """The canonical sorted edges of the tree of a valid Prüfer code."""
-    deg = [1] * (s + 1)
-    for c in code:
-        deg[c] += 1
-    leaves = [v for v in range(1, s + 1) if deg[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for c in code:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, c) if leaf < c else (c, leaf))
-        deg[c] -= 1
-        if deg[c] == 1:
-            heapq.heappush(leaves, c)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))  # ascending pops
-    edges.sort()
-    return tuple(edges)
+def _decode_codes(codes: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode a (T, s - 2) block of valid Prüfer codes, all rows at once.
+
+    Returns (steps, inner, keys), 0-based, in a signed dtype wide enough for
+    s * s:
+    - steps[k, t] = leaf * s + parent for the smallest leaf of tree t at step
+      k and its one neighbour, which is code entry k; the last step joins the
+      remaining leaf to vertex s, so the steps peel each tree leaves-first
+      toward the root s;
+    - inner[t, v - 1] is True where v occurs in code t, and for v = s;
+    - keys[t] are the canonical edge keys a * s + b, a < b, in ascending
+      order, which is the order of the sorted (a, b) edges.
+    """
+    dtype = np.min_scalar_type(-s * s)
+    count = len(codes)
+    rows = np.arange(count)
+    parents = codes.astype(dtype).T - 1
+    degree = np.ones((count, s), dtype)
+    for column in parents:
+        degree[rows, column] += 1
+    inner = degree > 1
+    inner[:, -1] = True
+    steps = np.empty((s - 1, count), dtype)
+    for step, parent in zip(steps, parents):
+        leaf = np.argmax(degree == 1, axis=1)
+        degree[rows, leaf] = 0
+        degree[rows, parent] -= 1
+        step[:] = leaf * s + parent
+    steps[-1] = np.argmax(degree[:, :-1] == 1, axis=1) * s + s - 1
+    leaf, parent = np.divmod(steps, s)
+    keys = np.sort(np.minimum(leaf, parent) * s + np.maximum(leaf, parent), axis=0)
+    return steps, inner, keys.T.copy()  # C order: each tree's keys contiguous
 
 
 def prufer_encode(tree: SpanningTree) -> tuple[int, ...]:
@@ -163,9 +183,11 @@ def parse_prufer(text: str) -> tuple[int, ...]:
         raise ValidationError(f"malformed Prüfer code {text!r}") from exc
 
 
-def _prufer_codes(s: int) -> Iterator[tuple[int, ...]]:
-    """The Prüfer codes of enumerate_trees(s), in the same order."""
-    return itertools.product(range(1, s + 1), repeat=s - 2)
+def _codes(s: int, start: int, stop: int) -> np.ndarray:
+    """Prüfer codes start..stop - 1 of the lexicographic order of all
+    s^(s-2), clipped to the last, one code per row."""
+    index = np.arange(start, min(stop, s ** (s - 2)))
+    return index[:, None] // s ** np.arange(s - 3, -1, -1) % s + 1
 
 
 def enumerate_trees(s: int) -> Iterator[SpanningTree]:
@@ -176,8 +198,13 @@ def enumerate_trees(s: int) -> Iterator[SpanningTree]:
             f"s={s} exceeds the enumeration cap of {ENUMERATION_CAP} "
             f"({ENUMERATION_CAP}^{ENUMERATION_CAP - 2} trees)"
         )
-    # the codes are valid by construction, so each tree skips the checks
-    return (SpanningTree._trusted(s, _decode(code, s)) for code in _prufer_codes(s))
+    # the codes are valid by construction, so each tree skips the checks; a
+    # few hundred are decoded at a time, and all trees share one tuple per edge
+    edges = [(k // s + 1, k % s + 1) for k in range(s * s)]
+    blocks = (_decode_codes(_codes(s, start, start + 256), s)[2].tolist()
+              for start in range(0, s ** (s - 2), 256))
+    return (SpanningTree._trusted(s, tuple(map(edges.__getitem__, keys)))
+            for block in blocks for keys in block)
 
 
 def on_axes(array: np.ndarray, s: int, *vertices: int) -> np.ndarray:

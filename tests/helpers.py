@@ -1,5 +1,7 @@
 """Graph constructors, reductions, constants and reference solvers that only the tests call."""
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +31,31 @@ def star_graph(s: int, center: int = 1) -> GraphStructure:
 
 def complete_graph(s: int) -> GraphStructure:
     return GraphStructure(s, [(a, b) for a in range(1, s + 1) for b in range(a + 1, s + 1)])
+
+
+def prufer_codes(s: int) -> np.ndarray:
+    """All s^(s-2) Prüfer codes in lexicographic order, one per row."""
+    return np.array(list(itertools.product(range(1, s + 1), repeat=s - 2)), dtype=int).reshape(
+        s ** (s - 2), s - 2)
+
+
+def reference_decode(code, s: int) -> tuple[tuple, list]:
+    """Prüfer decode with a heap of the current leaves: the canonical sorted
+    edges of the tree, and its steps as (leaf, parent) pairs in the order the
+    leaves are removed, the last joining the two vertices left."""
+    deg = [1] * (s + 1)
+    for c in code:
+        deg[c] += 1
+    leaves = [v for v in range(1, s + 1) if deg[v] == 1]
+    heapq.heapify(leaves)
+    steps = []
+    for c in code:
+        steps.append((heapq.heappop(leaves), c))
+        deg[c] -= 1
+        if deg[c] == 1:
+            heapq.heappush(leaves, c)
+    steps.append((heapq.heappop(leaves), heapq.heappop(leaves)))  # ascending pops
+    return tuple(sorted((min(e), max(e)) for e in steps)), steps
 
 
 def project(tensor: np.ndarray, sigma: int) -> np.ndarray:

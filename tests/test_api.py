@@ -151,6 +151,9 @@ class TestExports:
         assert list(inspect.signature(build_cost).parameters) == ["m1", "m2", "cost"]
         assert "enumeration_cap" not in inspect.signature(rank_trees).parameters
         assert list(inspect.signature(enumerate_trees).parameters) == ["s"]
+        for module, name in ((bridgetree.mst, "_peel"), (bridgetree.trees, "_decode"),
+                             (bridgetree.trees, "_prufer_codes")):
+            assert not hasattr(module, name), name
         commands = cli_commands(build_parser())
         assert "weights" not in commands
         assert "--enum-cap" not in commands["enumerate"]
@@ -339,6 +342,8 @@ def mismatched_ewm_ranking(_):
 BIG = DiscreteMeasure(np.arange(OVER_CAP_N, dtype=float)[:, None], np.ones(OVER_CAP_N))
 PATH = graph_from_edges(3, [(1, 2), (2, 3)])
 BIG_ZEROS = {edge: np.zeros((OVER_CAP_N, OVER_CAP_N)) for edge in PATH.edges}
+UNKNOWN_COST = "unknown cost kind 'cosine'; expected one of ('sqeuclidean', 'euclidean')"
+
 CONTRACT_CALLS = {
     # integer settings and sizes, and the vertex count
     "prufer_decode": (lambda _: prufer_decode((), 2.0),
@@ -372,6 +377,9 @@ CONTRACT_CALLS = {
                       OVER_CAP),
     "oracle-cap": (lambda tmp: refused_by_cli(tmp, ["oracle", "--eta", "1", "--tree", "2"],
                                               [BIG] * 3), OVER_CAP),
+    # one list of cost kinds, on the config and on a single edge's cost
+    "SolverConfig-cost": (lambda _: SolverConfig(eta=1.0, cost="cosine"), UNKNOWN_COST),
+    "build_cost-kind": (lambda _: build_cost(TWO, THREE, "cosine"), UNKNOWN_COST),
     # one edge's (n_a, n_b) matrix, and an s x s or dense tensor shape
     "build_cost": (lambda _: build_cost(TWO, THREE, np.zeros((3, 2))),
                    "cost matrix has shape (3, 2), expected (2, 3)"),
@@ -394,8 +402,8 @@ CONTRACT_CALLS = {
 @pytest.mark.parametrize("name", CONTRACT_CALLS)
 def test_each_input_contract_refuses_with_its_one_message(name, tmp_path):
     """Every public step refuses a non-integer size, a bad vertex count, a
-    dense tensor over the cap and a mis-shaped matrix with config.py's one
-    message for it."""
+    dense tensor over the cap, a mis-shaped matrix and an unknown cost kind
+    with config.py's one message for it."""
     call, message = CONTRACT_CALLS[name]
     with pytest.raises(ValidationError) as refusal:
         call(tmp_path)

@@ -64,6 +64,18 @@ class TestEntropy:
         h = entropy(w)
         assert -1e-12 <= h <= np.log(len(w)) + 1e-12
 
+    @pytest.mark.parametrize("vector,message", [
+        ([2.0, -1.0], "negative weight at index 1: -1.0"),
+        ([np.nan, 1.0], "non-finite weight at index 0"),
+        ([0.0, 0.0], "all-zero weight vector cannot be normalized"),
+    ])
+    def test_bare_vector_is_checked_as_weights(self, vector, message):
+        # a bare vector goes through normalize_weights, so no entry is dropped
+        with pytest.raises(ValidationError) as refusal:
+            entropy(vector)
+        assert str(refusal.value) == message
+        assert entropy([2.0, 2.0]) == pytest.approx(np.log(2), abs=1e-15)
+
     def test_extremes(self):
         n = 7
         assert entropy(np.full(n, 1.0 / n)) == pytest.approx(np.log(n), abs=1e-12)

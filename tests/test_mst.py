@@ -26,6 +26,7 @@ from bridgetree import (
     mst_boruvka,
     mst_prim_dense,
     optimal_msb,
+    prufer_decode,
     prufer_encode,
     rank_trees,
     sinkhorn_solve,
@@ -35,7 +36,8 @@ from bridgetree import mst, sinkhorn
 from bridgetree.measures import MeasureCollection
 from bridgetree.mst import EdgeWeightMatrix
 from conftest import random_measure, random_measures
-from helpers import OVER_CAP, OVER_CAP_N, complete_graph, gaussian_g, gaussian_on_grid
+from helpers import (OVER_CAP, OVER_CAP_N, complete_graph, gaussian_g, gaussian_on_grid,
+                     prufer_codes)
 
 
 def exhaustive_mst(weights):
@@ -568,11 +570,12 @@ class TestRankTrees:
         w[2] = 0.0
         ms[6] = DiscreteMeasure(ms[6].support, w)
         ewm = build_weight_matrix(ms, SolverConfig(eta=2.0))
-        trees = list(enumerate_trees(7))
-        assert len(trees) > 4 * mst._BLOCK
-        costs = mst._direct_costs(MeasureCollection(ms), ewm, 2.0, trees)
-        for i in rng.choice(len(trees), size=40, replace=False):
-            assert abs(costs[i] - reference_direct_cost(trees[i], ewm, ms, 2.0)) <= 1e-12
+        codes = prufer_codes(7)
+        assert len(codes) > 4 * mst._BLOCK
+        costs = mst._direct_costs(MeasureCollection(ms), ewm, 2.0, codes)
+        for i in rng.choice(len(codes), size=40, replace=False):
+            tree = prufer_decode(codes[i].tolist(), 7)
+            assert abs(costs[i] - reference_direct_cost(tree, ewm, ms, 2.0)) <= 1e-12
 
     def test_direct_reads_plans_and_costs_only(self, rng):
         # g and sb replaced by NaN: cost_additive is lost, cost_direct is not
@@ -598,12 +601,12 @@ class TestRankTrees:
         ms[2] = DiscreteMeasure(ms[2].support, w)
         ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
         collection = MeasureCollection(ms)
-        trees = list(enumerate_trees(5))
-        costs = mst._direct_costs(collection, ewm, 1.0, trees)
-        reversed_costs = mst._direct_costs(collection, ewm, 1.0, trees[::-1])
+        codes = prufer_codes(5)
+        costs = mst._direct_costs(collection, ewm, 1.0, codes)
+        reversed_costs = mst._direct_costs(collection, ewm, 1.0, codes[::-1])
         assert np.array_equal(reversed_costs, costs[::-1])
-        subset = rng.permutation(len(trees))[:40]
-        subset_costs = mst._direct_costs(collection, ewm, 1.0, [trees[i] for i in subset])
+        subset = rng.permutation(len(codes))[:40]
+        subset_costs = mst._direct_costs(collection, ewm, 1.0, codes[subset])
         assert np.array_equal(subset_costs, costs[subset])
 
     def test_direct_costs_hold_no_full_size_buffer(self, rng):
@@ -613,11 +616,11 @@ class TestRankTrees:
         ms = random_measures(rng, [8] * 5)
         ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
         collection = MeasureCollection(ms)
-        trees = list(enumerate_trees(5))
+        codes = prufer_codes(5)
         full = 8 ** 5 * 8  # bytes of one N-entry float array
         tracemalloc.start()
         try:
-            mst._direct_costs(collection, ewm, 1.0, trees)
+            mst._direct_costs(collection, ewm, 1.0, codes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -631,11 +634,11 @@ class TestRankTrees:
         ms = random_measures(rng, [3] * 7)
         ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
         collection = MeasureCollection(ms)
-        trees = list(enumerate_trees(7))
-        all_trees = len(trees) * 2 * 21 * 8
+        codes = prufer_codes(7)
+        all_trees = len(codes) * 2 * 21 * 8
         tracemalloc.start()
         try:
-            mst._direct_costs(collection, ewm, 1.0, trees)
+            mst._direct_costs(collection, ewm, 1.0, codes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

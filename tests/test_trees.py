@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bridgetree import (
     DiscreteMeasure,
+    SolverConfig,
     SpanningTree,
     ValidationError,
     build_cost,
@@ -21,15 +22,16 @@ from bridgetree import (
     parse_prufer,
     prufer_decode,
     prufer_encode,
+    rank_trees,
     sb_value,
     sinkhorn_solve,
     total_variation,
     tree_cost_additive,
     tree_cost_decomposed,
 )
-from bridgetree.trees import DisjointSet
+from bridgetree.trees import DisjointSet, _decode_codes
 from conftest import random_measures
-from helpers import OVER_CAP, OVER_CAP_N, project
+from helpers import OVER_CAP, OVER_CAP_N, project, prufer_codes, reference_decode
 
 
 def random_tree(rng, s):
@@ -156,6 +158,53 @@ class TestPruferCodes:
         assert parse_prufer("") == ()
         with pytest.raises(ValidationError):
             parse_prufer("3 x")
+
+
+class TestDecodeAgainstReference:
+    """prufer_decode, enumerate_trees and rank_trees all read the one
+    vectorised decode; each is checked on every code against a heap decode."""
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7])
+    def test_every_code(self, s):
+        codes = prufer_codes(s)
+        reference = [reference_decode(code, s) for code in codes.tolist()]
+        edges = [tree_edges for tree_edges, _ in reference]
+        enumerated = list(enumerate_trees(s))
+        decoded = [prufer_decode(code, s) for code in codes.tolist()]
+        assert [t.edges for t in enumerated] == edges
+        assert [t.edges for t in decoded] == edges
+        assert all(type(v) is int for t in enumerated + decoded for e in t.edges for v in e)
+        # step k peels the reference's k-th leaf, and its parent is code[k];
+        # the last joins the remaining leaf to the root s
+        steps, inner, keys = _decode_codes(codes, s)
+        leaf_parent = np.array([steps_k for _, steps_k in reference]).transpose(1, 0, 2) - 1
+        assert np.array_equal(steps, leaf_parent[..., 0] * s + leaf_parent[..., 1])
+        assert np.array_equal(steps[:-1] % s, codes.T - 1)
+        assert np.all(steps[-1] % s == s - 1)
+        occurs = (codes[:, :, None] == np.arange(1, s + 1)).any(axis=1)
+        assert np.array_equal(inner, occurs | (np.arange(1, s + 1) == s))
+        assert np.array_equal(keys, [[(a - 1) * s + b - 1 for a, b in e] for e in edges])
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 7])
+    def test_ranked_rows_carry_python_int_codes(self, s):
+        ms = [DiscreteMeasure([[float(v)]], [1.0]) for v in range(s)]
+        rows = rank_trees(ms, SolverConfig(eta=1.0))
+        assert sorted(r.prufer for r in rows) == [tuple(c) for c in prufer_codes(s).tolist()]
+        for row in rows:
+            assert type(row.prufer) is tuple and all(type(c) is int for c in row.prufer)
+            assert row.edges == reference_decode(row.prufer, s)[0]
+
+    @pytest.mark.parametrize("kind", ["star", "path", "random"])
+    def test_large_s_keeps_integer_width(self, kind):
+        # past the enumeration cap prufer_decode still decodes: a star centre
+        # of degree 299 and edge keys up to 300^2 overflow 8- and 16-bit tables
+        s = 300
+        rng = np.random.default_rng(300)
+        code = {"star": (s,) * (s - 2), "path": tuple(range(2, s)),
+                "random": tuple(rng.integers(1, s + 1, size=s - 2).tolist())}[kind]
+        tree = prufer_decode(code, s)
+        assert tree.edges == reference_decode(code, s)[0]
+        assert prufer_encode(tree) == code
 
 
 class TestEnumeration:
