@@ -37,7 +37,7 @@ from .measures import (
     sample_gmm,
     save_measure,
 )
-from .mst import optimal_msb, rank_trees, solve_edges
+from .mst import _POOL_MIN_ENTRIES, optimal_msb, rank_trees, solve_edges
 from .trees import (
     compose_tree_coupling,
     format_prufer,
@@ -74,7 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument(
         "--max-iter", type=int, default=DEFAULT_MAX_ITER, help="Sinkhorn sweep limit"
     )
-    solver.add_argument("--threads", type=int, default=1, help="parallel edge solves")
+    solver.add_argument(
+        "--threads", type=int, default=1,
+        help=f"the most parallel edge solves; an edge whose plan has fewer than "
+             f"{_POOL_MIN_ENTRIES} entries runs serially, as its short numpy calls "
+             f"would only trade the GIL between threads",
+    )
     solver.add_argument(
         "--allow-nonconverged",
         action="store_true",

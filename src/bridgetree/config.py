@@ -125,6 +125,11 @@ class SolverConfig:
     cost is a kind from COST_KINDS or one (n1, n2) cost matrix for every
     pair, held read-only as check_cost_matrix returns it.
 
+    threads is the most edge solves run at once.  Only edges whose block
+    n_a * n_b reaches mst._POOL_MIN_ENTRIES run on the thread pool; smaller
+    ones hold the GIL through their short numpy calls and run serially.
+    g is bit-identical at any thread count.
+
     on_nonconverged: "error" aborts when a pairwise Sinkhorn solve hits
     max_iter above tolerance; "warn" keeps the last iterate (a silently
     inaccurate weight can flip the argmin, so "error" is the default).

@@ -51,6 +51,10 @@ from .trees import (
 )
 
 _BLOCK = 2048  # trees per sum-product pass: s <= 6 takes one, larger s several
+# The smallest edge block n_a * n_b that solve_edges sends to the thread pool:
+# on 2 cores, 2 workers beat 1 on every measured draw from 300 x 300 up, and
+# lost on every draw up to 150 x 150 (ROADMAP item 8 has the table).
+_POOL_MIN_ENTRIES = 300 * 300
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,24 +140,33 @@ def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) 
 def solve_edges(
     collection: MeasureCollection, config: SolverConfig, edges: Sequence[Edge]
 ) -> dict[Edge, EdgeSolve]:
-    """One EdgeSolve per (a, b) edge, keyed by edge; an error names its edge.
+    """One EdgeSolve per (a, b) edge, keyed by edge in the order of edges;
+    an error names its edge.
 
-    Edge solves are independent, so with config.threads > 1 they run on a
-    thread pool; results are keyed by edge, making the output independent
-    of completion order.
+    Edge solves are independent.  With config.threads > 1, the edges whose
+    block n_a * n_b has at least _POOL_MIN_ENTRIES entries run on a pool of
+    up to config.threads threads; every smaller edge runs serially in the
+    calling thread.  A small block's numpy calls are too short to release
+    the GIL for long, so two threads would only hand it back and forth.
+    Each edge is solved alone either way, so g is bit-identical at any
+    thread count.
     """
 
-    def solve(edge: Edge) -> tuple[Edge, EdgeSolve]:
+    def solve(edge: Edge) -> EdgeSolve:
         a, b = edge
         try:
-            return edge, edge_weight(collection[a - 1], collection[b - 1], config)
+            return edge_weight(collection[a - 1], collection[b - 1], config)
         except (SolverError, ValidationError) as exc:
             raise type(exc)(f"edge ({a}, {b}): {exc}") from exc
 
-    if config.threads > 1 and len(edges) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return dict(pool.map(solve, edges))
-    return dict(solve(edge) for edge in edges)
+    pooled = {}
+    if config.threads > 1:
+        large = [(a, b) for a, b in edges
+                 if collection[a - 1].n * collection[b - 1].n >= _POOL_MIN_ENTRIES]
+        if len(large) > 1:
+            with ThreadPoolExecutor(max_workers=config.threads) as pool:
+                pooled = dict(zip(large, pool.map(solve, large)))
+    return {edge: pooled[edge] if edge in pooled else solve(edge) for edge in edges}
 
 
 def build_weight_matrix(measures, config: SolverConfig) -> EdgeWeightMatrix:

@@ -71,10 +71,18 @@ def build_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean") -> 
     check_cost_kind(cost)
     if m1.dim != m2.dim:
         raise ValidationError(f"support dimensions differ: {m1.dim} vs {m2.dim}")
-    diff = m1.support[:, None, :] - m2.support[None, :, :]
-    matrix = np.einsum("ijk,ijk->ij", diff, diff)
+    # sum over coordinates k, in order, of (x_k - y_k)^2, holding at most two
+    # n1 x n2 arrays.  At d <= 2 these are the bits of an einsum over the
+    # (n1, n2, d) difference; from d = 3 on einsum pairs terms by SIMD lane.
+    x, y = m1.support.T, m2.support.T  # one row per coordinate
+    matrix = np.subtract.outer(x[0], y[0]) if m1.dim else np.zeros((m1.n, m2.n))
+    matrix *= matrix
+    term = None
+    for xk, yk in zip(x[1:], y[1:]):
+        term = np.square(np.subtract.outer(xk, yk, out=term), out=term)
+        matrix += term
     if cost == "euclidean":
-        matrix = np.sqrt(matrix)
+        np.sqrt(matrix, out=matrix)
     matrix.flags.writeable = False  # built here: PairwiseCost keeps it without a copy
     return PairwiseCost(matrix)
 
@@ -202,21 +210,35 @@ class SweepState:
         _MIN_WEIGHT (`guarded`), one guard, every new scaling in [1e-50, 1e50],
         proves it ordinary.  Otherwise half sweeps that check each product, under
         the caller's floating-point handling, redo it from the untouched state.
+        The first sweep of a solve, whose kb = 0 would fail the guard, goes
+        straight to the checked half sweeps.
+
+        On small blocks an ordinary sweep costs numpy's per-call dispatch, so
+        it takes the cheapest call of the same bits.  Products are
+        np.dot(K~, v, out), the BLAS gemv that `@` calls, at less dispatch
+        cost.  Ufuncs take out positionally.  The guard reads the
+        min and max as x[x.argmin()] and x[x.argmax()], which skip the ufunc
+        reduction machinery, and the residual sums with np.add.reduce,
+        ndarray.sum's own pairwise sum, without the method's wrapper.
         """
         log_k, kernel, mu, nu = self.log_k, self.kernel, self.mu, self.nu
         f, g, kb, n1, guarded = self.f, self.g, self.kb, mu.size, self.guarded
+        # K~ is rebuilt in place, so its transposed view stays valid all along
+        kernel_t, dot, divide, total = kernel.T, np.dot, np.divide, np.add.reduce
         # a, b view one buffer and a', b' a spare: one min and one max read both
         cur, new = self.ab, np.empty(self.ab.size)
         a, b, a2, b2 = cur[:n1], cur[n1:], new[:n1], new[n1:]
         residual, iterations, absorptions = self.residual, self.iterations, self.absorptions
         stop = iterations + sweeps
         caller = np.geterr()
-        with np.errstate(all="ignore"):  # the unchecked sweep divides by kb = 0 at first
+        with np.errstate(all="ignore"):  # the unchecked sweep may divide by an underflowed kb
             while residual > tol and iterations < stop:
-                if guarded:
-                    np.divide(mu, kb, out=a2)
-                    np.divide(nu, np.matmul(kernel.T, a2, out=b2), out=b2)
-                if guarded and 1 / _SCALE_BOUND <= new.min() and new.max() <= _SCALE_BOUND:
+                unchecked = guarded and iterations > 0
+                if unchecked:
+                    divide(mu, kb, a2)
+                    divide(nu, dot(kernel_t, a2, b2), b2)
+                if (unchecked and 1 / _SCALE_BOUND <= new[new.argmin()]
+                        and new[new.argmax()] <= _SCALE_BOUND):
                     cur, new, a, b, a2, b2 = new, cur, a2, b2, a, b
                 else:
                     with np.errstate(**caller):  # checked half sweeps: the caller's handling
@@ -227,7 +249,7 @@ class SweepState:
                             _reset(kernel, log_k, f, g, cur)
                         else:
                             np.divide(mu, kb, out=a)
-                        ktb = np.matmul(kernel.T, a, out=b)  # b is spent
+                        ktb = dot(kernel_t, a, out=b)  # b is spent
                         if ktb.min() < _MIN_PRODUCT:  # a column underflows: log-domain half sweep
                             f += np.log(a)
                             np.negative(_row_lse(np.add(log_k, f[:, None], out=kernel).T), out=g)
@@ -241,9 +263,9 @@ class SweepState:
                             _reset(kernel, log_k, f, g, cur)
                             absorptions += 1
                 iterations += 1
-                deviation = np.multiply(a, np.matmul(kernel, b, out=kb), out=a2)  # a2 is spent
+                deviation = np.multiply(a, dot(kernel, b, kb), a2)  # a2 is spent
                 deviation -= mu
-                residual = 0.5 * float(np.abs(deviation, out=deviation).sum())
+                residual = 0.5 * float(total(np.absolute(deviation, deviation)))
 
         self.ab = cur  # f, g and kb were updated in place
         self.residual, self.iterations, self.absorptions = residual, iterations, absorptions

@@ -1,3 +1,5 @@
+import math
+import threading
 import time
 import tracemalloc
 import warnings
@@ -241,11 +243,56 @@ class TestBuildWeightMatrix:
         g_perm = build_weight_matrix([ms[i] for i in perm], cfg).g
         assert np.allclose(g_perm, g[np.ix_(perm, perm)], atol=1e-12)
 
-    def test_threads_match_serial(self, rng):
+    def test_threads_match_serial(self, rng, monkeypatch):
+        # at a gate of 0 every edge runs on the pool; at the real one none does
         ms = random_measures(rng, [3, 4, 3, 4])
         serial = build_weight_matrix(ms, SolverConfig(eta=1.0, threads=1))
-        threaded = build_weight_matrix(ms, SolverConfig(eta=1.0, threads=4))
-        assert np.array_equal(serial.g, threaded.g)
+        for pool_min in (0, mst._POOL_MIN_ENTRIES):
+            monkeypatch.setattr(mst, "_POOL_MIN_ENTRIES", pool_min)
+            threaded = build_weight_matrix(ms, SolverConfig(eta=1.0, threads=4))
+            assert np.array_equal(serial.g, threaded.g)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_mixed_blocks_split_between_pool_and_caller(self, rng, monkeypatch, threads):
+        # the three blocks between the large measures reach the gate and run on
+        # the pool; the seven that involve a small one run in the calling
+        # thread.  Neither the split nor the worker count shows in the result.
+        n = math.isqrt(mst._POOL_MIN_ENTRIES)
+        ms = random_measures(rng, [n, 4, n + 1, 5, n + 2])
+        serial = build_weight_matrix(ms, SolverConfig(eta=50.0))
+        on_caller = {}
+        solve = mst.edge_weight
+
+        def recording(m1, m2, config):
+            on_caller[m1.n, m2.n] = threading.current_thread() is threading.main_thread()
+            return solve(m1, m2, config)
+
+        monkeypatch.setattr(mst, "edge_weight", recording)
+        ewm = build_weight_matrix(ms, SolverConfig(eta=50.0, threads=threads))
+        assert list(ewm.edges) == list(serial.edges)
+        assert np.array_equal(ewm.g, serial.g)
+        for edge, es in ewm.edges.items():
+            assert np.array_equal(es.log_u1, serial.edges[edge].log_u1)
+            assert np.array_equal(es.log_u2, serial.edges[edge].log_u2)
+        pooled = {key for key, caller in on_caller.items() if not caller}
+        large = {key for key in on_caller if key[0] * key[1] >= mst._POOL_MIN_ENTRIES}
+        assert len(on_caller) == 10 and len(large) == 3
+        assert pooled == (large if threads > 1 else set())
+
+    @pytest.mark.parametrize("large", [0, 2])
+    def test_blocks_under_the_gate_start_no_pool(self, rng, monkeypatch, large):
+        # swarm-sized blocks are GIL-bound, and a lone block over the gate has
+        # no other to run beside: at threads=4 both are solved serially
+        n = math.isqrt(mst._POOL_MIN_ENTRIES)
+        ms = random_measures(rng, [n] * large + [4, 12, 8, 12, 5][large:])
+        serial = build_weight_matrix(ms, SolverConfig(eta=50.0))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was constructed")
+
+        monkeypatch.setattr(mst, "ThreadPoolExecutor", no_pool)
+        assert np.array_equal(build_weight_matrix(ms, SolverConfig(eta=50.0, threads=4)).g,
+                              serial.g)
 
     def test_one_log_kernel_per_edge(self, rng, monkeypatch):
         # edge_weight builds log K once and hands it to the solver, which

@@ -183,6 +183,29 @@ class TestBuildCost:
         assert np.allclose(build_cost(m0, m3, "euclidean").matrix, [[3.0]])
         assert np.allclose(build_cost(m0, m3, "sqeuclidean").matrix, [[9.0]])
 
+    @staticmethod
+    def seeded_pairs(dim):
+        """Measure pairs of 1 to 40 points in R^dim, 1-point measures among them."""
+        rng = np.random.default_rng(100 + dim)
+        sizes = [(1, 1), (1, 6), (7, 1), *rng.integers(1, 41, size=(30, 2))]
+        return [(random_measure(rng, n1, dim), random_measure(rng, n2, dim)) for n1, n2 in sizes]
+
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_low_dimensions_match_the_einsum_form_bit_for_bit(self, dim):
+        for m1, m2 in self.seeded_pairs(dim):
+            diff = m1.support[:, None, :] - m2.support[None, :, :]
+            squared = np.einsum("ijk,ijk->ij", diff, diff)
+            assert np.array_equal(build_cost(m1, m2).matrix, squared)
+            assert np.array_equal(build_cost(m1, m2, "euclidean").matrix, np.sqrt(squared))
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_higher_dimensions_within_four_eps_of_the_direct_sum(self, dim):
+        # from d = 3 on, summation orders may round apart; the bound is fixed
+        for m1, m2 in self.seeded_pairs(dim):
+            direct = ((m1.support[:, None, :] - m2.support[None, :, :]) ** 2).sum(-1)
+            gap = np.abs(build_cost(m1, m2).matrix - direct)
+            assert np.all(gap <= 4 * np.finfo(float).eps * direct)
+
     def test_dimension_mismatch(self):
         m1 = DiscreteMeasure([[0.0]], [1.0])
         m2 = DiscreteMeasure([[0.0, 0.0]], [1.0])
@@ -487,7 +510,7 @@ class TestSweepState:
 
     @pytest.mark.parametrize("pair", [plain_pair, zero_weight_pair, blob_pair])
     def test_solve_raises_no_floating_point_error(self, pair):
-        # the first sweep's guarded try divides by kb = 0; its own errstate
+        # an unchecked sweep may divide by an underflowed kb; its own errstate
         # must keep that from reaching the caller's, here one that raises
         m1, m2, eta = pair()
         with np.errstate(all="raise"):
