@@ -13,6 +13,7 @@ Failures print a JSON error object to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -345,6 +346,7 @@ _COMMANDS = {
     "enumerate": _cmd_enumerate,
     "oracle": _cmd_oracle,
 }
+_parser = functools.cache(build_parser)  # main's one parser: parsing leaves it as it was
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -353,7 +355,7 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ValidationError as exc:

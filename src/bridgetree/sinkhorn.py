@@ -9,13 +9,14 @@ and a sweep is a = mu / (K~ b), b = nu / (K~^T a), then one guard: every new
 scaling in [1e-50, 1e50].  With every weight at least 1e-149 a pass proves
 the sweep ordinary; otherwise half sweeps that check each product redo it.
 There a scaling outside [1e-50, 1e50] is absorbed into the duals, and a half
-sweep whose product would underflow runs in the log domain, the first a
-update from f = g = 0 among them.  Each ends in the state's one rebuild of
-K~, over the spent K~, whose buffer the log-domain half sweeps also use as
-their temporary, so a solve holds one n1 x n2 array beyond log K.  A state
-advanced, read and advanced again gives the bits of one straight solve.  The
-iterates are those of the log-domain (log-sum-exp) recursion, without the
-underflow that raw exp(-C/eta) suffers for small eta.  The caller builds
+sweep whose product would underflow runs in the log domain.  Each ends in
+the state's one rebuild of K~, over the spent K~, whose buffer the log-domain
+half sweeps also use as their temporary, so a solve holds one n1 x n2 array
+beyond log K.  The state starts at f = g = 0 and K~ = K, so the first sweep
+is like any other: ordinary unless a row of K underflows.  A state advanced,
+read and advanced again gives the bits of one straight solve.  The iterates
+are those of the log-domain (log-sum-exp) recursion, without the underflow
+that raw exp(-C/eta) suffers for small eta.  The caller builds
 gibbs_kernel's log K = -C/eta once per edge.
 
 The optimal value reported for an edge, which may be negative since K is
@@ -58,6 +59,13 @@ class PairwiseCost:
     def __post_init__(self):
         object.__setattr__(self, "matrix", check_cost_matrix(self.matrix))
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> PairwiseCost:
+        """A cost over a read-only C-ordered finite nonnegative matrix, unchecked."""
+        cost = object.__new__(cls)
+        object.__setattr__(cost, "matrix", matrix)
+        return cost
+
 
 def build_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean") -> PairwiseCost:
     """Ground cost between two supports.
@@ -83,8 +91,10 @@ def build_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean") -> 
         matrix += term
     if cost == "euclidean":
         np.sqrt(matrix, out=matrix)
-    matrix.flags.writeable = False  # built here: PairwiseCost keeps it without a copy
-    return PairwiseCost(matrix)
+    if not np.isfinite(matrix.max(initial=0.0)):  # squares of finite coordinates: >= 0
+        raise ValidationError("cost matrix contains non-finite entries")
+    matrix.flags.writeable = False
+    return PairwiseCost._trusted(matrix)
 
 
 def gibbs_kernel(cost: PairwiseCost, eta: float) -> np.ndarray:
@@ -96,7 +106,7 @@ def gibbs_kernel(cost: PairwiseCost, eta: float) -> np.ndarray:
     """
     check_solver_params(eta)
     check_cost_scale(float(cost.matrix.max(initial=0.0)), eta)
-    log_k = -cost.matrix / eta
+    log_k = np.divide(cost.matrix, -eta)  # one pass, the bits of -C/eta
     log_k.flags.writeable = False
     return log_k
 
@@ -176,8 +186,8 @@ class SweepState:
     """The loop variables of one solve, over the kept block of a pair.
 
     u1 = exp(f) * a, u2 = exp(g) * b with ab = (a, b), and the plan is
-    K~ * (a ⊗ b).  The state starts at f = g = 0; residual, iterations and
-    absorptions can be read between calls to advance.
+    K~ * (a ⊗ b).  The state starts at f = g = 0, ab = 1, K~ = K; residual,
+    iterations and absorptions can be read between calls to advance.
     """
 
     def __init__(self, m1: DiscreteMeasure, m2: DiscreteMeasure, log_kernel: np.ndarray):
@@ -186,15 +196,14 @@ class SweepState:
         # a gather copies, so weights and kernel are read as given when nothing is pruned
         self.mu = m1.weights if self.keep1.all() else m1.weights[self.keep1]
         self.nu = m2.weights if self.keep2.all() else m2.weights[self.keep2]
-        pruned = self.mu.size < m1.n or self.nu.size < m2.n
-        self.log_k = log_kernel[np.ix_(self.keep1, self.keep2)] if pruned else log_kernel
+        self.pruned = self.mu.size < m1.n or self.nu.size < m2.n
+        self.log_k = log_kernel[np.ix_(self.keep1, self.keep2)] if self.pruned else log_kernel
         self.f = np.zeros(self.mu.size)
         self.g = np.zeros(self.nu.size)
         self.ab = np.ones(self.mu.size + self.nu.size)  # a, then b
-        # kb = 0 sends the first row half down the log-domain branch, so every
-        # kernel row keeps its largest entry however small eta is.
-        self.kb = np.zeros(self.mu.size)
-        self.kernel = np.empty(self.log_k.shape)
+        # K~ = K, its entries below exp(_LOG_FLOOR) exact zeros, and kb = K~ b
+        self.kernel = _exp(self.log_k.copy())
+        self.kb = np.dot(self.kernel, self.ab[self.mu.size:])
         self.guarded = min(self.mu.min(), self.nu.min()) >= _MIN_WEIGHT
         self.residual = np.inf
         self.iterations = 0
@@ -210,8 +219,7 @@ class SweepState:
         _MIN_WEIGHT (`guarded`), one guard, every new scaling in [1e-50, 1e50],
         proves it ordinary.  Otherwise half sweeps that check each product, under
         the caller's floating-point handling, redo it from the untouched state.
-        The first sweep of a solve, whose kb = 0 would fail the guard, goes
-        straight to the checked half sweeps.
+        The first sweep of a solve is no different.
 
         On small blocks an ordinary sweep costs numpy's per-call dispatch, so
         it takes the cheapest call of the same bits.  Products are
@@ -233,11 +241,10 @@ class SweepState:
         caller = np.geterr()
         with np.errstate(all="ignore"):  # the unchecked sweep may divide by an underflowed kb
             while residual > tol and iterations < stop:
-                unchecked = guarded and iterations > 0
-                if unchecked:
+                if guarded:
                     divide(mu, kb, a2)
                     divide(nu, dot(kernel_t, a2, b2), b2)
-                if (unchecked and 1 / _SCALE_BOUND <= new[new.argmin()]
+                if (guarded and 1 / _SCALE_BOUND <= new[new.argmin()]
                         and new[new.argmax()] <= _SCALE_BOUND):
                     cur, new, a, b, a2, b2 = new, cur, a2, b2, a, b
                 else:
@@ -272,11 +279,12 @@ class SweepState:
 
     def log_duals(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-size log u1 = f + log a and log u2 = g + log b, -inf at pruned points."""
-        log_u1 = np.full(self.keep1.size, -np.inf)
-        log_u1[self.keep1] = self.f + np.log(self.ab[:self.f.size])
-        log_u2 = np.full(self.keep2.size, -np.inf)
-        log_u2[self.keep2] = self.g + np.log(self.ab[self.f.size:])
-        return log_u1, log_u2
+        duals = self.f + np.log(self.ab[:self.f.size]), self.g + np.log(self.ab[self.f.size:])
+        if not self.pruned:
+            return duals
+        full = np.full(self.keep1.size, -np.inf), np.full(self.keep2.size, -np.inf)
+        full[0][self.keep1], full[1][self.keep2] = duals
+        return full
 
 
 def sinkhorn_solve(

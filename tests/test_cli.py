@@ -20,6 +20,15 @@ from helpers import OVER_CAP, OVER_CAP_N
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def child_env():
+    """The environment for a child Python process that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def write_measures(tmp_path, measures, prefix="m"):
     paths = []
     for i, m in enumerate(measures, 1):
@@ -87,14 +96,10 @@ class TestGen:
         assert err["error"]["message"] == "--seed must be an integer >= 0, got -1"
 
     def test_python_dash_m_entry_point(self, tmp_path, spec_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "bridgetree", "gen", spec_path, "--n", "3",
              "--out-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert len(list((tmp_path / "out").glob("measure_*.json"))) == 5
@@ -300,6 +305,31 @@ class TestReproducibility:
         for name in ("weights.csv", "tree.json", "tree.dot", "prufer.txt"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
+    def test_second_call_in_a_process_matches_a_fresh_process(self, tmp_path, rng, capsys):
+        # main builds its parser once per process: no flag of a first call may
+        # reach a second call's arguments
+        paths = write_measures(tmp_path, random_measures(rng, [3, 2, 3]))
+        assert main(["enumerate", *paths, "--eta", "2.0", "--cost", "euclidean", "--tol", "1e-6",
+                     "--max-iter", "500", "--threads", "2", "--allow-nonconverged", "--top-k", "2",
+                     "--direct", "never", "--out-dir", str(tmp_path / "first")]) == 0
+        second = ["solve", *paths, "--eta", "1.0", "--out-dir"]
+        capsys.readouterr()
+        assert main(second + [str(tmp_path / "warm")]) == 0
+        warm_stdout = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "bridgetree", *second, str(tmp_path / "fresh")],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        # the last line names the output directory
+        assert warm_stdout.splitlines()[:-1] == proc.stdout.splitlines()[:-1]
+        for name in ("weights.csv", "tree.json", "tree.dot", "prufer.txt"):
+            assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        reports = [json.loads((tmp_path / d / "report.json").read_text()) for d in ("warm", "fresh")]
+        for report in reports:  # all but the wall-clock timings
+            del report["timings"]
+            for row in report["edges"]:
+                del row["seconds"]
+        assert reports[0] == reports[1]
+
     def test_enumerate_output_byte_identical_across_runs(self, tmp_path, rng):
         paths = write_measures(tmp_path, random_measures(rng, [2, 3, 2]))
         for d in ("e1", "e2"):
@@ -483,19 +513,32 @@ class TestOracle:
         assert report["mm_iterations"] == 500
 
 
+class TestBundledSpec:
+    def test_gmm_n25_tree_is_pinned(self, tmp_path):
+        # gen scripts/gmm_mixtures.json --n 25 --seed 42, then solve --eta 5.
+        # The tree is pinned and its cost is not, so a change that moves g in
+        # its last bits shows whether the tree moved.
+        measures = tmp_path / "measures"
+        assert main(["gen", str(ROOT / "scripts" / "gmm_mixtures.json"), "--n", "25",
+                     "--seed", "42", "--out-dir", str(measures)]) == 0
+        paths = sorted(str(p) for p in measures.glob("measure_*.json"))
+        out = tmp_path / "out"
+        assert main(["solve", *paths, "--eta", "5", "--out-dir", str(out)]) == 0
+        tree = json.loads((out / "tree.json").read_text())
+        assert tree["edges"] == [[1, 4], [1, 5], [2, 5], [3, 5]]
+        assert tree["prufer"] == [5, 5, 1]
+        assert (out / "prufer.txt").read_bytes() == b"5 5 1\n"
+
+
 class TestExperimentScript:
     def test_small_run_writes_measures_and_full_ranking(self, tmp_path):
         # eta 50: at eta 5 and seed 42 the bundled spec's measures stall at
         # max_iter for several small n (4, 5, 6, 8, 10, 12).
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "run_gmm_experiment.py"),
              "--eta", "50", "--n", "5", "--probe-n", "3", "--probe-sweeps", "5",
              "--out-dir", str(tmp_path)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert len(list(tmp_path.glob("measure_*.json"))) == 5

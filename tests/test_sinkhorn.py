@@ -17,7 +17,7 @@ from bridgetree import (
     sinkhorn_solve,
     total_variation,
 )
-from bridgetree.config import DEFAULT_MAX_ITER, DEFAULT_TOL
+from bridgetree.config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL, check_cost_matrix
 from bridgetree.sinkhorn import SweepState, _row_lse, rebuild_plan
 from conftest import GMM_MIXTURES, random_measure
 from helpers import kl_divergence, sweep_reference
@@ -205,6 +205,20 @@ class TestBuildCost:
             direct = ((m1.support[:, None, :] - m2.support[None, :, :]) ** 2).sum(-1)
             gap = np.abs(build_cost(m1, m2).matrix - direct)
             assert np.all(gap <= 4 * np.finfo(float).eps * direct)
+
+    @pytest.mark.parametrize("kind", COST_KINDS)
+    def test_overflowing_supports_refused(self, kind):
+        # the squared distance of points 2e200 apart overflows to inf
+        far = DiscreteMeasure([[1e200], [-1e200]], [0.5, 0.5])
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="non-finite"):
+            build_cost(far, far, kind)
+
+    @pytest.mark.parametrize("kind", COST_KINDS)
+    def test_built_matrix_is_what_check_cost_matrix_returns(self, kind, rng):
+        matrix = build_cost(random_measure(rng, 7), random_measure(rng, 5), kind).matrix
+        assert not matrix.flags.writeable and matrix.flags.c_contiguous
+        checked = check_cost_matrix(matrix)
+        assert checked.dtype == matrix.dtype and checked.tobytes() == matrix.tobytes()
 
     def test_dimension_mismatch(self):
         m1 = DiscreteMeasure([[0.0]], [1.0])
@@ -510,8 +524,9 @@ class TestSweepState:
 
     @pytest.mark.parametrize("pair", [plain_pair, zero_weight_pair, blob_pair])
     def test_solve_raises_no_floating_point_error(self, pair):
-        # an unchecked sweep may divide by an underflowed kb; its own errstate
-        # must keep that from reaching the caller's, here one that raises
+        # an unchecked sweep, the first one too, may divide by an underflowed
+        # kb; its own errstate must keep that from reaching the caller's, here
+        # one that raises
         m1, m2, eta = pair()
         with np.errstate(all="raise"):
             coup = sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
@@ -519,15 +534,32 @@ class TestSweepState:
 
     def test_checked_half_sweeps_keep_the_callers_error_handling(self, monkeypatch):
         # only the unchecked sweep is silenced: a floating-point error in a
-        # checked half sweep (here the first, log-domain one) still raises
+        # checked half sweep (here the first, log-domain one: the kernel of
+        # these supports 30 apart underflows) still raises
         def row_lse(x):
             np.divide(1.0, np.zeros(1))
             return _row_lse(x)
 
         monkeypatch.setattr("bridgetree.sinkhorn._row_lse", row_lse)
-        m1, m2, eta = plain_pair()
+        m1, m2, eta = zero_weight_pair()
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
+
+    def test_only_an_underflowing_kernel_reaches_the_log_domain(self, monkeypatch):
+        # the first sweep starts from K~ = K in scaling form, as every other
+        # sweep does; only a product that underflows takes a log-domain half sweep
+        class LogDomain(Exception):
+            pass
+
+        def row_lse(x):
+            raise LogDomain
+
+        monkeypatch.setattr("bridgetree.sinkhorn._row_lse", row_lse)
+        for m1, m2, eta in tiny_edges() + gmm_edge():
+            assert sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta)).converged
+        for m1, m2, eta in (zero_weight_pair(), blob_pair()):
+            with pytest.raises(LogDomain):
+                sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
 
     def test_absorbing_solve_holds_one_kernel_array(self):
         # K~ is rebuilt over itself and the log-domain half sweeps use it as
