@@ -44,13 +44,13 @@ from .trees import (
     DisjointSet,
     Edge,
     SpanningTree,
+    _BLOCK,
     _codes,
     _decode_codes,
     enumerate_trees,
     tree_cost_additive,
 )
 
-_BLOCK = 2048  # trees per sum-product pass: s <= 6 takes one, larger s several
 # The smallest edge block n_a * n_b that solve_edges sends to the thread pool:
 # on 2 cores, 2 workers beat 1 on every measured draw from 300 x 300 up, and
 # lost on every draw up to 150 x 150 (ROADMAP item 8 has the table).
@@ -369,8 +369,8 @@ def rank_trees(
     collection = MeasureCollection(measures)
     s = collection.s
     # enumerate_trees checks its cap at the call, so both caps refuse before
-    # any edge is solved
-    pending = enumerate_trees(s)
+    # any edge is solved; its trees stream into the rows below
+    trees = enumerate_trees(s)
     if direct == "always":
         check_tensor_cap(collection.sizes)
     elif direct == "auto" and math.prod(collection.sizes) > TENSOR_CAP:
@@ -380,10 +380,9 @@ def rank_trees(
     else:
         _check_edge_solves(ewm, collection, config)
     entropies = np.array([entropy(m) for m in collection])
-    trees = list(pending)
-    codes = _codes(s, 0, len(trees))
+    codes = _codes(s, 0, s ** (s - 2))
     if direct == "never":
-        direct_costs = [None] * len(trees)
+        direct_costs = [None] * len(codes)
     else:
         direct_costs = _direct_costs(collection, ewm, config.eta, codes).tolist()
     # one gather of g at every tree's sorted edge keys; each row must sum in

@@ -6,13 +6,13 @@ The optimizer factors as M = K ⊙ (u1 ⊗ u2).  The classical alternating
 scalings run as stabilized scaling sweeps (Schmitzer 2019, Alg. 2) on a
 SweepState: log duals f, g are absorbed into a kernel K~ = exp(f ⊕ g - C/eta),
 and a sweep is a = mu / (K~ b), b = nu / (K~^T a), then one guard: every new
-scaling in [1e-50, 1e50].  With every weight at least 1e-149 a pass proves
-the sweep ordinary; otherwise half sweeps that check each product redo it.
-There a scaling outside [1e-50, 1e50] is absorbed into the duals, and a half
-sweep whose product would underflow runs in the log domain.  Each ends in
-the state's one rebuild of K~, over the spent K~, whose buffer the log-domain
-half sweeps also use as their temporary, so a solve holds one n1 x n2 array
-beyond log K.  The state starts at f = g = 0 and K~ = K, so the first sweep
+scaling in [1e-50, top], top = min(1e50, smallest weight / 1e-199).  A pass
+proves the sweep ordinary; otherwise half sweeps that check each product
+redo it.  There a scaling outside [1e-50, 1e50] is absorbed into the duals,
+and a half sweep whose product would underflow runs in the log domain.  Each
+ends in the state's one rebuild of K~, over the spent K~, whose buffer the
+log-domain half sweeps also use as their temporary, so a solve holds one
+n1 x n2 array beyond log K.  The state starts at f = g = 0 and K~ = K, so the first sweep
 is like any other: ordinary unless a row of K underflows.  A state advanced,
 read and advanced again gives the bits of one straight solve.  The iterates
 are those of the log-domain (log-sum-exp) recursion, without the underflow
@@ -41,12 +41,9 @@ from .measures import DiscreteMeasure
 # duals are stored as exact zeros, and a half sweep whose product has an
 # entry below _MIN_PRODUCT runs in the log domain.  These keep every
 # product, quotient and exponential of a sweep in the normal float range.
-# A weight >= _MIN_WEIGHT over a product < _MIN_PRODUCT is a scaling above
-# 10 * _SCALE_BOUND, so the guard refuses it with a factor 10 for rounding.
 _SCALE_BOUND = 1e50
 _LOG_FLOOR = -400.0
 _MIN_PRODUCT = 1e-200
-_MIN_WEIGHT = 1e-149
 _LOWEST = np.finfo(float).min
 
 
@@ -83,12 +80,13 @@ def build_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean") -> 
     # n1 x n2 arrays.  At d <= 2 these are the bits of an einsum over the
     # (n1, n2, d) difference; from d = 3 on einsum pairs terms by SIMD lane.
     x, y = m1.support.T, m2.support.T  # one row per coordinate
-    matrix = np.subtract.outer(x[0], y[0]) if m1.dim else np.zeros((m1.n, m2.n))
-    matrix *= matrix
-    term = None
-    for xk, yk in zip(x[1:], y[1:]):
-        term = np.square(np.subtract.outer(xk, yk, out=term), out=term)
-        matrix += term
+    with np.errstate(over="ignore"):  # an overflow is an inf entry, refused below
+        matrix = np.subtract.outer(x[0], y[0]) if m1.dim else np.zeros((m1.n, m2.n))
+        matrix *= matrix
+        term = None
+        for xk, yk in zip(x[1:], y[1:]):
+            term = np.square(np.subtract.outer(xk, yk, out=term), out=term)
+            matrix += term
     if cost == "euclidean":
         np.sqrt(matrix, out=matrix)
     if not np.isfinite(matrix.max(initial=0.0)):  # squares of finite coordinates: >= 0
@@ -204,7 +202,9 @@ class SweepState:
         # K~ = K, its entries below exp(_LOG_FLOOR) exact zeros, and kb = K~ b
         self.kernel = _exp(self.log_k.copy())
         self.kb = np.dot(self.kernel, self.ab[self.mu.size:])
-        self.guarded = min(self.mu.min(), self.nu.min()) >= _MIN_WEIGHT
+        # a weight over a product < _MIN_PRODUCT is a scaling > 10 * top, so a sweep in
+        # [1/_SCALE_BOUND, top] had no underflow (10 for rounding) and no absorption due
+        self.top = min(_SCALE_BOUND, min(self.mu.min(), self.nu.min()) / (10 * _MIN_PRODUCT))
         self.residual = np.inf
         self.iterations = 0
         self.absorptions = 0
@@ -215,11 +215,12 @@ class SweepState:
         One sweep updates u1 then u2 (cyclic order).  After the column half
         the column marginal equals nu, so the residual is the row TV
         deviation a * (K~ b), and K~ b is the product the next row half needs.
-        A sweep runs unchecked into spare vectors; if every weight is at least
-        _MIN_WEIGHT (`guarded`), one guard, every new scaling in [1e-50, 1e50],
-        proves it ordinary.  Otherwise half sweeps that check each product, under
-        the caller's floating-point handling, redo it from the untouched state.
-        The first sweep of a solve is no different.
+        A sweep runs unchecked into spare vectors, and one guard, every new
+        scaling in [1e-50, top], proves it ordinary: top is 1e50 when every
+        weight is at least 1e-149, and lower under smaller weights.  Otherwise
+        half sweeps that check each product, under the caller's floating-point
+        handling, redo it from the untouched state.  The first sweep of a solve
+        is no different.
 
         On small blocks an ordinary sweep costs numpy's per-call dispatch, so
         it takes the cheapest call of the same bits.  Products are
@@ -230,7 +231,7 @@ class SweepState:
         ndarray.sum's own pairwise sum, without the method's wrapper.
         """
         log_k, kernel, mu, nu = self.log_k, self.kernel, self.mu, self.nu
-        f, g, kb, n1, guarded = self.f, self.g, self.kb, mu.size, self.guarded
+        f, g, kb, n1, top = self.f, self.g, self.kb, mu.size, self.top
         # K~ is rebuilt in place, so its transposed view stays valid all along
         kernel_t, dot, divide, total = kernel.T, np.dot, np.divide, np.add.reduce
         # a, b view one buffer and a', b' a spare: one min and one max read both
@@ -241,11 +242,9 @@ class SweepState:
         caller = np.geterr()
         with np.errstate(all="ignore"):  # the unchecked sweep may divide by an underflowed kb
             while residual > tol and iterations < stop:
-                if guarded:
-                    divide(mu, kb, a2)
-                    divide(nu, dot(kernel_t, a2, b2), b2)
-                if (guarded and 1 / _SCALE_BOUND <= new[new.argmin()]
-                        and new[new.argmax()] <= _SCALE_BOUND):
+                divide(mu, kb, a2)
+                divide(nu, dot(kernel_t, a2, b2), b2)
+                if 1 / _SCALE_BOUND <= new[new.argmin()] and new[new.argmax()] <= top:
                     cur, new, a, b, a2, b2 = new, cur, a2, b2, a, b
                 else:
                     with np.errstate(**caller):  # checked half sweeps: the caller's handling

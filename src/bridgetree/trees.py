@@ -10,8 +10,9 @@ A tree-structured optimal coupling factors over its edges:
 
     M_T[i_1..i_s] = prod_edges M_edge[i_a, i_b] / prod_v mu_v[i_v]^(deg v - 1)
 
-and its KL value decomposes as  sum_edges sb_edge + sum_v (deg v - 1) H(mu_v),
-equivalently  sum_edges g_edge - sum_v H(mu_v)  with the degree-free weights
+which compose_tree_coupling forms as written, with no root.  Its KL value
+decomposes as  sum_edges sb_edge + sum_v (deg v - 1) H(mu_v),  equivalently
+sum_edges g_edge - sum_v H(mu_v)  with the degree-free weights
 g_edge = sb_edge + H(mu_a) + H(mu_b).
 """
 
@@ -33,6 +34,7 @@ Edge = tuple[int, int]
 
 ENUMERATION_CAP = 8  # 8^6 = 262144 trees
 MARGINAL_TOL = 1e-6  # TV slack a pairwise plan may have on its marginals
+_BLOCK = 2048  # codes per block decode: s <= 6 takes one block, larger s several
 
 
 class DisjointSet:
@@ -199,10 +201,10 @@ def enumerate_trees(s: int) -> Iterator[SpanningTree]:
             f"({ENUMERATION_CAP}^{ENUMERATION_CAP - 2} trees)"
         )
     # the codes are valid by construction, so each tree skips the checks; a
-    # few hundred are decoded at a time, and all trees share one tuple per edge
+    # _BLOCK of codes is decoded at a time, and all trees share one tuple per edge
     edges = [(k // s + 1, k % s + 1) for k in range(s * s)]
-    blocks = (_decode_codes(_codes(s, start, start + 256), s)[2].tolist()
-              for start in range(0, s ** (s - 2), 256))
+    blocks = (_decode_codes(_codes(s, start, start + _BLOCK), s)[2].tolist()
+              for start in range(0, s ** (s - 2), _BLOCK))
     return (SpanningTree._trusted(s, tuple(map(edges.__getitem__, keys)))
             for block in blocks for keys in block)
 
@@ -216,24 +218,6 @@ def on_axes(array: np.ndarray, s: int, *vertices: int) -> np.ndarray:
     return array.reshape(view)
 
 
-def rooted_walk(tree: SpanningTree) -> list[Edge]:
-    """The tree's edges as (parent, child) pairs in breadth-first order from
-    vertex 1; neighbors are visited in canonical edge order."""
-    neighbors: dict[int, list[int]] = {v: [] for v in range(1, tree.s + 1)}
-    for a, b in tree.edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    walk = []
-    frontier, seen = [1], {1}
-    for parent in frontier:  # frontier grows while it is walked
-        for child in neighbors[parent]:
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-                walk.append((parent, child))
-    return walk
-
-
 def compose_tree_coupling(
     tree: SpanningTree,
     plans: Mapping[Edge, np.ndarray],
@@ -243,9 +227,10 @@ def compose_tree_coupling(
 
     Each plan must be keyed by a canonical (a, b) edge with shape
     (n_a, n_b), a < b, and must reproduce the endpoint marginals within
-    MARGINAL_TOL (TV).  Along rooted_walk(tree) the coupling is the first
-    edge's plan times, for each further edge p -> c, the conditional
-    plan / mu_p, taken as 0 where mu_p vanishes: entries whose marginal
+    MARGINAL_TOL (TV).  The edges enter in canonical order, each plan
+    divided by mu_v on the axis of every endpoint v that an earlier edge
+    touched, taken as 0 where mu_v vanishes: so each weight is divided out
+    deg(v) - 1 times, as the closed form says.  Entries whose marginal
     weight vanishes are zero by feasibility, so no 0/0 is formed.
     """
     measures = list(measures)
@@ -254,8 +239,8 @@ def compose_tree_coupling(
     shape = check_tensor_cap([m.n for m in measures])
 
     out = np.ones(shape)
-    for step, (parent, child) in enumerate(rooted_walk(tree)):
-        a, b = min(parent, child), max(parent, child)
+    touched = set()  # the vertices of earlier edges
+    for a, b in tree.edges:
         if (a, b) not in plans:
             raise ValidationError(f"missing pairwise plan for tree edge ({a}, {b})")
         plan = np.asarray(plans[(a, b)], dtype=float)
@@ -267,9 +252,11 @@ def compose_tree_coupling(
                 f"plan for edge ({a}, {b}) violates its marginals "
                 f"(TV {gap:.3e} > {MARGINAL_TOL:.1e})"
             )
-        if step:  # every edge after the first enters as plan / mu_parent
-            mu = on_axes(measures[parent - 1].weights, 2, 1 if parent == a else 2)
-            plan = np.divide(plan, mu, out=np.zeros_like(plan), where=mu > 0)
+        for axis, v in enumerate((a, b), start=1):
+            if v in touched:
+                mu = on_axes(measures[v - 1].weights, 2, axis)
+                plan = np.divide(plan, mu, out=np.zeros_like(plan), where=mu > 0)
+        touched.update((a, b))
         out *= on_axes(plan, tree.s, a, b)
     return out
 

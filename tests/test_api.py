@@ -124,6 +124,7 @@ class TestExports:
         assert not hasattr(config, "DEFAULT_TENSOR_CAP")
         assert not hasattr(bridgetree.dense, "_broadcast_pair")
         assert not hasattr(bridgetree.trees, "_edge_lookup")
+        assert not hasattr(bridgetree.trees, "rooted_walk")
         assert "tensor_cap" not in {f.name for f in dataclasses.fields(SolverConfig)}
         assert not hasattr(bridgetree.sinkhorn, "KernelMatrix")
         assert not hasattr(bridgetree.mst, "_resolve_cost")

@@ -219,6 +219,21 @@ class TestSolve:
         assert err["error"]["type"] == "validation"
         assert "bad.json" in err["error"]["message"]
 
+    def test_overflowing_cost_exits_2_with_one_stderr_line(self, tmp_path):
+        # the squared distance of points 2e200 apart overflows: the error is
+        # the only line on stderr, with no numpy warning ahead of it
+        far = DiscreteMeasure([[1e200], [-1e200]], [0.5, 0.5])
+        paths = write_measures(tmp_path, [far, far])
+        proc = subprocess.run(
+            [sys.executable, "-m", "bridgetree", "solve", *paths, "--eta", "1.0",
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"]["type"] == "validation"
+
     def test_nonconvergence_exit_1(self, tmp_path, capsys):
         ms = [DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6]),
               DiscreteMeasure([[-7.5], [8.5]], [0.7, 0.3])]

@@ -130,8 +130,8 @@ def underflow_edges():
 
 
 def tiny_weight_edges():
-    """A kept weight of 1e-160, below _MIN_WEIGHT, so no sweep is guarded.  On
-    the far edge a guarded sweep would pass where a product underflowed."""
+    """A kept weight of 1e-160, so the guard's top falls below 1e50.  On the
+    far edge a guard at 1e50 would pass a sweep where a product underflowed."""
     edges = []
     for m1, m2, eta in (plain_pair(), far_edges()[2]):
         weights = m1.weights.copy()
@@ -210,7 +210,7 @@ class TestBuildCost:
     def test_overflowing_supports_refused(self, kind):
         # the squared distance of points 2e200 apart overflows to inf
         far = DiscreteMeasure([[1e200], [-1e200]], [0.5, 0.5])
-        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(ValidationError, match="non-finite"):
             build_cost(far, far, kind)
 
     @pytest.mark.parametrize("kind", COST_KINDS)

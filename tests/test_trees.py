@@ -29,7 +29,7 @@ from bridgetree import (
     tree_cost_additive,
     tree_cost_decomposed,
 )
-from bridgetree.trees import DisjointSet, _decode_codes
+from bridgetree.trees import DisjointSet, _decode_codes, on_axes
 from conftest import random_measures
 from helpers import OVER_CAP, OVER_CAP_N, project, prufer_codes, reference_decode
 
@@ -316,6 +316,31 @@ class TestComposeTreeCoupling:
         assert np.all(np.take(composed, 1, axis=zero_vertex - 1) == 0.0)
         for v in range(1, tree.s + 1):
             assert total_variation(project(composed, v), ms[v - 1].weights) <= 1e-8
+
+    def test_every_tree_at_s5_is_the_closed_form(self, rng):
+        # prod_e M_e * prod_v mu_v^(1 - deg v), mu^(1 - deg) taken as 0 where
+        # mu = 0, evaluated factor by factor on the full tensor
+        ms = random_measures(rng, [3, 4, 2, 3, 3], low=-3, high=3)
+        for v, point in ((2, 1), (5, 0)):
+            weights = ms[v - 1].weights.copy()
+            weights[point] = 0.0
+            ms[v - 1] = DiscreteMeasure(ms[v - 1].support, weights)
+        plans = {}
+        for a, b in itertools.combinations(range(1, 6), 2):
+            cost = build_cost(ms[a - 1], ms[b - 1])
+            coup = sinkhorn_solve(ms[a - 1], ms[b - 1], gibbs_kernel(cost, 1.0), tol=1e-9)
+            assert coup.converged
+            plans[(a, b)] = coup.plan
+        for tree in enumerate_trees(5):
+            expected = np.ones([m.n for m in ms])
+            for a, b in tree.edges:
+                expected = expected * on_axes(plans[(a, b)], 5, a, b)
+            for v, deg in enumerate(tree.degrees(), start=1):
+                mu = ms[v - 1].weights
+                factor = np.power(mu, 1 - deg, out=np.zeros_like(mu), where=mu > 0)
+                expected = expected * on_axes(factor, 5, v)
+            composed = compose_tree_coupling(tree, plans, ms)
+            assert np.all(np.abs(composed - expected) <= 1e-14 * np.abs(expected))
 
     def test_missing_plan_rejected(self, rng):
         ms = random_measures(rng, [2, 2, 2])
