@@ -23,7 +23,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -354,7 +354,7 @@ def rank_trees(
     tree without that shortcut, from the pairwise plans and costs alone:
     cost_direct = <P, C/eta + log P> for the tree coupling
     P = prod M_e / prod mu_v^(deg v - 1), summed by a leaves-first
-    recursion over each tree that never forms P (see _direct_costs).
+    recursion over each tree that never forms P (see _direct_evaluator).
     direct="auto" computes it when the tensor is within the tensor cap
     (TENSOR_CAP entries), "never" skips it, "always" refuses if it is not.  A
     supplied ewm must hold, for every pair a < b, a solve of measures a and
@@ -380,21 +380,24 @@ def rank_trees(
     else:
         _check_edge_solves(ewm, collection, config)
     entropies = np.array([entropy(m) for m in collection])
-    codes = _codes(s, 0, s ** (s - 2))
-    if direct == "never":
-        direct_costs = [None] * len(codes)
-    else:
-        direct_costs = _direct_costs(collection, ewm, config.eta, codes).tolist()
-    # one gather of g at every tree's sorted edge keys; each row must sum in
-    # canonical edge order, as tree_cost_additive does, so that ties sort
-    # alike (a test compares every row bit for bit)
-    keys = _decode_codes(codes, s)[2]
-    additive = (np.asarray(ewm.g, dtype=float).ravel()[keys].sum(axis=1)
-                - entropies.sum()).tolist()
-    del keys  # dropped before the rows are built, which is where the call peaks
+    g = np.asarray(ewm.g, dtype=float).ravel()
+    evaluate = None if direct == "never" else _direct_evaluator(collection, ewm, config.eta)
+
+    def blocks():
+        # each block is decoded once.  Its keys gather g, and each row sums in
+        # canonical edge order, as tree_cost_additive does, so that ties sort
+        # alike (a test compares every row bit for bit); its steps are costed
+        for start in range(0, s ** (s - 2), _BLOCK):
+            codes = _codes(s, start, start + _BLOCK)
+            steps, keys = _decode_codes(codes, s)
+            additive = (g[keys].sum(axis=1) - entropies.sum()).tolist()
+            direct_costs = [None] * len(codes) if evaluate is None else evaluate(steps).tolist()
+            yield from zip(codes.tolist(), additive, direct_costs)
+
+    # the trees come last, so that zip takes none past the last code
     rows = [
         RankedTree(prufer=tuple(code), edges=tree.edges, cost_additive=add, cost_direct=cost)
-        for tree, code, add, cost in zip(trees, codes.tolist(), additive, direct_costs)
+        for (code, add, cost), tree in zip(blocks(), trees)
     ]
     rows.sort(key=lambda r: r.cost_additive)
     return rows
@@ -431,14 +434,13 @@ def _check_edge_solves(
     check_shape(ewm.g, (s, s), "weight matrix")
 
 
-def _direct_costs(
+def _direct_evaluator(
     collection: MeasureCollection,
     ewm: EdgeWeightMatrix,
     eta: float,
-    codes: np.ndarray,
-) -> np.ndarray:
-    """Dense direct cost <P, C/eta + log P> of the tree of each Prüfer code
-    (a row of codes), in input order.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The evaluation of one block of peel steps (trees._decode_codes) to
+    the dense direct cost <P, C/eta + log P> of each of its trees, in order.
 
     Rooted at vertex s, a tree coupling factors as
     P = mu_s * prod over edges p -> c of Q_pc,  Q_pc = M_e / mu_p,
@@ -454,15 +456,15 @@ def _direct_costs(
     <P, W> = sum_i mu_s(i) (log mu_s(i) Z_s(i) + S_s(i)).
     Z is taken from the plans, not assumed to be 1.
 
-    Q_pc and Q_pc * T_pc are formed once per edge and direction.  The
-    codes are decoded into leaves-first peels toward the root s
-    (trees._decode_codes), and each peel step makes one
-    contraction per directed edge over all trees whose step it is, so no
-    Python runs per tree and no array covers the N = prod n entries.  The
-    contractions use einsum, whose bits in a row do not depend on the other
-    rows, so each tree's cost does not depend on the trees around it.  Logs
-    are taken where the argument is positive and are 0 elsewhere: P
-    vanishes there, so the entry contributes 0 log 0 = 0.
+    Q_pc and Q_pc * T_pc are formed once per edge and direction, when the
+    evaluator is made.  The steps peel each tree leaves-first toward the
+    root s, and each peel step makes one contraction per directed edge over
+    all trees of the block whose step it is, so no Python runs per tree
+    and no array covers the N = prod n entries.  The contractions use
+    einsum, whose bits in a row do not depend on the other rows, so each
+    tree's cost does not depend on the trees around it.  Logs are taken
+    where the argument is positive and are 0 elsewhere: P vanishes there,
+    so the entry contributes 0 log 0 = 0.
     """
     s = collection.s
 
@@ -489,18 +491,11 @@ def _direct_costs(
             messages[(child - 1) * s + parent - 1] = message
     mu_s = weights[s - 1]
     at_root = np.concatenate([mu_s * masked_log(mu_s), mu_s])
-
-    costs = np.empty(len(codes))
-    for start in range(0, len(codes), _BLOCK):
-        steps, inner, _ = _decode_codes(codes[start:start + _BLOCK], s)
-        root = _sum_product(steps, inner, weights, messages)
-        costs[start:start + len(root)] = np.einsum("tj,j->t", root, at_root)
-    return costs
+    return lambda steps: np.einsum("tj,j->t", _sum_product(steps, weights, messages), at_root)
 
 
 def _sum_product(
     steps: np.ndarray,
-    inner: np.ndarray,
     weights: Sequence[np.ndarray],
     messages: Mapping[int, np.ndarray],
 ) -> np.ndarray:
@@ -508,11 +503,13 @@ def _sum_product(
     array: one einsum per directed edge and step, over the trees whose step
     it is.
 
-    Vertex v keeps one (2, n_v) state [Z_v, S_v] per tree in which it has a
-    child, and row 0, the leaf's [1, 0], which every other tree reads and
+    Vertex v keeps one (2, n_v) state [Z_v, S_v] per tree in which it is a
+    parent, and row 0, the leaf's [1, 0], which every other tree reads and
     none writes.
     """
     s = len(weights)
+    inner = np.zeros((steps.shape[1], s), dtype=bool)
+    inner[np.arange(steps.shape[1]), steps % s] = True  # the parents: the code and s
     slots, states = [], []
     for v, w in enumerate(weights):
         rank = np.cumsum(inner[:, v], dtype=np.int32)
@@ -521,12 +518,8 @@ def _sum_product(
         state[:, 0] = 1.0
         states.append(state)
     for codes in steps:
-        order = np.argsort(codes)
-        counts = np.bincount(codes, minlength=s * s)
-        start = 0
-        for code in np.flatnonzero(counts).tolist():
-            group = order[start:start + counts[code]]
-            start += counts[code]
+        for code in np.unique(codes).tolist():
+            group = np.flatnonzero(codes == code)
             c, p = divmod(code, s)
             below, above = slots[c][group], slots[p][group]
             sent = np.einsum("ij,gj->gi", messages[code],

@@ -115,20 +115,18 @@ def prufer_decode(code: Sequence[int], s: int) -> SpanningTree:
     for c in code:
         if not 1 <= c <= s:
             raise ValidationError(f"code entry {c} out of range 1..{s}")
-    keys = _decode_codes(np.array([code], dtype=np.intp), s)[2][0].tolist()
+    keys = _decode_codes(np.array([code], dtype=np.intp), s)[1][0].tolist()
     return SpanningTree._trusted(s, tuple((k // s + 1, k % s + 1) for k in keys))
 
 
-def _decode_codes(codes: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _decode_codes(codes: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode a (T, s - 2) block of valid Prüfer codes, all rows at once.
 
-    Returns (steps, inner, keys), 0-based, in a signed dtype wide enough for
-    s * s:
+    Returns (steps, keys), 0-based, in a signed dtype wide enough for s * s:
     - steps[k, t] = leaf * s + parent for the smallest leaf of tree t at step
       k and its one neighbour, which is code entry k; the last step joins the
       remaining leaf to vertex s, so the steps peel each tree leaves-first
       toward the root s;
-    - inner[t, v - 1] is True where v occurs in code t, and for v = s;
     - keys[t] are the canonical edge keys a * s + b, a < b, in ascending
       order, which is the order of the sorted (a, b) edges.
     """
@@ -139,8 +137,6 @@ def _decode_codes(codes: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np
     degree = np.ones((count, s), dtype)
     for column in parents:
         degree[rows, column] += 1
-    inner = degree > 1
-    inner[:, -1] = True
     steps = np.empty((s - 1, count), dtype)
     for step, parent in zip(steps, parents):
         leaf = np.argmax(degree == 1, axis=1)
@@ -150,7 +146,7 @@ def _decode_codes(codes: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np
     steps[-1] = np.argmax(degree[:, :-1] == 1, axis=1) * s + s - 1
     leaf, parent = np.divmod(steps, s)
     keys = np.sort(np.minimum(leaf, parent) * s + np.maximum(leaf, parent), axis=0)
-    return steps, inner, keys.T.copy()  # C order: each tree's keys contiguous
+    return steps, keys.T.copy()  # C order: each tree's keys contiguous
 
 
 def prufer_encode(tree: SpanningTree) -> tuple[int, ...]:
@@ -203,7 +199,7 @@ def enumerate_trees(s: int) -> Iterator[SpanningTree]:
     # the codes are valid by construction, so each tree skips the checks; a
     # _BLOCK of codes is decoded at a time, and all trees share one tuple per edge
     edges = [(k // s + 1, k % s + 1) for k in range(s * s)]
-    blocks = (_decode_codes(_codes(s, start, start + _BLOCK), s)[2].tolist()
+    blocks = (_decode_codes(_codes(s, start, start + _BLOCK), s)[1].tolist()
               for start in range(0, s ** (s - 2), _BLOCK))
     return (SpanningTree._trusted(s, tuple(map(edges.__getitem__, keys)))
             for block in blocks for keys in block)

@@ -36,7 +36,8 @@ from bridgetree import (
 )
 from bridgetree import mst, sinkhorn
 from bridgetree.measures import MeasureCollection
-from bridgetree.mst import EdgeWeightMatrix
+from bridgetree.mst import EdgeSolve, EdgeWeightMatrix
+from bridgetree.trees import _decode_codes
 from conftest import random_measure, random_measures
 from helpers import (OVER_CAP, OVER_CAP_N, complete_graph, gaussian_g, gaussian_on_grid,
                      prufer_codes)
@@ -53,6 +54,15 @@ def exhaustive_mst(weights):
         if best is None or key < best[0]:
             best = (key, tree)
     return best[1]
+
+
+def direct_costs(collection, ewm, eta, codes):
+    """The direct cost of each code's tree, in order: the evaluator applied to
+    each _BLOCK of the codes' peel steps."""
+    evaluate = mst._direct_evaluator(collection, ewm, eta)
+    steps = _decode_codes(codes, collection.s)[0]
+    return np.concatenate([evaluate(steps[:, start:start + mst._BLOCK])
+                           for start in range(0, len(codes), mst._BLOCK)])
 
 
 def tree_plans(res):
@@ -619,7 +629,7 @@ class TestRankTrees:
         ewm = build_weight_matrix(ms, SolverConfig(eta=2.0))
         codes = prufer_codes(7)
         assert len(codes) > 4 * mst._BLOCK
-        costs = mst._direct_costs(MeasureCollection(ms), ewm, 2.0, codes)
+        costs = direct_costs(MeasureCollection(ms), ewm, 2.0, codes)
         for i in rng.choice(len(codes), size=40, replace=False):
             tree = prufer_decode(codes[i].tolist(), 7)
             assert abs(costs[i] - reference_direct_cost(tree, ewm, ms, 2.0)) <= 1e-12
@@ -649,11 +659,11 @@ class TestRankTrees:
         ewm = build_weight_matrix(ms, SolverConfig(eta=1.0))
         collection = MeasureCollection(ms)
         codes = prufer_codes(5)
-        costs = mst._direct_costs(collection, ewm, 1.0, codes)
-        reversed_costs = mst._direct_costs(collection, ewm, 1.0, codes[::-1])
+        costs = direct_costs(collection, ewm, 1.0, codes)
+        reversed_costs = direct_costs(collection, ewm, 1.0, codes[::-1])
         assert np.array_equal(reversed_costs, costs[::-1])
         subset = rng.permutation(len(codes))[:40]
-        subset_costs = mst._direct_costs(collection, ewm, 1.0, codes[subset])
+        subset_costs = direct_costs(collection, ewm, 1.0, codes[subset])
         assert np.array_equal(subset_costs, costs[subset])
 
     def test_direct_costs_hold_no_full_size_buffer(self, rng):
@@ -667,7 +677,7 @@ class TestRankTrees:
         full = 8 ** 5 * 8  # bytes of one N-entry float array
         tracemalloc.start()
         try:
-            mst._direct_costs(collection, ewm, 1.0, codes)
+            direct_costs(collection, ewm, 1.0, codes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -685,11 +695,29 @@ class TestRankTrees:
         all_trees = len(codes) * 2 * 21 * 8
         tracemalloc.start()
         try:
-            mst._direct_costs(collection, ewm, 1.0, codes)
+            direct_costs(collection, ewm, 1.0, codes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < all_trees / 2
+
+    def test_each_code_is_decoded_once(self, rng, monkeypatch):
+        # one decode per block feeds both columns and the rows;
+        # enumerate_trees decodes through trees._decode_codes, not counted here
+        ms = random_measures(rng, [2] * 7)
+        cfg = SolverConfig(eta=1.0)
+        ewm = build_weight_matrix(ms, cfg)
+        decoded, rebuilt = [], []
+        decode, rebuild = mst._decode_codes, EdgeSolve.rebuild
+        monkeypatch.setattr(mst, "_decode_codes",
+                            lambda codes, s: decoded.append(len(codes)) or decode(codes, s))
+        monkeypatch.setattr(EdgeSolve, "rebuild", lambda es: rebuilt.append(es) or rebuild(es))
+        rank_trees(ms, cfg, ewm=ewm, direct="always")
+        assert sum(decoded) == 7 ** 5
+        assert len(rebuilt) == len(ewm.edges) == 21
+        rebuilt.clear()
+        rows = rank_trees(ms, cfg, ewm=ewm, direct="never")
+        assert len(rows) == 7 ** 5 and rebuilt == []
 
     def test_ewm_from_another_solve_is_refused(self, rng):
         ms = random_measures(rng, [3, 3, 3])
