@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,16 +19,30 @@ DEFAULT_MAX_ITER = 100_000
 TENSOR_CAP = 10_000_000
 
 
-def check_solver_params(eta=None, tol=None, max_iter=None) -> None:
-    """Reject an eta or tol that is not a positive finite real and a max_iter
-    that is not an integer >= 1; a value of None is not checked.
+_UNSET = object()  # an argument of check_solver_params that was not given
+
+
+def check_solver_params(eta=_UNSET, tol=_UNSET, max_iter=_UNSET) -> None:
+    """Reject an eta or tol that is not a positive finite real number and a
+    max_iter that is not an integer >= 1, None included; an argument that is
+    not given is not checked.
     """
-    if eta is not None and not (np.isfinite(eta) and eta > 0):
-        raise ValidationError(f"eta must be a positive finite real, got {eta}")
-    if tol is not None and not (np.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be a positive finite real, got {tol}")
-    if max_iter is not None:
+    for name, value in (("eta", eta), ("tol", tol)):
+        # an exact compare: an int beyond the float range is refused too
+        if value is not _UNSET and not (isinstance(value, numbers.Real)
+                                        and 0 < value <= sys.float_info.max):
+            raise ValidationError(f"{name} must be a positive finite real, got {value!r}")
+    if max_iter is not _UNSET:
         as_index(max_iter, "max_iter", 1)
+
+
+def as_float_array(values, what: str) -> np.ndarray:
+    """values as a float array: the one conversion of array input.  Refuses
+    ragged or non-numeric input; what names it in the message."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from exc
 
 
 def check_cost_kind(kind: str) -> None:
@@ -47,7 +63,7 @@ def check_cost_matrix(matrix) -> np.ndarray:
     """The matrix as a read-only C-ordered float array; refuses one that is
     not 2-d or has a non-finite or negative entry.  A writeable array is
     copied, never frozen in place, so the caller's array stays writeable."""
-    m = np.asarray(matrix, dtype=float)
+    m = as_float_array(matrix, "cost matrix")
     if m.ndim != 2:
         raise ValidationError(f"cost matrix must be 2-d, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -97,10 +113,14 @@ def check_tensor_cap(shape) -> tuple[int, ...]:
 
 def check_edges(s: int, edges) -> tuple[tuple[int, int], ...]:
     """The edges as a sorted tuple of (a, b) with a < b.  Refuses an s that
-    check_vertex_count refuses, a vertex that is not an integer, a self-loop,
-    a vertex outside 1..s and a repeated edge."""
+    check_vertex_count refuses, an edge that is not a pair, a vertex that is
+    not an integer, a self-loop, a vertex outside 1..s and a repeated edge."""
     s = check_vertex_count(s)
-    pairs = [(as_index(a, "edge vertex"), as_index(b, "edge vertex")) for a, b in edges]
+    try:
+        pairs = [(a, b) for a, b in edges]
+    except (TypeError, ValueError) as exc:  # an edge that is not a pair
+        raise ValidationError("each edge must be an (a, b) pair") from exc
+    pairs = [(as_index(a, "edge vertex"), as_index(b, "edge vertex")) for a, b in pairs]
     canon = sorted([(a, b) if a < b else (b, a) for a, b in pairs])
     previous = None
     for edge in canon:

@@ -17,6 +17,7 @@ import numpy as np
 from .config import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    as_float_array,
     check_cost_scale,
     check_edges,
     check_shape,
@@ -69,7 +70,7 @@ def cost_tensor(
     for edge in graph.edges:
         if edge not in costs:
             raise ValidationError(f"missing cost matrix for edge {edge}")
-        mats[edge] = np.asarray(costs[edge], dtype=float)
+        mats[edge] = as_float_array(costs[edge], f"cost matrix for edge {edge}")
         if not np.isfinite(mats[edge]).all():
             raise ValidationError(f"cost matrix for edge {edge} has non-finite entries")
     if len(shape) != graph.s:
@@ -162,7 +163,8 @@ def mm_sinkhorn(
     full_shape = tuple(m.n for m in measures)
     # log K = sum of -C_e/eta, each edge scaled before the sum (scaling the
     # summed C instead rounds differently), restricted to the kept points
-    mats = {e: np.asarray(costs[e], dtype=float) for e in graph.edges if e in costs}
+    mats = {e: as_float_array(costs[e], f"cost matrix for edge {e}")
+            for e in graph.edges if e in costs}
     for m in mats.values():
         check_cost_scale(float(np.abs(m).max(initial=0.0)), eta)
     scaled = {e: -m / eta for e, m in mats.items()}

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import as_index, check_vertex_count
+from .config import as_float_array, as_index, check_shape, check_vertex_count
 from .errors import ValidationError
 
 NORMALIZATION_ATOL = 1e-12
@@ -27,10 +27,7 @@ def normalize_weights(weights) -> np.ndarray:
     Raises ValidationError on entries that are not numbers, on negative or
     non-finite entries (naming the offending index) and on an all-zero vector.
     """
-    try:
-        w = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"weights must be numbers ({exc})") from exc
+    w = as_float_array(weights, "weights")
     if w.ndim != 1:
         raise ValidationError(f"weights must be a 1-d vector, got shape {w.shape}")
     if w.size == 0:
@@ -74,7 +71,7 @@ class DiscreteMeasure:
     weights: np.ndarray  # (n,), sums to 1
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=float)
+        support = as_float_array(self.support, "support")
         if support.ndim == 1:
             support = support[:, None]
         if support.ndim != 2:
@@ -179,16 +176,14 @@ def sample_gmm(
         raise ValidationError(f"interval must be two numbers, got {interval!r}") from exc
     if not a < b:
         raise ValidationError(f"interval must satisfy a < b, got [{a}, {b}]")
-    try:
-        means = np.array([float(c[0]) for c in components])
-        stds = np.array([float(c[1]) for c in components])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"component mean and stddev must be numbers ({exc})") from exc
+    table = as_float_array(components, "components")
+    check_shape(table, (len(components), 3), "components")
+    means, stds, mixture = table.T
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds))):
         raise ValidationError("component mean and stddev must be finite")
     if np.any(stds <= 0):
         raise ValidationError("component stddev must be positive")
-    probs = normalize_weights([c[2] for c in components])
+    probs = normalize_weights(mixture)
     if _interval_mass(means, stds, probs, a, b) == 0.0:
         raise ValidationError(
             f"no mixture component reaches [{a}, {b}] (the mixture's mass there is 0 "
@@ -237,7 +232,7 @@ def load_measure(path) -> DiscreteMeasure:
     if not isinstance(payload, dict) or "support" not in payload or "weights" not in payload:
         raise ValidationError(f"{path}: expected an object with 'support' and 'weights'")
     try:
-        return DiscreteMeasure(np.asarray(payload["support"], float), payload["weights"])
-    except (ValidationError, TypeError, ValueError) as exc:
+        return DiscreteMeasure(payload["support"], payload["weights"])
+    except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

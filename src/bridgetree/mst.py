@@ -11,8 +11,9 @@ where
 is symmetric, nonnegative, and computable from one bimarginal solve per
 vertex pair.  So: fill the s(s-1)/2 weights, run an MST algorithm, done.
 
-Both MST routines use the same strict total order on edges,
-(weight, min index, max index), so results are deterministic under ties
+Both MST routines read one strict total order on edges, (weight, min
+index, max index), computed once per call as one integer rank per edge
+(_edge_order).  Ranks are distinct, so results are deterministic under ties
 and the two algorithms always return the identical tree.
 """
 
@@ -27,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import TENSOR_CAP, SolverConfig, check_shape, check_tensor_cap
+from .config import TENSOR_CAP, SolverConfig, as_float_array, check_shape, check_tensor_cap
 from .config import check_vertex_count
 from .errors import SolverError, ValidationError
 from .measures import DiscreteMeasure, MeasureCollection, entropy
@@ -188,7 +189,7 @@ def build_weight_matrix(measures, config: SolverConfig) -> EdgeWeightMatrix:
 
 
 def _as_weight_matrix(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
+    w = as_float_array(weights, "weight matrix")
     s = len(w) if w.ndim else 0
     check_shape(w, (s, s), "weight matrix")
     off = ~np.eye(check_vertex_count(s), dtype=bool)
@@ -199,72 +200,56 @@ def _as_weight_matrix(weights) -> np.ndarray:
     return w
 
 
-def _edge_key(w: np.ndarray, a: int, b: int) -> tuple[float, int, int]:
-    """Strict total order on edges: (weight, min, max) with 1-based indices."""
-    lo, hi = (a, b) if a < b else (b, a)
-    return (float(w[lo, hi]), lo + 1, hi + 1)
+def _edge_order(weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rank, lo, hi): the strict edge order (weight, min index, max index)
+    as the symmetric s x s matrix of distinct ranks 0..m-1, m = s(s-1)/2,
+    with m on the diagonal; edge r joins the 0-based vertices lo[r] < hi[r]."""
+    w = _as_weight_matrix(weights)
+    lo, hi = np.triu_indices(len(w), 1)
+    order = np.lexsort((hi, lo, w[lo, hi]))
+    lo, hi = lo[order], hi[order]
+    rank = np.full(w.shape, len(order))
+    rank[lo, hi] = rank[hi, lo] = np.arange(len(order))
+    return rank, lo, hi
 
 
 def mst_prim_dense(weights) -> SpanningTree:
-    """Dijkstra-Jarnik-Prim on a dense complete graph, O(s^2).
-
-    Deterministic under ties: the lexicographically smaller edge wins.
-    """
-    w = _as_weight_matrix(weights)
-    s = w.shape[0]
-    in_tree = [False] * s
-    in_tree[0] = True
-    best_from = [0] * s  # tree endpoint currently giving the best edge to v
-    edges: list[Edge] = []
-    for _ in range(s - 1):
-        chosen = None
-        chosen_key = None
-        for v in range(s):
-            if in_tree[v]:
-                continue
-            key = _edge_key(w, best_from[v], v)
-            if chosen_key is None or key < chosen_key:
-                chosen_key, chosen = key, v
-        edges.append((chosen_key[1], chosen_key[2]))
-        in_tree[chosen] = True
-        for v in range(s):
-            if in_tree[v] or v == chosen:
-                continue
-            if _edge_key(w, chosen, v) < _edge_key(w, best_from[v], v):
-                best_from[v] = chosen
-    return SpanningTree(s, tuple(edges))
+    """Dijkstra-Jarnik-Prim on a dense complete graph, O(s^2), grown from
+    vertex 1 over the ranks of _edge_order: best holds each vertex's least
+    rank to the tree, and m once it is in the tree."""
+    rank, lo, hi = _edge_order(weights)
+    best = rank[0].copy()  # rank[0, 0] is m: vertex 1 is in the tree
+    picked = []
+    for _ in range(len(best) - 1):
+        v = best.argmin()
+        picked.append(best[v])
+        best[v] = len(lo)
+        np.minimum(best, rank[v], out=best, where=best < len(lo))
+    return SpanningTree(len(best), tuple(zip(lo[picked] + 1, hi[picked] + 1)))
 
 
 def mst_boruvka(weights) -> SpanningTree:
     """Boruvka's algorithm: every component grabs its cheapest incident edge.
 
-    Uses the same strict edge order as mst_prim_dense, so the two always
-    agree (the order makes the MST unique even with tied weights).
+    Uses the edge ranks of _edge_order, as mst_prim_dense does, so the two
+    always agree (the ranks make the MST unique even with tied weights).
     """
-    w = _as_weight_matrix(weights)
-    s = w.shape[0]
+    rank, lo, hi = _edge_order(weights)
+    s = len(rank)
     components = DisjointSet(s)
-    edges: list[Edge] = []
-    while len(edges) < s - 1:
-        cheapest: dict[int, tuple[tuple[float, int, int], Edge]] = {}
-        for a in range(s):
-            for b in range(a + 1, s):
-                ra, rb = components.find(a), components.find(b)
-                if ra == rb:
-                    continue
-                key = _edge_key(w, a, b)
-                for root in (ra, rb):
-                    if root not in cheapest or key < cheapest[root][0]:
-                        cheapest[root] = (key, (a, b))
-        merged = False
-        for root in sorted(cheapest):
-            _, (a, b) = cheapest[root]
-            if components.union(a, b):
-                edges.append((a + 1, b + 1))
-                merged = True
-        if not merged:
-            raise SolverError("weight graph is disconnected")  # unreachable for finite input
-    return SpanningTree(s, tuple(edges))
+    picked: list[int] = []
+    while len(picked) < s - 1:
+        root = np.array([components.find(v) for v in range(s)])
+        ra, rb = root[lo], root[hi]
+        cross = np.flatnonzero(ra != rb)  # the ranks of the edges between components
+        cheapest = np.full(s, len(lo))
+        np.minimum.at(cheapest, ra[cross], cross)
+        np.minimum.at(cheapest, rb[cross], cross)
+        chosen = sorted(set(cheapest[root].tolist()))  # each component's edge, once
+        for r in chosen:  # all in the unique MST, so each joins two components
+            components.union(int(lo[r]), int(hi[r]))
+        picked += chosen
+    return SpanningTree(s, tuple(zip(lo[picked] + 1, hi[picked] + 1)))
 
 
 MST_ALGORITHMS = {"prim": mst_prim_dense, "boruvka": mst_boruvka}

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .config import as_index, check_edges, check_shape, check_tensor_cap
+from .config import as_float_array, as_index, check_edges, check_shape, check_tensor_cap
 from .config import check_vertex_count
 from .errors import ValidationError
 from .measures import DiscreteMeasure
@@ -239,7 +239,7 @@ def compose_tree_coupling(
     for a, b in tree.edges:
         if (a, b) not in plans:
             raise ValidationError(f"missing pairwise plan for tree edge ({a}, {b})")
-        plan = np.asarray(plans[(a, b)], dtype=float)
+        plan = as_float_array(plans[(a, b)], f"plan for edge ({a}, {b})")
         check_shape(plan, (shape[a - 1], shape[b - 1]), f"plan for edge ({a}, {b})")
         gap = max(total_variation(plan.sum(axis=1), measures[a - 1].weights),
                   total_variation(plan.sum(axis=0), measures[b - 1].weights))
@@ -270,7 +270,7 @@ def tree_cost_decomposed(
         raise ValidationError(f"missing sb value for tree edge {missing[0]}")
     total = sum(float(sb_values[edge]) for edge in tree.edges)
     deg = tree.degrees()
-    total += float(((deg - 1) * np.asarray(entropies, dtype=float)).sum())
+    total += float(((deg - 1) * as_float_array(entropies, "entropies")).sum())
     return total
 
 
@@ -284,9 +284,9 @@ def tree_cost_additive(
     Algebraically identical to tree_cost_decomposed when
     g[a, b] = sb[a, b] + H_a + H_b.
     """
-    g = np.asarray(g_weights, dtype=float)
+    g = as_float_array(g_weights, "weight matrix")
     check_shape(g, (tree.s, tree.s), "weight matrix")
     if len(entropies) != tree.s:
         raise ValidationError(f"need {tree.s} entropies, got {len(entropies)}")
     total = sum(float(g[a - 1, b - 1]) for a, b in tree.edges)
-    return total - float(np.asarray(entropies, dtype=float).sum())
+    return total - float(as_float_array(entropies, "entropies").sum())

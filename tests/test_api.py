@@ -44,6 +44,7 @@ from bridgetree import (
     sb_value,
     sinkhorn_solve,
     tree_cost_additive,
+    tree_cost_decomposed,
 )
 from bridgetree import cli, config, dense, mst, trees
 from bridgetree.cli import build_parser
@@ -128,6 +129,7 @@ class TestExports:
         assert "tensor_cap" not in {f.name for f in dataclasses.fields(SolverConfig)}
         assert not hasattr(bridgetree.sinkhorn, "KernelMatrix")
         assert not hasattr(bridgetree.mst, "_resolve_cost")
+        assert not hasattr(bridgetree.mst, "_edge_key")
         assert "kind" not in {f.name for f in dataclasses.fields(PairwiseCost)}
         assert "compose" not in inspect.signature(optimal_msb).parameters
         assert "tensor" not in {f.name for f in dataclasses.fields(OptimalMsbResult)}
@@ -343,6 +345,7 @@ def mismatched_ewm_ranking(_):
 BIG = DiscreteMeasure(np.arange(OVER_CAP_N, dtype=float)[:, None], np.ones(OVER_CAP_N))
 PATH = graph_from_edges(3, [(1, 2), (2, 3)])
 BIG_ZEROS = {edge: np.zeros((OVER_CAP_N, OVER_CAP_N)) for edge in PATH.edges}
+RAGGED = [[0.5], [0.25, 0.25]]
 UNKNOWN_COST = "unknown cost kind 'cosine'; expected one of ('sqeuclidean', 'euclidean')"
 
 CONTRACT_CALLS = {
@@ -397,14 +400,27 @@ CONTRACT_CALLS = {
                       "cost tensor has shape (3, 2), expected (2, 3)"),
     "tree_cost_additive": (lambda _: tree_cost_additive(EDGE, np.zeros((3, 3)), [0.0, 0.0]),
                            "weight matrix has shape (3, 3), expected (2, 2)"),
+    "sample_gmm-components": (lambda _: sample_gmm([(0.0, 1.0)], 3),
+                              "components has shape (1, 2), expected (1, 3)"),
+    # ragged array input
+    "tree_cost_additive-ragged": (lambda _: tree_cost_additive(EDGE, RAGGED, [0.0, 0.0]),
+                                  "weight matrix must be a rectangular array of numbers"),
+    "tree_cost_decomposed-ragged": (lambda _: tree_cost_decomposed(EDGE, {(1, 2): 0.0}, RAGGED),
+                                    "entropies must be a rectangular array of numbers"),
+    "compose-ragged": (lambda _: compose_tree_coupling(EDGE, {(1, 2): RAGGED}, [TWO, TWO]),
+                       "plan for edge (1, 2) must be a rectangular array of numbers"),
+    "cost_tensor-ragged": (lambda _: cost_tensor(PAIR, {(1, 2): RAGGED}, shape=(2, 2)),
+                           "cost matrix for edge (1, 2) must be a rectangular array of numbers"),
+    "mm_sinkhorn-ragged": (lambda _: mm_sinkhorn([TWO, TWO], PAIR, {(1, 2): RAGGED}, 1.0),
+                           "cost matrix for edge (1, 2) must be a rectangular array of numbers"),
 }
 
 
 @pytest.mark.parametrize("name", CONTRACT_CALLS)
 def test_each_input_contract_refuses_with_its_one_message(name, tmp_path):
     """Every public step refuses a non-integer size, a bad vertex count, a
-    dense tensor over the cap, a mis-shaped matrix and an unknown cost kind
-    with config.py's one message for it."""
+    dense tensor over the cap, a mis-shaped or ragged matrix and an unknown
+    cost kind with config.py's one message for it."""
     call, message = CONTRACT_CALLS[name]
     with pytest.raises(ValidationError) as refusal:
         call(tmp_path)

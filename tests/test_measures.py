@@ -140,6 +140,8 @@ class TestDiscreteMeasure:
         (np.zeros((2, 1, 1)), r"\(n, d\)"),
         ([[0.0], [np.nan]], "non-finite"),
         ([[0.0], [np.inf]], "non-finite"),
+        ([[0.0], [1.0, 2.0]], "support must be a rectangular array of numbers"),
+        ([["a"], ["b"]], "support must be a rectangular array of numbers"),
     ])
     def test_malformed_support_rejected(self, support, match):
         with pytest.raises(ValidationError, match=match):

@@ -37,7 +37,7 @@ from bridgetree import (
 from bridgetree import mst, sinkhorn
 from bridgetree.measures import MeasureCollection
 from bridgetree.mst import EdgeSolve, EdgeWeightMatrix
-from bridgetree.trees import _decode_codes
+from bridgetree.trees import DisjointSet, _decode_codes
 from conftest import random_measure, random_measures
 from helpers import (OVER_CAP, OVER_CAP_N, complete_graph, gaussian_g, gaussian_on_grid,
                      prufer_codes)
@@ -54,6 +54,15 @@ def exhaustive_mst(weights):
         if best is None or key < best[0]:
             best = (key, tree)
     return best[1]
+
+
+def kruskal_mst(weights):
+    """Independent oracle: Kruskal on DisjointSet over the strict edge order
+    (w[a, b], a, b), a < b."""
+    s = len(weights)
+    components = DisjointSet(s)
+    order = sorted((float(weights[a, b]), a, b) for a in range(s) for b in range(a + 1, s))
+    return SpanningTree(s, [(a + 1, b + 1) for _, a, b in order if components.union(a, b)])
 
 
 def direct_costs(collection, ewm, eta, codes):
@@ -171,6 +180,9 @@ BAD_TOL_OR_MAX_ITER = [
     {"max_iter": float("nan")},
     {"max_iter": float("inf")},
     {"max_iter": 2.5},
+    {"tol": None},
+    {"max_iter": None},
+    {"tol": "1e-9"},
 ]
 
 
@@ -184,21 +196,26 @@ BAD_TOL_OR_MAX_ITER = [
     *BAD_TOL_OR_MAX_ITER,
     {"threads": 2.5},
     {"threads": float("nan")},
+    {"eta": None},
+    {"eta": "1"},
+    {"eta": 1j},
 ])
 def test_solver_config_rejects(kwargs):
     with pytest.raises(ValidationError):
-        SolverConfig(eta=1.0, **kwargs)
+        SolverConfig(**{"eta": 1.0, **kwargs})
 
 
 @pytest.mark.parametrize("matrix, match", [
     ([[0.0, -1.0], [1.0, 0.0]], "negative cost"),
     ([[0.0, np.inf], [1.0, 0.0]], "non-finite"),
     ([0.0, 1.0], "2-d"),
+    ([[0.0, 1.0], [1.0]], "rectangular array of numbers"),
+    ([["a", "b"], ["c", "d"]], "rectangular array of numbers"),
 ])
 def test_solver_config_refuses_a_bad_cost_matrix(matrix, match):
     # at construction, before any edge is solved
     with pytest.raises(ValidationError, match=match):
-        SolverConfig(eta=1.0, cost=np.array(matrix))
+        SolverConfig(eta=1.0, cost=matrix)
 
 
 def test_cost_matrix_is_held_as_a_read_only_copy():
@@ -230,6 +247,18 @@ def test_solvers_reject_bad_tol_and_max_iter(kwargs):
         sinkhorn_solve(ms[0], ms[1], gibbs_kernel(cost, 1.0), **kwargs)
     with pytest.raises(ValidationError):
         mm_sinkhorn(ms, complete_graph(2), {(1, 2): cost.matrix}, eta=1.0, **kwargs)
+
+
+@pytest.mark.parametrize("eta", [None, "1", 1j])
+def test_eta_checks_refuse_what_is_not_a_positive_real(eta):
+    ms = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2
+    cost = build_cost(ms[0], ms[1])
+    with pytest.raises(ValidationError, match="eta must be a positive finite real"):
+        gibbs_kernel(cost, eta)
+    with pytest.raises(ValidationError, match="eta must be a positive finite real"):
+        msb_objective(np.full((2, 2), 0.25), cost.matrix, eta)
+    with pytest.raises(ValidationError, match="eta must be a positive finite real"):
+        mm_sinkhorn(ms, complete_graph(2), {(1, 2): cost.matrix}, eta=eta)
 
 
 class TestBuildWeightMatrix:
@@ -429,6 +458,23 @@ class TestMstAlgorithms:
             np.fill_diagonal(w, 0.0)
             assert mst_boruvka(w) == mst_prim_dense(w)
 
+    @pytest.mark.parametrize("diagonal", [0.0, np.inf, np.nan])
+    def test_tied_weights_match_kruskal(self, rng, diagonal):
+        # weights in {0, 1, 2}: most edges tie, so the index order decides
+        for s in range(2, 13):
+            for _ in range(10):
+                w = np.triu(rng.integers(0, 3, (s, s)), 1).astype(float)
+                w += w.T
+                np.fill_diagonal(w, diagonal)
+                expected = kruskal_mst(w)
+                assert mst_prim_dense(w) == expected
+                assert mst_boruvka(w) == expected
+
+    def test_large_instance_matches_kruskal(self, rng):
+        sym = rng.uniform(0, 10, (300, 300))
+        w = (sym + sym.T) / 2
+        assert mst_prim_dense(w) == mst_boruvka(w) == kruskal_mst(w)
+
     def test_shift_invariance(self, rng):
         s = 6
         sym = rng.uniform(0, 10, (s, s))
@@ -465,7 +511,9 @@ class TestMstAlgorithms:
         (np.zeros((2, 3)), r"weight matrix has shape \(2, 3\), expected \(2, 2\)"),
         (np.zeros(4), r"weight matrix has shape \(4,\), expected \(4, 4\)"),
         (np.zeros((1, 1)), "vertex count s must be an integer >= 2, got 1"),
-    ], ids=["w0-square", "w1-square", "w2-at least 2"])
+        ([[0.0, 1.0], [1.0]], "weight matrix must be a rectangular array of numbers"),
+        ([["a", "b"], ["c", "d"]], "weight matrix must be a rectangular array of numbers"),
+    ], ids=["w0-square", "w1-square", "w2-at least 2", "w3-ragged", "w4-not numbers"])
     def test_shape_rejected(self, mst, w, match):
         with pytest.raises(ValidationError, match=match):
             mst(w)

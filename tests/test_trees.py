@@ -75,7 +75,10 @@ class TestSpanningTreeValidation:
         (3, ((0, 1), (1, 2)), r"\(0, 1\) out of range"),
         (3, ((1, 2), (2, 1)), r"\(1, 2\) appears twice"),
         (3, ((1.0, 2.0), (2.0, 3.0)), "edge vertex must be an integer, got 1.0"),
-    ], ids=["one-vertex", "self-loop", "above-s", "below-1", "repeated", "float-vertex"])
+        (3, ((1, 2, 3), (2, 3)), r"each edge must be an \(a, b\) pair"),
+        (3, (1, 2), r"each edge must be an \(a, b\) pair"),
+    ], ids=["one-vertex", "self-loop", "above-s", "below-1", "repeated", "float-vertex",
+            "triple", "not-a-pair"])
     def test_edge_set_contract(self, build, s, edges, match):
         with pytest.raises(ValidationError, match=match):
             build(s, edges)
