@@ -8,7 +8,7 @@ import numpy as np
 
 from bridgetree import DiscreteMeasure, GraphStructure, ValidationError, cost_tensor, total_variation
 from bridgetree.dense import MultimarginalResult, _log_marginal
-from bridgetree.sinkhorn import _MIN_PRODUCT, _SCALE_BOUND, _plan_from_duals, _row_lse
+from bridgetree.sinkhorn import _MIN_PRODUCT, _SCALE_BOUND, _ascends, _plan_from_duals, _row_lse
 from bridgetree.trees import on_axes
 
 # three measures of OVER_CAP_N points make a dense tensor just past the tensor
@@ -141,12 +141,15 @@ def _reset_reference(kernel, log_k, f, g):
 
 
 def sweep_reference(self, sweeps, tol):
-    """Reference for SweepState.advance, advancing the state `self`: the loop
-    before the guarded sweep, kept verbatim but for reading and writing the
-    scalings as the one vector ab.  Every half sweep checks its product for
-    underflow, every sweep checks both scalings for absorption and takes its
-    residual with total_variation, and no sweep is tried twice."""
-    log_k, kernel, mu, nu = self.log_k, self.kernel, self.mu, self.nu
+    """Reference for SweepState.advance in the plain form (omega capped at 1),
+    advancing the state `self`: the loop before the guarded sweep, kept
+    verbatim but for reading and writing the scalings as the one vector ab
+    and gathering the kept block of log K itself.  Every half sweep checks
+    its product for underflow, every sweep checks both scalings for
+    absorption and takes its residual with total_variation, and no sweep is
+    tried twice."""
+    log_k = self.log_kernel[np.ix_(self.keep1, self.keep2)]
+    kernel, mu, nu = self.kernel, self.mu, self.nu
     log_mu, log_nu = np.log(mu), np.log(nu)
     f, g, kb = self.f, self.g, self.kb
     a, b = self.ab[:mu.size], self.ab[mu.size:]
@@ -177,3 +180,42 @@ def sweep_reference(self, sweeps, tol):
 
     self.f, self.g, self.ab, self.kb = f, g, np.concatenate((a, b)), kb
     self.residual, self.iterations, self.absorptions = residual, iterations, absorptions
+
+
+def relaxed_sweep_reference(self, sweeps, tol, probe, omega_max):
+    """Reference for SweepState.advance with relaxation on, advancing the
+    state `self` one sweep at a time from fresh arrays.  A relaxed sweep is
+    kept when every new scaling lies in [1e-50, top] and its largest ratio
+    passes _ascends; otherwise, and in the first `probe` sweeps, the sweep
+    is sweep_reference's plain one.  The probe's last sweep sets omega from
+    the ratio of its residual to the one before, and a kept relaxed sweep's
+    residual takes in the column TV once the row TV is <= tol, and after the
+    last sweep."""
+    stop = self.iterations + sweeps
+    while self.residual > tol and self.iterations < stop:
+        mu, nu, n1, omega = self.mu, self.nu, self.mu.size, self.omega
+        a, b = self.ab[:n1], self.ab[n1:]
+        previous, relaxed = self.residual, False
+        if omega != 1.0:
+            with np.errstate(all="ignore"):  # a product may underflow: the guard refuses it
+                ratio_a = np.power(mu / (a * self.kb), omega)
+                a2 = a * ratio_a
+                ktb = self.kernel.T @ a2
+                ratio_b = np.power(nu / (b * ktb), omega)
+                b2 = b * ratio_b
+                new = np.concatenate((a2, b2))
+                relaxed = (1 / _SCALE_BOUND <= new.min() and new.max() <= self.top
+                           and _ascends(max(ratio_a.max(), ratio_b.max()), omega))
+        if relaxed:
+            self.ab, self.kb = new, self.kernel @ b2
+            self.iterations += 1
+            self.residual = total_variation(a2 * self.kb, mu)
+        else:
+            sweep_reference(self, 1, tol)
+        row = self.residual
+        if self.iterations == probe:
+            omega = min(omega_max, 2 / (1 + math.sqrt(1 - min(row / previous, 1.0))))
+            self.omega = omega
+            self.top = min(self.top, _SCALE_BOUND * (10 * self.top / _SCALE_BOUND) ** omega)
+        if relaxed and (row <= tol or self.iterations == stop):
+            self.residual = max(row, total_variation(b2 * ktb, nu))

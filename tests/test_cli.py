@@ -467,7 +467,10 @@ class TestOracle:
         ms = random_measures(rng, [3, 4], low=-5, high=5)
         paths = write_measures(tmp_path, ms)
         out = tmp_path / "o"
-        rc = main(["oracle", *paths, "--eta", "1.0", "--tree", "", "--out-dir", str(out)])
+        # the pairwise solve relaxes its sweeps and mm_sinkhorn does not: the
+        # two plans meet within 1e-12 only once both solves run to tol 1e-13
+        rc = main(["oracle", *paths, "--eta", "1.0", "--tol", "1e-13", "--tree", "",
+                   "--out-dir", str(out)])
         assert rc == 0
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["sup_norm_gap"] < 1e-12

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,12 +20,18 @@ from bridgetree import (
     total_variation,
 )
 from bridgetree.config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL, check_cost_matrix
-from bridgetree.sinkhorn import SweepState, _row_lse, rebuild_plan
+from bridgetree.sinkhorn import _OMEGA_MAX, _PROBE, SweepState, _ascends, _row_lse, rebuild_plan
 from conftest import GMM_MIXTURES, random_measure
-from helpers import kl_divergence, sweep_reference
+from helpers import kl_divergence, relaxed_sweep_reference, sweep_reference
 
 UNIFORM2 = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
 SWAP_COST = PairwiseCost([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.fixture
+def plain_sweeps(monkeypatch):
+    """Cap omega at 1: every sweep runs in the plain form."""
+    monkeypatch.setattr("bridgetree.sinkhorn._OMEGA_MAX", 1.0)
 
 
 def entropic_objective(plan, cost, eta):
@@ -76,7 +84,8 @@ def plain_pair():
 
 
 def zero_weight_pair():
-    """Supports 30 apart: about 1000 sweeps and 3 absorptions at eta 0.05."""
+    """Supports 30 apart: at eta 0.05, 1043 plain or 310 relaxed sweeps, and
+    3 absorptions."""
     rng = np.random.default_rng(1)
     w1 = rng.uniform(0.5, 1.5, 9)
     w1[4] = 0.0
@@ -87,7 +96,7 @@ def zero_weight_pair():
 
 def blob_pair():
     """Two 200-point 2-d blobs whose centres are 30 apart: at eta 0.05 the
-    solve takes about 3500 sweeps and absorbs 3 times."""
+    solve takes 3521 plain or 767 relaxed sweeps and absorbs 3 times."""
     rng = np.random.default_rng(0)
     m1 = DiscreteMeasure(rng.uniform(-3, 3, (200, 2)), np.ones(200))
     m2 = DiscreteMeasure(rng.uniform(-3, 3, (200, 2)) + [30.0, 0.0], np.ones(200))
@@ -103,7 +112,7 @@ def tiny_edges():
 
 
 def gmm_edge():
-    """Two 200-point GMM samples at eta 20: 166 sweeps."""
+    """Two 200-point GMM samples at eta 20: 166 plain or 38 relaxed sweeps."""
     rng = np.random.default_rng(20)
     measures = [sample_gmm(mix, 200, (-10.0, 10.0), seed=rng) for mix in GMM_MIXTURES]
     return [(measures[0], measures[4], 20.0)]
@@ -347,7 +356,7 @@ class TestSinkhornSolve:
             scaled = sinkhorn_solve(m1, m2, gibbs_kernel(PairwiseCost(a * cost.matrix), a * 1.3))
             assert np.abs(base.plan - scaled.plan).max() <= 1e-8
 
-    def test_residual_monotone_per_sweep(self, rng):
+    def test_residual_monotone_per_sweep(self, rng, plain_sweeps):
         for _ in range(5):
             m1 = random_measure(rng, 6, low=-3, high=3)
             m2 = random_measure(rng, 5, low=-3, high=3)
@@ -416,6 +425,7 @@ class TestSinkhornSolve:
         assert coup.iterations == 2
 
 
+@pytest.mark.usefixtures("plain_sweeps")
 class TestLogDomainParity:
     @pytest.mark.parametrize("eta", [0.5, 1.0, 5.0, 20.0])
     def test_matches_log_domain_recursion(self, eta):
@@ -506,7 +516,7 @@ class TestSweepState:
     @pytest.mark.parametrize("stepped", [False, True], ids=["straight", "stepped"])
     @pytest.mark.parametrize("edges", [tiny_edges, gmm_edge, far_edges, underflow_edges,
                                        tiny_weight_edges, zero_weight_edges])
-    def test_guarded_sweep_matches_reference(self, edges, stepped):
+    def test_guarded_sweep_matches_reference(self, edges, stepped, plain_sweeps):
         # the guarded sweep reproduces the loop that checks every half sweep
         # and every scaling, bit for bit, whether it runs straight or resumes
         # after every sweep
@@ -576,6 +586,114 @@ class TestSweepState:
             tracemalloc.stop()
         assert coup.converged and coup.absorptions == 3
         assert peak <= 1.3 * log_k.nbytes
+
+    def test_pruned_solve_peaks_as_the_unpruned_one(self):
+        # the kept block of a pair with a zero-weight point is gathered for
+        # K~'s first build and inside checked half sweeps only, so with no
+        # absorption the pruned peak is the unpruned one.  A state that held
+        # the block all along read 2.24 n x n arrays here against 1.25.
+        rng = np.random.default_rng(5)
+        n = 200
+        m1 = DiscreteMeasure(rng.uniform(-3, 3, (n, 2)), np.ones(n))
+        padded = DiscreteMeasure(np.vstack([m1.support, [[0.0, 0.0]]]), np.append(m1.weights, 0.0))
+        m2 = DiscreteMeasure(rng.uniform(-3, 3, (n, 2)), np.ones(n))
+        peaks = []
+        for m in (m1, padded):
+            log_k = gibbs_kernel(build_cost(m, m2), 0.5)
+            tracemalloc.start()
+            try:
+                coup = sinkhorn_solve(m, m2, log_k)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert coup.converged and coup.absorptions == 0
+        assert peaks[1] <= peaks[0] + 0.1 * n * n * 8
+
+
+def relaxing_edges():
+    """Edges whose solves run past the probe, with every kind of relaxed
+    sweep: kept, refused by the scaling guard, refused by the ascent test,
+    and relaxed while absorbing, under a lowered top or with pruned points."""
+    return (tiny_edges() + gmm_edge() + far_edges() + underflow_edges()
+            + tiny_weight_edges() + zero_weight_edges())
+
+
+def dual_objective(state) -> float:
+    """<f + log a, mu> + <g + log b, nu> - plan mass, over the kept points."""
+    n1 = state.mu.size
+    log_a, log_b = np.log(state.ab[:n1]), np.log(state.ab[n1:])
+    mass = float((state.ab[:n1] * state.kb).sum())
+    return float((state.f + log_a) @ state.mu + (state.g + log_b) @ state.nu) - mass
+
+
+class TestRelaxedSweeps:
+    @pytest.mark.parametrize("stepped", [False, True], ids=["straight", "stepped"])
+    @pytest.mark.parametrize("edges", [tiny_edges, gmm_edge, far_edges, underflow_edges,
+                                       tiny_weight_edges, zero_weight_edges])
+    def test_relaxed_sweep_matches_reference(self, edges, stepped):
+        # the relaxed loop reproduces its reference bit for bit, whether it
+        # runs straight or resumes after every sweep
+        cap = 20_000
+        for m1, m2, eta in edges():
+            log_k = gibbs_kernel(build_cost(m1, m2), eta)
+            state, reference = SweepState(m1, m2, log_k), SweepState(m1, m2, log_k)
+            while state.residual > DEFAULT_TOL and state.iterations < cap:
+                state.advance(1 if stepped else cap, DEFAULT_TOL)
+                relaxed_sweep_reference(reference, 1 if stepped else cap, DEFAULT_TOL,
+                                        _PROBE, _OMEGA_MAX)
+            assert (state.iterations, state.absorptions, state.residual, state.omega) == (
+                reference.iterations, reference.absorptions, reference.residual, reference.omega)
+            for log_u, reference_log_u in zip(state.log_duals(), reference.log_duals()):
+                assert np.array_equal(log_u, reference_log_u)
+
+    def test_converged_solve_meets_tol_on_both_marginals(self):
+        # a relaxed sweep leaves the column marginal off as well: the
+        # residual reads both, so a converged plan is within tol on each
+        for m1, m2, eta in relaxing_edges():
+            coup = sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
+            assert coup.converged and coup.iterations > _PROBE
+            assert total_variation(coup.plan.sum(axis=1), m1.weights) <= DEFAULT_TOL
+            assert total_variation(coup.plan.sum(axis=0), m2.weights) <= DEFAULT_TOL
+
+    def test_no_sweep_lowers_the_dual(self):
+        # the ascent test keeps the relaxed iteration an ascent of the dual
+        # objective, as the plain one is: the duals here fall only by their
+        # rounding, 3e-16 of their size.  Without the test two of these
+        # edges' duals fall by up to 40 (4e-4 of their size) in one sweep.
+        for m1, m2, eta in far_edges() + tiny_weight_edges():
+            state = SweepState(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
+            duals = [dual_objective(state)]
+            while state.residual > DEFAULT_TOL:
+                state.advance(1, DEFAULT_TOL)
+                duals.append(dual_objective(state))
+            assert state.omega > 1
+            assert np.all(np.diff(duals) >= -1e-12 * np.abs(duals[1:]))
+
+    @pytest.mark.parametrize("omega", [1.1, 1.5, 1.8])
+    def test_ascent_test_reads_psi(self, omega):
+        # _ascends(x^omega, omega) is psi(x) = omega x log x - x^omega + 1 >= 0,
+        # true on (0, x*] with x* > 1 and false beyond
+        def psi(x):
+            return omega * x * math.log(x) - x ** omega + 1
+
+        for x in np.exp(np.linspace(-5.0, 5.0, 2001)):
+            if abs(psi(x)) > 1e-9:
+                assert _ascends(x ** omega, omega) == (psi(x) >= 0)
+        # near 1, psi ~ omega (2 - omega) log(x)^2 / 2 is far below the
+        # rounding of psi's own terms, yet still read as >= 0
+        for e in (1e-6, 1e-9, 1e-12):
+            assert _ascends(1 + e, omega) and _ascends(1 - e, omega)
+
+    def test_gmm_batch_takes_at_most_65_percent_of_the_plain_sweeps(self, monkeypatch):
+        # one draw of the five GMM measures, n=200, at eta 20
+        rng = np.random.default_rng(1)
+        measures = [sample_gmm(mix, 200, (-10.0, 10.0), seed=rng) for mix in GMM_MIXTURES]
+        edges = [(m1, m2, gibbs_kernel(build_cost(m1, m2), 20.0))
+                 for m1, m2 in itertools.combinations(measures, 2)]
+        relaxed = sum(sinkhorn_solve(*edge).iterations for edge in edges)
+        monkeypatch.setattr("bridgetree.sinkhorn._OMEGA_MAX", 1.0)
+        plain = sum(sinkhorn_solve(*edge).iterations for edge in edges)
+        assert relaxed <= 0.65 * plain
 
 
 class TestSbValue:
