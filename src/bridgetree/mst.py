@@ -37,7 +37,7 @@ from .sinkhorn import (
     PairwiseCost,
     build_cost,
     gibbs_kernel,
-    rebuild_plan,
+    rebuild_coupling,
     sb_value,
     sinkhorn_solve,
 )
@@ -65,9 +65,11 @@ class EdgeSolve:
 
     seconds is the wall time of the whole edge: cost build, Gibbs kernel,
     Sinkhorn solve and sb value.  transport_cost is <C, P> of the solved
-    plan.  No n1 x n2 array is kept: cost and coupling rebuild the cost and
-    the plan from the measures, config and duals on every access,
-    bit-identical to the solved ones (sinkhorn.rebuild_plan).
+    plan, as eta times the solve's kernel_cost <P, -log K>.  No n1 x n2
+    array is kept: cost and coupling rebuild the cost, and the coupling over
+    log K, from the measures, config and duals on every access; the
+    coupling's plan is bit-identical to the solved one
+    (sinkhorn.rebuild_coupling).
     """
 
     g: float
@@ -86,13 +88,11 @@ class EdgeSolve:
 
     def rebuild(self) -> tuple[PairwiseCost, BimarginalCoupling]:
         """The cost and the coupling, rebuilt together from one cost build."""
-        cost, plan = rebuild_plan(self.m1, self.m2, self.config.cost, self.config.eta,
-                                  self.log_u1, self.log_u2)
-        coupling = BimarginalCoupling(
-            plan=plan, log_u1=self.log_u1, log_u2=self.log_u2, iterations=self.iterations,
-            residual=self.residual, converged=self.converged, absorptions=self.absorptions,
+        return rebuild_coupling(
+            self.m1, self.m2, self.config.cost, self.config.eta, self.log_u1, self.log_u2,
+            iterations=self.iterations, residual=self.residual, converged=self.converged,
+            absorptions=self.absorptions,
         )
-        return cost, coupling
 
     @property
     def cost(self) -> PairwiseCost:
@@ -117,7 +117,6 @@ def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) 
     cost = build_cost(m1, m2, config.cost)
     log_kernel = gibbs_kernel(cost, config.eta)
     coupling = sinkhorn_solve(m1, m2, log_kernel, tol=config.tol, max_iter=config.max_iter)
-    del log_kernel  # spent: dropped before <C, P> is formed, one n1 x n2 array fewer
     if not coupling.converged:
         message = (
             f"Sinkhorn stopped at max_iter={config.max_iter} with residual "
@@ -128,7 +127,7 @@ def edge_weight(m1: DiscreteMeasure, m2: DiscreteMeasure, config: SolverConfig) 
         warnings.warn(message, stacklevel=2)
     sb = sb_value(coupling)
     g = sb + entropy(m1) + entropy(m2)
-    transport_cost = float((cost.matrix * coupling.plan).sum())
+    transport_cost = config.eta * coupling.kernel_cost  # with a pruned point, off the plan
     elapsed = time.perf_counter() - start
     return EdgeSolve(
         g=g, sb=sb, seconds=elapsed, log_u1=coupling.log_u1, log_u2=coupling.log_u2,

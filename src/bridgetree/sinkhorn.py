@@ -21,17 +21,22 @@ proves the sweep ordinary; otherwise plain half sweeps that check each
 product redo it.  There a scaling outside [1e-50, 1e50] is absorbed into
 the duals, and a half sweep whose product would underflow runs in the log
 domain.  Each ends in the state's one rebuild of K~, over the spent K~,
-whose buffer the log-domain half sweeps also use as their temporary, so a
-solve holds one n1 x n2 array beyond log K.  The state starts at f = g = 0
-and K~ = K, so the first sweep is like any other: ordinary unless a row of K
-underflows.  A state advanced, read and advanced again gives the bits of one
-straight solve.  With _OMEGA_MAX = 1 every sweep is plain and the iterates
+whose buffer the log-domain half sweeps also use as their temporary.  That
+buffer starts on a 64-byte boundary, so a sweep's two products do not run
+at the speed of wherever the allocator placed it.  The state starts at
+f = g = 0 and K~ = K, one exp of log K, so the first sweep is like any
+other: ordinary unless a row of K underflows.  A state advanced, read and
+advanced again gives the bits of one straight solve.  With _OMEGA_MAX = 1 every sweep is plain and the iterates
 are those of the log-domain (log-sum-exp) recursion, without the underflow
 that raw exp(-C/eta) suffers for small eta.  The caller builds
 gibbs_kernel's log K = -C/eta once per edge.
 
-The optimal value reported for an edge, which may be negative since K is
-unnormalized, is read off the returned log duals f, g:
+A solve holds one n1 x n2 array beyond log K, K~, and forms no plan.  It
+returns the log duals f, g with O(n) data of the final iterate: the plan's
+marginals M 1 = a * (K~ b) and M^T 1 = b * (K~^T a), and <M, -log K>, summed
+over K~ once it is spent.  The plan M = exp(f ⊕ g + log K) is formed when it
+is first read.  The optimal value reported for an edge, which may be
+negative since K is unnormalized, is read off the duals and the marginals:
 
     sb_value = D_KL(M || K) = sum_ij M_ij log(M_ij / K_ij) = <f, M 1> + <g, M^T 1>.
 """
@@ -39,7 +44,8 @@ unnormalized, is read off the returned log duals f, g:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -133,23 +139,56 @@ def total_variation(p, q) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BimarginalCoupling:
-    """Converged (or best-effort) transport plan with its dual scalings.
+    """Converged (or best-effort) transport plan, held as its dual scalings.
 
-    plan = K ⊙ (u1 ⊗ u2) re-expanded to the full support sizes; log_u1 and
-    log_u2 carry -inf at pruned zero-weight entries; wherever plan > 0,
-    log plan = log_u1 ⊕ log_u2 + log K.  residual is the max over both
-    marginals of the TV deviation after the last sweep.  absorptions counts
-    the times a scaling left [1e-50, 1e50] and both were absorbed into the
-    log duals.
+    log_u1 and log_u2 carry -inf at pruned zero-weight entries, and log_kernel
+    is the log K they scale.  residual is the max over both marginals of the
+    TV deviation after the last sweep.  absorptions counts the times a
+    scaling left [1e-50, 1e50] and both were absorbed into the log duals.
+
+    plan, marginals and kernel_cost are computed when first read, each from
+    the plan.  sinkhorn_solve supplies marginals, and kernel_cost when no
+    point is pruned, from its final iterate instead, so an unread plan is
+    never formed.
     """
 
-    plan: np.ndarray
     log_u1: np.ndarray
     log_u2: np.ndarray
     iterations: int
     residual: float
     converged: bool
-    absorptions: int = 0
+    absorptions: int
+    log_kernel: np.ndarray = field(repr=False)
+
+    @cached_property
+    def plan(self) -> np.ndarray:
+        """exp(log_u1 ⊕ log_u2 + log K) at the full support sizes: zero rows and
+        columns at pruned points, bit-identical to rebuild_coupling's plan."""
+        return _plan_from_duals(self.log_kernel, self.log_u1, self.log_u2)
+
+    @cached_property
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The plan's row and column sums, plan 1 and plan^T 1."""
+        return self.plan.sum(axis=1), self.plan.sum(axis=0)
+
+    @cached_property
+    def kernel_cost(self) -> float:
+        """<plan, -log K> = <plan, C> / eta."""
+        return -float(np.vdot(self.plan, self.log_kernel))
+
+
+def _aligned_empty(n1: int, n2: int) -> np.ndarray:
+    """An uninitialized n1 x n2 array whose data start on a 64-byte boundary.
+
+    numpy aligns to 16 bytes, and a gemv over a 200 x 200 kernel took 2.9
+    against 4.1 us (K b) and 2.4 against 4.2 us (K^T a) aligned and not
+    (OpenBLAS, one thread), so the cost of a sweep would depend on where the
+    allocator put K~.
+    """
+    size = n1 * n2
+    raw = np.empty(size + 7)
+    start = -raw.__array_interface__["data"][0] % 64 // 8
+    return raw[start:start + size].reshape(n1, n2)
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -171,17 +210,20 @@ def _plan_from_duals(log_kernel: np.ndarray, log_u1: np.ndarray, log_u2: np.ndar
     return _exp(plan)
 
 
-def rebuild_plan(
+def rebuild_coupling(
     m1: DiscreteMeasure, m2: DiscreteMeasure, cost, eta: float,
-    log_u1: np.ndarray, log_u2: np.ndarray,
-) -> tuple[PairwiseCost, np.ndarray]:
-    """The cost and plan of a solved pair, rebuilt from its log duals.
+    log_u1: np.ndarray, log_u2: np.ndarray, **diagnostics,
+) -> tuple[PairwiseCost, BimarginalCoupling]:
+    """The cost and coupling of a solved pair, rebuilt from its log duals.
 
     cost and eta are those of the solve; the cost and log K are built as the
     solve built them, so the plan is bit-identical to the one it returned.
+    diagnostics are the solve's iterations, residual, converged and
+    absorptions.  The marginals and kernel cost are read off the plan.
     """
     pairwise = build_cost(m1, m2, cost)
-    return pairwise, _plan_from_duals(gibbs_kernel(pairwise, eta), log_u1, log_u2)
+    return pairwise, BimarginalCoupling(
+        log_u1=log_u1, log_u2=log_u2, log_kernel=gibbs_kernel(pairwise, eta), **diagnostics)
 
 
 def _row_lse(x: np.ndarray) -> np.ndarray:
@@ -218,8 +260,9 @@ class SweepState:
     K~ * (a ⊗ b), whose row marginal is a * kb with kb = K~ b.  The state
     starts at f = g = 0, ab = 1, K~ = K and omega = 1; residual, iterations
     and absorptions can be read between calls to advance.  log K is read as
-    given; with a zero-weight point, its kept block is gathered for K~'s first
-    build and inside a checked half sweep that needs it, and freed after.
+    given, and refused unless finite; with a zero-weight point, its kept block
+    is gathered into K~'s buffer for K~'s first build, and inside a checked
+    half sweep that needs it, and freed after.
     """
 
     def __init__(self, m1: DiscreteMeasure, m2: DiscreteMeasure, log_kernel: np.ndarray):
@@ -233,8 +276,15 @@ class SweepState:
         self.f = np.zeros(self.mu.size)
         self.g = np.zeros(self.nu.size)
         self.ab = np.ones(self.mu.size + self.nu.size)  # a, then b
+        low, high = log_kernel.min(), log_kernel.max()  # a nan or an inf shows here
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValidationError("log kernel has non-finite entries")
         # K~ = K, its entries below exp(_LOG_FLOOR) exact zeros, and kb = K~ b
-        self.kernel = _exp(self.kept_log_kernel(copy=True))
+        self.kernel = _aligned_empty(self.mu.size, self.nu.size)
+        if self.pruned or low < _LOG_FLOOR:
+            _exp(self.kept_log_kernel(out=self.kernel))
+        else:  # nothing to floor: one exp, straight into the buffer
+            np.exp(log_kernel, out=self.kernel)
         self.kb = np.dot(self.kernel, self.ab[self.mu.size:])
         self.row_marginal = self.kb.copy()  # a * kb at a = 1
         # a weight over a product < _MIN_PRODUCT is a scaling > 10 * top, so a sweep in
@@ -245,18 +295,23 @@ class SweepState:
         self.absorptions = 0
         self.omega = 1.0  # set by the probe's last sweep
 
-    def kept_log_kernel(self, copy: bool = False) -> np.ndarray:
-        """log K over the kept points: a gathered copy if a point is pruned.
+    def kept_log_kernel(self, out: np.ndarray | None = None) -> np.ndarray:
+        """log K over the kept points: log K itself if none is pruned, else a
+        gathered copy; with out, always copied into out.
 
-        Pruning one side is a compress, which needs no index buffers beyond
-        the copy; both sides take np.ix_, whose iterator holds ~130 kB more.
+        Pruning one side is a take, which writes straight into out in "clip"
+        mode (the indices are in range); both sides take np.ix_, whose
+        iterator holds ~130 kB more and whose gather is then copied into out.
         """
         prune1, prune2 = self.mu.size < self.keep1.size, self.nu.size < self.keep2.size
-        if prune1 and prune2:
-            return self.log_kernel[np.ix_(self.keep1, self.keep2)]
-        if prune1 or prune2:
-            return self.log_kernel.compress(*((self.keep1, 0) if prune1 else (self.keep2, 1)))
-        return self.log_kernel.copy() if copy else self.log_kernel
+        if prune1 != prune2:
+            axis, keep = (0, self.keep1) if prune1 else (1, self.keep2)
+            return np.take(self.log_kernel, np.flatnonzero(keep), axis, out=out, mode="clip")
+        block = self.log_kernel[np.ix_(self.keep1, self.keep2)] if prune1 else self.log_kernel
+        if out is None:
+            return block
+        np.copyto(out, block)
+        return out
 
     def advance(self, sweeps: int, tol: float) -> None:
         """Run sweeps until the residual is <= tol or `sweeps` more have run.
@@ -360,7 +415,8 @@ class SweepState:
             _reset(kernel, log_k, f, g, cur)
         else:
             np.divide(mu, self.kb, out=a)
-        ktb = np.dot(kernel.T, a, out=b)  # b is spent
+        with np.errstate(under="ignore"):  # the test below handles an underflow
+            ktb = np.dot(kernel.T, a, out=b)  # b is spent
         if ktb.min() < _MIN_PRODUCT:  # a column underflows: log-domain half sweep
             log_k = self.kept_log_kernel()
             f += np.log(a)
@@ -375,6 +431,25 @@ class SweepState:
             _reset(kernel, self.kept_log_kernel(), f, g, cur)
             return True
         return False
+
+    def finish(self) -> tuple[tuple[np.ndarray, np.ndarray], float | None]:
+        """The plan's full-size marginals a * K~ b and b * K~^T a, zero at
+        pruned points, and <plan, -log K> = -a . ((K~ * log K) b), summed over
+        K~, which is spent after.  With a pruned point the last is None: its
+        kept block of log K would be one more n1 x n2 array.
+        """
+        kernel, n1 = self.kernel, self.mu.size
+        a, b = self.ab[:n1], self.ab[n1:]
+        col = np.dot(kernel.T, a)
+        col *= b
+        self.kernel = None
+        if self.pruned:
+            full = np.zeros(self.keep1.size), np.zeros(self.keep2.size)
+            full[0][self.keep1], full[1][self.keep2] = self.row_marginal, col
+            return full, None
+        with np.errstate(under="ignore"):  # a term below the normal range adds nothing
+            np.multiply(kernel, self.log_kernel, out=kernel)
+            return (self.row_marginal, col), -float(a @ np.dot(kernel, b))
 
     def log_duals(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-size log u1 = f + log a and log u2 = g + log b, -inf at pruned points."""
@@ -398,35 +473,43 @@ def sinkhorn_solve(
     Runs a SweepState until the larger of the two marginal TV residuals drops
     to tol; on max_iter the last iterate is returned with converged=False and
     the caller decides.  log_kernel is log K = -C/eta as gibbs_kernel
-    returns it.
+    returns it, and must be finite.  The coupling's marginals and, when no
+    point is pruned, its kernel_cost are those of the final iterate; its plan
+    is formed only when read.
     """
     check_shape(log_kernel, (m1.n, m2.n), "log kernel")
-    if not np.isfinite(log_kernel).all():
-        raise ValidationError("log kernel has non-finite entries")
     check_solver_params(tol=tol, max_iter=max_iter)
 
     state = SweepState(m1, m2, log_kernel)
     state.advance(max_iter, tol)
     log_u1, log_u2 = state.log_duals()
-    state.kernel = None  # K~ is spent: released before the plan is formed
-    return BimarginalCoupling(
-        plan=_plan_from_duals(log_kernel, log_u1, log_u2),  # pruned points: zero rows, columns
+    marginals, kernel_cost = state.finish()
+    coupling = BimarginalCoupling(
         log_u1=log_u1,
         log_u2=log_u2,
         iterations=state.iterations,
         residual=float(state.residual),
         converged=state.residual <= tol,
         absorptions=state.absorptions,
+        log_kernel=log_kernel,
     )
+    # the final iterate's values stand in for those the plan would give
+    vars(coupling)["marginals"] = marginals
+    if kernel_cost is not None:
+        vars(coupling)["kernel_cost"] = kernel_cost
+    return coupling
 
 
 def sb_value(coupling: BimarginalCoupling) -> float:
-    """Optimal value D_KL(plan || K) = <log_u1, plan 1> + <log_u2, plan^T 1>.
+    """Optimal value D_KL(plan || K) = <log_u1, plan 1> + <log_u2, plan^T 1>,
+    read off the coupling's marginals.
 
-    Exact for the returned plan, because log plan = log_u1 ⊕ log_u2 + log K
-    wherever plan > 0.  A pruned point carries no mass and a -inf dual;
-    clipping its dual to the lowest float makes its term 0 rather than nan.
+    Exact for the plan, because log plan = log_u1 ⊕ log_u2 + log K wherever
+    plan > 0; for a solve's coupling the marginals are those of its final
+    iterate, equal to the plan's sums to rounding.  A pruned point carries
+    no mass and a -inf dual; clipping its dual to the lowest float makes its
+    term 0 rather than nan.
     """
-    plan = coupling.plan
-    return float(plan.sum(axis=1) @ np.maximum(coupling.log_u1, _LOWEST)
-                 + plan.sum(axis=0) @ np.maximum(coupling.log_u2, _LOWEST))
+    row, col = coupling.marginals
+    return float(row @ np.maximum(coupling.log_u1, _LOWEST)
+                 + col @ np.maximum(coupling.log_u2, _LOWEST))

@@ -188,7 +188,9 @@ class TestSolve:
             a, b = row["edge"]
             cost = build_cost(ms[a - 1], ms[b - 1])
             solved = sinkhorn_solve(ms[a - 1], ms[b - 1], gibbs_kernel(cost, 1.0))
-            assert row["transport_cost"] == float((cost.matrix * solved.plan).sum())
+            assert row["transport_cost"] == 1.0 * solved.kernel_cost
+            assert row["transport_cost"] == pytest.approx(
+                float((cost.matrix * solved.plan).sum()), rel=1e-12)
             assert (row["iterations"], row["residual"], row["converged"]) == (
                 solved.iterations, solved.residual, solved.converged)
 

@@ -386,7 +386,9 @@ class TestLeanEdgeRecords:
                 assert np.array_equal(getattr(coupling, name), getattr(solved, name))
             for name in ("iterations", "residual", "converged", "absorptions"):
                 assert getattr(coupling, name) == getattr(solved, name) == getattr(es, name)
-            assert es.transport_cost == float((cost.matrix * solved.plan).sum())
+            assert es.transport_cost == 1.0 * solved.kernel_cost
+            assert es.transport_cost == pytest.approx(
+                float((cost.matrix * solved.plan).sum()), rel=1e-12)
 
     def test_rank_trees_rebuilds_each_edge_once(self, rng, monkeypatch):
         # edge solves build their costs through mst.build_cost; a rebuild

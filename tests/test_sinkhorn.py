@@ -20,7 +20,8 @@ from bridgetree import (
     total_variation,
 )
 from bridgetree.config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL, check_cost_matrix
-from bridgetree.sinkhorn import _OMEGA_MAX, _PROBE, SweepState, _ascends, _row_lse, rebuild_plan
+from bridgetree.sinkhorn import _OMEGA_MAX, _PROBE, SweepState, _ascends, _plan_from_duals, _row_lse
+from bridgetree.sinkhorn import rebuild_coupling
 from conftest import GMM_MIXTURES, random_measure
 from helpers import kl_divergence, relaxed_sweep_reference, sweep_reference
 
@@ -506,7 +507,7 @@ class TestSweepState:
             resumed.append(state)
         for state in resumed:
             log_u1, log_u2 = state.log_duals()
-            _, plan = rebuild_plan(m1, m2, "sqeuclidean", eta, log_u1, log_u2)
+            plan = _plan_from_duals(log_k, log_u1, log_u2)
             assert (state.iterations, state.residual, state.absorptions) == (
                 straight.iterations, straight.residual, straight.absorptions)
             assert np.array_equal(log_u1, straight.log_u1)
@@ -571,11 +572,66 @@ class TestSweepState:
             with pytest.raises(LogDomain):
                 sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
 
+    @pytest.mark.parametrize("eta", [0.05, 0.1])
+    def test_checked_sweep_underflow_stays_inside_the_solve(self, eta):
+        # the 1e-250 weight's scaling is about 1e-250, so K~^T a underflows in
+        # the checked column half sweep, whose own < 1e-200 test handles it; a
+        # caller whose errstate raises gets the default handling's solve, bit
+        # for bit (the dot raised FloatingPointError before)
+        (m1, m2, _), = underflow_edges()[:1]
+        log_k = gibbs_kernel(build_cost(m1, m2), eta)
+        with np.errstate(all="raise"):
+            raised = sinkhorn_solve(m1, m2, log_k)
+        default = sinkhorn_solve(m1, m2, log_k)
+        assert raised.converged and raised.absorptions > 0
+        for name in ("iterations", "residual", "absorptions", "kernel_cost"):
+            assert getattr(raised, name) == getattr(default, name), name
+        for name in ("log_u1", "log_u2", "plan"):
+            assert np.array_equal(getattr(raised, name), getattr(default, name)), name
+        for side, default_side in zip(raised.marginals, default.marginals):
+            assert np.array_equal(side, default_side)
+
+    @pytest.mark.parametrize("pair", [blob_pair, zero_weight_pair])
+    def test_kernel_stays_on_a_64_byte_boundary(self, pair, monkeypatch):
+        # K~ is built in an aligned buffer, and every rebuild after an
+        # absorption and every log-domain half sweep (both pairs take both)
+        # writes into that buffer
+        log_domain = []
+        monkeypatch.setattr("bridgetree.sinkhorn._row_lse",
+                            lambda x: log_domain.append(1) or _row_lse(x))
+        m1, m2, eta = pair()
+        state = SweepState(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
+        assert state.kernel.ctypes.data % 64 == 0
+        while state.residual > DEFAULT_TOL:
+            absorptions, half_sweeps = state.absorptions, len(log_domain)
+            state.advance(1, DEFAULT_TOL)
+            if state.absorptions > absorptions or len(log_domain) > half_sweeps:
+                assert state.kernel.ctypes.data % 64 == 0
+        assert state.absorptions == 3 and log_domain
+
+    def test_unread_plan_is_never_formed(self):
+        # a solve records the marginals and <P, -log K> from its final
+        # iterate over K~, so beyond log K a 200 x 200 solve holds K~ and
+        # O(n) vectors; the plan is formed only when read
+        (m1, m2, eta), = gmm_edge()
+        log_k = gibbs_kernel(build_cost(m1, m2), eta)
+        tracemalloc.start()
+        try:
+            coup = sinkhorn_solve(m1, m2, log_k)
+            sb_value(coup)
+            coup.kernel_cost
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "plan" not in vars(coup)
+        assert peak <= 1.1 * log_k.nbytes
+        assert np.array_equal(coup.plan, _plan_from_duals(log_k, coup.log_u1, coup.log_u2))
+
     def test_absorbing_solve_holds_one_kernel_array(self):
         # K~ is rebuilt over itself and the log-domain half sweeps use it as
-        # their temporary: beyond log K, the solve holds one n x n array (the
-        # plan at the end) and numpy's broadcast buffers.  An old K~ kept
-        # alive across a rebuild read 2.27 arrays here.
+        # their temporary: beyond log K, the solve holds one n x n array (K~)
+        # and numpy's broadcast buffers.  An old K~ kept alive across a
+        # rebuild read 2.27 arrays here.
         m1, m2, eta = blob_pair()
         log_k = gibbs_kernel(build_cost(m1, m2), eta)
         tracemalloc.start()
@@ -749,6 +805,48 @@ class TestSbValue:
             masked_log = float((plan[mask] * (np.log(plan[mask]) - log_k[mask])).sum())
             assert sb_value(coup) == pytest.approx(masked_log, rel=1e-12, abs=1e-300)
         assert (floored, cut) == (far, max_iter == 3)
+
+    @pytest.mark.parametrize("edges", [
+        lambda: [plain_pair()], zero_weight_edges, lambda: [blob_pair()],
+        lambda: tiny_edges() + gmm_edge() + underflow_edges() + tiny_weight_edges()[:1],
+    ], ids=["plain", "pruned", "absorbing", "relaxing"])
+    def test_record_matches_the_formed_plan(self, edges):
+        # sb and <C, P> read off the final iterate agree with their values on
+        # the plan the duals form: sb_value of a coupling rebuilt from it,
+        # whose marginals are its sums, and (C * P).sum().  Edges at eta 0.01
+        # are left to the next test: there the duals reach 1e5, and the plan
+        # formed from them carries their rounding, up to 2.4e-12 relative.
+        for m1, m2, eta in edges():
+            cost = build_cost(m1, m2)
+            coup = sinkhorn_solve(m1, m2, gibbs_kernel(cost, eta), max_iter=20_000)
+            _, rebuilt = rebuild_coupling(m1, m2, "sqeuclidean", eta, coup.log_u1, coup.log_u2,
+                                          iterations=coup.iterations, residual=coup.residual,
+                                          converged=coup.converged,
+                                          absorptions=coup.absorptions)
+            assert sb_value(coup) == pytest.approx(sb_value(rebuilt), rel=1e-12)
+            assert eta * coup.kernel_cost == pytest.approx(
+                float((cost.matrix * rebuilt.plan).sum()), rel=1e-12)
+            assert np.array_equal(coup.plan, rebuilt.plan)
+
+    def test_record_is_that_of_the_final_iterate(self):
+        # the marginals and <P, -log K> a state records are those of its
+        # iterate P = K~ * (a ⊗ b), to rounding, also where the duals are so
+        # large that the plan formed from them is off by 1e-12
+        for m1, m2, eta in relaxing_edges() + [blob_pair()]:
+            log_k = gibbs_kernel(build_cost(m1, m2), eta)
+            state = SweepState(m1, m2, log_k)
+            state.advance(20_000, DEFAULT_TOL)
+            n1 = state.mu.size
+            plan = state.kernel * state.ab[:n1, None] * state.ab[None, n1:]
+            kernel_cost = -float((plan * log_k[np.ix_(state.keep1, state.keep2)]).sum())
+            (row, col), recorded = state.finish()
+            assert np.allclose(row[state.keep1], plan.sum(axis=1), rtol=1e-14, atol=0.0)
+            assert np.allclose(col[state.keep2], plan.sum(axis=0), rtol=1e-14, atol=0.0)
+            assert np.all(row[~state.keep1] == 0.0) and np.all(col[~state.keep2] == 0.0)
+            if state.pruned:  # its kernel cost is read off the plan
+                assert recorded is None
+            else:
+                assert recorded == pytest.approx(kernel_cost, rel=1e-14)
 
     def test_value_plus_entropies_nonnegative(self, rng):
         # sb + H1 + H2 = <C, M>/eta + mutual information >= 0
