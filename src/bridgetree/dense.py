@@ -1,14 +1,18 @@
 """Dense multimarginal reference solver (exponential in s, for verification).
 
-Multimarginal Sinkhorn in scaling form (Benamou et al. 2015) on the full
-s-way coupling tensor, stabilized as in Schmitzer 2019: large scalings are
-absorbed into log M and underflowing marginals are taken in log space.  No
-message passing, no factorization: this path is deliberately independent of
-the pairwise machinery it checks; a hard cap bounds its prod(n_sigma) cost.
+Multimarginal Sinkhorn (Benamou et al. 2015) on the full s-way coupling
+tensor, held as a fixed kernel K = exp(log M) beside one scaling vector per
+axis, stabilized as in Schmitzer 2019: large scalings are absorbed into
+log M and underflowing marginals are taken in log space.  Each marginal is
+read as a contraction of K with the other axes' scalings, which holds for
+any dense tensor scaled by a rank-one product; no message passing and no
+factorization along the graph, so this path stays independent of the
+pairwise machinery it checks.  A hard cap bounds its prod(n_sigma) cost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -115,11 +119,19 @@ def _log_marginal(log_m: np.ndarray, ax: int, out: np.ndarray | None = None) -> 
         return np.log(rows.sum(axis=1)) + top[:, 0]
 
 
-def _marginal(view: np.ndarray) -> np.ndarray:
-    """Marginal on the middle axis of a (pre, n, post) view, as two products with ones."""
-    pre, n, post = view.shape
-    rows = view.reshape(pre * n, post) @ np.ones(post) if post > 1 else view.reshape(pre * n)
-    return np.ones(pre) @ rows.reshape(pre, n)
+def _outer(u: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """u ⊗ tail flattened in C order.  A rank-one np.dot: a broadcast
+    multiply would allocate iterator buffers of up to 64 kB."""
+    return np.dot(u[:, None], tail[None, :]).reshape(-1)
+
+
+def _tails(scalings: Sequence[np.ndarray]) -> list:
+    """tails[ax] = scalings[ax + 1] ⊗ ... ⊗ scalings[-1] for ax >= 1 (a single
+    1 for the last axis); tails[0], of N / n_0 entries, is left out."""
+    tails = [np.ones(1)]
+    for u in scalings[:1:-1]:
+        tails.append(_outer(u, tails[-1]))
+    return [None] + tails[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,13 +154,20 @@ def mm_sinkhorn(
 ) -> MultimarginalResult:
     """Multimarginal Sinkhorn on the dense tensor, cyclic sweep order.
 
-    The tensor M = exp(log_m) * prod u_sigma is rescaled one marginal at a
-    time: r = mu_sigma / proj_sigma(M), M *= r on axis sigma, log u_sigma += log r.
+    The coupling is M = K * (u_1 ⊗ ... ⊗ u_s) with K = exp(log_m) fixed
+    between absorptions; M itself is formed once, over K, after the last
+    sweep.  The update of axis sigma sets u_sigma = mu_sigma / c_sigma, where
+    c_sigma is K contracted with every other scaling: a running contraction
+    of K with the scalings of the earlier axes, advanced by one vector-matrix
+    product after each update, meets the outer product of the later ones.
+    The contraction is the same identity for any rank-one scaling of a dense
+    tensor; it reads no graph structure and no code of the pairwise solver.
     Past sum_sigma max |log u_sigma| = log 1e50 the log u are absorbed into
-    log_m and M = exp(log_m), entries below exp(-400) as zeros.  A marginal
-    under 1e-200 is not divided by: its axis takes the log-domain update
-    log_m += log mu_sigma - log proj_sigma(M) after an absorption.  Stops when all
-    marginals are within TV `tol` after a sweep; zero-weight points are pruned.
+    log_m and K = exp(log_m), entries below exp(-400) as zeros.  A marginal
+    u_sigma * c_sigma under 1e-200 is not divided by: its axis takes the
+    log-domain update log_m += log mu_sigma - log proj_sigma(M) after an
+    absorption.  Stops when all marginals are within TV `tol` after a sweep;
+    zero-weight points are pruned.
     """
     measures = list(measures)
     s = graph.s
@@ -173,36 +192,48 @@ def mm_sinkhorn(
         if not keep.all():  # gathered axis by axis: read as given when nothing is pruned
             log_m = log_m.compress(keep, axis=ax)
     shape = log_m.shape
-    tensor = np.empty(shape)  # exp(log_m) times the pending scalings exp(log_u)
-    views = [tensor.reshape(int(np.prod(shape[:ax])), n, -1) for ax, n in enumerate(shape)]
-    log_u = [np.zeros(n) for n in shape]
-    spread = [0.0] * s  # max |log_u[ax]|
-    marginals = [np.zeros(shape[0])]  # zero: the first update is a log-domain one
+    kernel = np.empty(shape)  # exp(log_m), fixed between absorptions
+    u = [np.ones(n) for n in shape]  # the coupling is kernel * (u[0] ⊗ ... ⊗ u[s-1])
+    spread = [0.0] * s  # max |log u[ax]|
+    # rows[ax]: the kernel contracted with u[0..ax-1], as (shape[ax], rest) rows
+    flat = [kernel.reshape(-1)] + [np.empty(int(np.prod(shape[ax:]))) for ax in range(1, s)]
+    rows = [f.reshape(n, -1) for f, n in zip(flat, shape)]
+    tails = _tails(u)  # axis 0's is formed only where it is read
+    contracted = np.zeros(shape[0])  # zero: the first update is a log-domain one
     for iterations in range(1, max_iter + 1):
         for ax in range(s):
-            # the axis-0 marginal of the unchanged tensor is already known
-            marginal = marginals[0] if ax == 0 else _marginal(views[ax])
-            underflow = marginal.min() < _MIN_MARGINAL  # then no division
+            if ax:  # axis 0's is the end-of-sweep contraction: nothing changed since
+                contracted = rows[ax] @ tails[ax]
+            underflow = (u[ax] * contracted).min() < _MIN_MARGINAL  # then no division
             if not underflow:
-                ratio = mus[ax] / marginal
-                views[ax] *= ratio[:, None]
-                log_u[ax] += np.log(ratio)
-                spread[ax] = float(np.abs(log_u[ax]).max())
+                np.divide(mus[ax], contracted, out=u[ax])
+                spread[ax] = math.log(max(u[ax].max(), 1.0 / u[ax].min()))
+            start = ax
             if underflow or sum(spread) > _LOG_SCALE_BOUND:
                 for pending in np.flatnonzero(spread):  # absorb
-                    log_m += on_axes(log_u[pending], s, pending + 1)
-                    log_u[pending][:] = spread[pending] = 0.0
+                    log_m += on_axes(np.log(u[pending]), s, pending + 1)
+                    u[pending][:], spread[pending] = 1.0, 0.0
                 if underflow:  # the log-domain update
-                    log_m += on_axes(np.log(mus[ax]) - _log_marginal(log_m, ax, tensor), s, ax + 1)
-                np.exp(log_m, out=tensor)
-                tensor[tensor < _FLOOR] = 0.0
-        # fresh projections of the end-of-sweep tensor, all s marginals
-        marginals = [_marginal(view) for view in views]
+                    log_m += on_axes(np.log(mus[ax]) - _log_marginal(log_m, ax, kernel), s, ax + 1)
+                np.exp(log_m, out=kernel)
+                kernel[kernel < _FLOOR] = 0.0
+                # rows[1..ax] are rebuilt below as sums of the new kernel
+                tails, start = _tails(u), 0
+            for before in range(start, min(ax + 1, s - 1)):  # advance the rows past ax
+                np.dot(u[before], rows[before], out=flat[before + 1])
+        # each axis's contraction with every other end-of-sweep scaling
+        tails = _tails(u)
+        contracted = rows[0] @ _outer(u[1], tails[1])
+        marginals = [u[0] * contracted]
+        marginals += [v * (r @ t) for v, r, t in zip(u[1:], rows[1:], tails[1:])]
         residual = max(total_variation(m, mu) for m, mu in zip(marginals, mus))
         if residual <= tol:
             break
 
-    log_m = None  # spent: released before zero slices are put back, axis by axis
+    log_m = None  # spent: released before the coupling is formed over the kernel
+    rows[0] *= _outer(u[1], tails[1])
+    rows[0] *= u[0][:, None]
+    tensor = kernel
     for ax, keep in enumerate(keeps):
         if not keep.all():
             full = np.zeros(tensor.shape[:ax] + keep.shape + tensor.shape[ax + 1:])

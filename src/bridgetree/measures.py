@@ -194,12 +194,16 @@ def sample_gmm(
         rng = seed
     else:
         rng = np.random.default_rng(None if seed is None else as_index(seed, "seed", 0))
+    # the inverse-CDF search Generator.choice(p=probs) makes per draw, from
+    # one normalized CDF: the same uniform draw picks the same component
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     points = np.empty(n)
     filled = 0
     attempts = 0
     max_attempts = 10_000 * n
     while filled < n:
-        k = rng.choice(len(components), p=probs)
+        k = int(cdf.searchsorted(rng.random(), side="right"))
         x = rng.normal(means[k], stds[k])
         attempts += 1
         if a <= x <= b:

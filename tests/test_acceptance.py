@@ -178,11 +178,11 @@ def test_criterion_3_gmm_structural_replication(tmp_path):
     assert rows[0]["prufer"] == prufer_str, "solve tree is not the cheapest ranked tree"
     assert abs(float(rows[0]["cost_additive"]) - tree_payload["cost"]) <= 1e-9
 
-    # Speed vignette.  Solving one dense multimarginal problem at n = 25
-    # (25^5 entries) is out of reach at desk scale, so the comparison runs
-    # the structure solve at full size against a dense solve at n = 10
-    # (10^5 entries), truncated at 600 sweeps: the truncated time is a
-    # lower bound on the full dense solve.
+    # Speed vignette.  The structure solve runs at full size, n = 25; the
+    # dense solve runs at n = 10 (10^5 entries), truncated at 600 sweeps to
+    # keep the test short.  The truncated time is a lower bound on the full
+    # dense solve at n = 10, and the dense solve at n = 25 (25^5 entries)
+    # costs more still.
     rng = np.random.default_rng(42)
     from bridgetree import sample_gmm
 

@@ -308,6 +308,42 @@ class TestScalingForm:
         rng = np.random.default_rng(5)
         self.assert_matches_reference(random_measures(rng, [3, 2, 4]), star_graph(3, 2), 1.0)
 
+    @pytest.mark.parametrize("graph", [path_graph(6), star_graph(6)], ids=["path", "star"])
+    def test_oracle_s6_shape_matches_reference(self, graph):
+        # perfbench's oracle_s6 shape: six 5-point measures at eta 50
+        rng = np.random.default_rng(1)
+        self.assert_matches_reference(random_measures(rng, [5] * 6), graph, 50.0)
+
+    def test_absorbing_over_a_pruned_middle_axis_matches_reference(self, monkeypatch):
+        # every update absorbs, so after the update of each axis the rows of
+        # the earlier axes are rebuilt from the new kernel, axis 1 pruned
+        monkeypatch.setattr(dense, "_LOG_SCALE_BOUND", 0.0)
+        rng = np.random.default_rng(3)
+        measures = random_measures(rng, [3, 4, 3, 2])
+        m = measures[1]
+        measures[1] = DiscreteMeasure(m.support, np.where(np.arange(m.n) == 1, 0.0, m.weights))
+        mm = self.assert_matches_reference(measures, path_graph(4), 1.0)
+        assert np.all(mm.tensor[:, 1] == 0.0)
+
+    def test_marginal_underflowing_at_a_middle_axis_every_sweep(self, monkeypatch):
+        # a point of weight 1e-210 keeps axis 1's marginal under 1e-200 once
+        # it is fitted, so every sweep after the first updates that axis in
+        # the log domain, absorbing the pending scalings of the later axes
+        rng = np.random.default_rng(5)
+        measures = random_measures(rng, [3, 4, 3, 2])
+        m = measures[1]
+        measures[1] = DiscreteMeasure(m.support, np.where(np.arange(m.n) == 0, 1e-210, m.weights))
+        axes = []
+        log_marginal = dense._log_marginal
+
+        def spy(log_m, ax, out=None):
+            axes.append(ax)
+            return log_marginal(log_m, ax, out)
+
+        monkeypatch.setattr(dense, "_log_marginal", spy)
+        mm = self.assert_matches_reference(measures, path_graph(4), 1.0)
+        assert axes.count(1) == mm.iterations - 1 > 1
+
     def test_unpruned_solve_peaks_under_three_tensors(self):
         # six 5-point measures at eta 50, as perfbench's oracle_s6: the cost
         # tensor is the working log tensor and the linear tensor is returned

@@ -240,6 +240,35 @@ class TestSampleGmm:
         m = sample_gmm([(100.0, 0.1, 0.5), (0.0, 1.0, 0.5)], n=5, interval=(-1.0, 1.0), seed=4)
         assert np.all(np.abs(m.support) <= 1.0)
 
+    @staticmethod
+    def sample_by_choice(components, n, interval, seed):
+        """The sampler as a plain loop that draws each component with
+        Generator.choice; counts the draws it takes."""
+        means, stds, weights = np.asarray(components, dtype=float).T
+        rng = np.random.default_rng(seed)
+        points, draws = [], 0
+        while len(points) < n:
+            k = rng.choice(len(components), p=weights / weights.sum())
+            x = rng.normal(means[k], stds[k])
+            draws += 1
+            if interval[0] <= x <= interval[1]:
+                points.append(x)
+        return np.array(points), draws
+
+    @pytest.mark.parametrize("components, interval, tight", [
+        ([(-5.0, 1.0, 0.2), (0.0, 2.0, 0.5), (5.0, 1.0, 0.3)], (-10.0, 10.0), False),
+        ([(-5.0, 1.0, 0.5), (0.0, 2.0, 0.0), (5.0, 1.0, 0.5)], (-10.0, 10.0), False),
+        ([(1.0, 3.0, 2.0)], (-10.0, 10.0), False),
+        ([(-3.0, 1.0, 0.3), (3.0, 1.0, 0.7)], (-0.5, 0.5), True),
+    ], ids=["three", "zero-weight", "single", "tight"])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2026])
+    def test_draws_match_generator_choice(self, components, interval, tight, seed):
+        expected, draws = self.sample_by_choice(components, 40, interval, seed)
+        if tight:
+            assert draws > 40, "the interval rejects no draw"
+        m = sample_gmm(components, n=40, interval=interval, seed=seed)
+        assert np.array_equal(m.support[:, 0], expected)
+
 
 class TestFileFormats:
     def test_measure_roundtrip(self, tmp_path):
