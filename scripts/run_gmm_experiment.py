@@ -21,8 +21,8 @@ import time
 from pathlib import Path
 
 from bridgetree import (
+    GraphStructure,
     build_cost,
-    graph_from_edges,
     load_measure,
     mm_sinkhorn,
     parse_prufer,
@@ -79,7 +79,7 @@ def main():
                           "--out-dir", out / "probe").splitlines()
         small = [load_measure(p) for p in probe_paths]
         tree = prufer_decode(parse_prufer((out / "prufer.txt").read_text()), len(small))
-        graph = graph_from_edges(tree.s, tree.edges)
+        graph = GraphStructure(tree.s, tree.edges)
         costs = {
             (a, b): build_cost(small[a - 1], small[b - 1]).matrix
             for a, b in tree.edges

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    COST_KINDS,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     TENSOR_CAP,
@@ -29,7 +30,7 @@ from .config import (
     as_index,
     check_tensor_cap,
 )
-from .dense import graph_from_edges, mm_sinkhorn, msb_objective, cost_tensor
+from .dense import GraphStructure, mm_sinkhorn, msb_objective, cost_tensor
 from .errors import SolverError, ValidationError
 from .measures import (
     MeasureCollection,
@@ -38,7 +39,8 @@ from .measures import (
     sample_gmm,
     save_measure,
 )
-from .mst import _POOL_MIN_ENTRIES, optimal_msb, rank_trees, solve_edges
+from .mst import _POOL_MIN_ENTRIES, DIRECT_MODES, MST_ALGORITHMS
+from .mst import optimal_msb, rank_trees, solve_edges
 from .trees import (
     compose_tree_coupling,
     format_prufer,
@@ -69,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     solver.add_argument(
         "--cost",
         default="sqeuclidean",
-        help="ground cost: sqeuclidean, euclidean, or matrix:<csv-file>",
+        help=f"ground cost: {', '.join(COST_KINDS)}, or matrix:<csv-file>",
     )
     solver.add_argument("--tol", type=float, default=DEFAULT_TOL, help="marginal TV tolerance")
     solver.add_argument(
@@ -96,13 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out-dir", default=".", help="directory for output files")
 
     p_solve = sub.add_parser("solve", parents=[solver], help="optimal tree for measure files")
-    p_solve.add_argument("--mst", choices=("prim", "boruvka"), default="prim")
+    p_solve.add_argument("--mst", choices=tuple(MST_ALGORITHMS), default="prim")
 
     p_enum = sub.add_parser("enumerate", parents=[solver], help="rank all spanning trees by cost")
     p_enum.add_argument("--top-k", type=int, default=10, help="rows to report (0 = all)")
     p_enum.add_argument(
         "--direct",
-        choices=("auto", "never", "always"),
+        choices=DIRECT_MODES,
         default="auto",
         help=f"dense re-evaluation of each tree (auto: when at most {TENSOR_CAP} entries)",
     )
@@ -137,10 +139,6 @@ def _config_from_args(args) -> SolverConfig:
         threads=args.threads,
         on_nonconverged="warn" if args.allow_nonconverged else "error",
     )
-
-
-def _load_collection(paths) -> MeasureCollection:
-    return MeasureCollection([load_measure(p) for p in paths])
 
 
 def _out_dir(args) -> Path:
@@ -222,7 +220,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     config = _config_from_args(args)
-    collection = _load_collection(args.measures)
+    collection = MeasureCollection(map(load_measure, args.measures))
     result = optimal_msb(collection, config, mst_algorithm=args.mst)
     out = _out_dir(args)
 
@@ -260,7 +258,7 @@ def _cmd_solve(args) -> int:
 def _cmd_enumerate(args) -> int:
     config = _config_from_args(args)
     top_k = as_index(args.top_k, "--top-k", 0)
-    collection = _load_collection(args.measures)
+    collection = MeasureCollection(map(load_measure, args.measures))
     start = time.perf_counter()
     rows = rank_trees(collection, config, direct=args.direct)
     elapsed = time.perf_counter() - start
@@ -289,7 +287,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _config_from_args(args)
-    collection = _load_collection(args.measures)
+    collection = MeasureCollection(map(load_measure, args.measures))
     check_tensor_cap(collection.sizes)  # before any pairwise solve
     code = parse_prufer(args.tree)
     tree = prufer_decode(code, collection.s)
@@ -298,16 +296,14 @@ def _cmd_oracle(args) -> int:
     rebuilt = {e: es.rebuild() for e, es in solves.items()}  # one cost build per edge
     plans = {e: coupling.plan for e, (_, coupling) in rebuilt.items()}
     sbs = {e: es.sb for e, es in solves.items()}
-    composed = compose_tree_coupling(tree, plans, list(collection))
+    composed = compose_tree_coupling(tree, plans, collection)
 
-    graph = graph_from_edges(collection.s, tree.edges)
+    graph = GraphStructure(collection.s, tree.edges)
     costs = {e: cost.matrix for e, (cost, _) in rebuilt.items()}
-    mm = mm_sinkhorn(
-        list(collection), graph, costs, config.eta,
-        tol=config.tol, max_iter=config.max_iter,
-    )
-    if not mm.converged and config.on_nonconverged == "error":
-        raise SolverError(
+    mm = mm_sinkhorn(collection, graph, costs, config.eta,
+                     tol=config.tol, max_iter=config.max_iter)
+    if not mm.converged:
+        config.handle_nonconverged(
             f"multimarginal solve stopped at residual {mm.residual:.3e} > tol {config.tol:.1e}"
         )
 

@@ -6,11 +6,12 @@ import math
 import numbers
 import operator
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SolverError, ValidationError
 
 COST_KINDS = ("sqeuclidean", "euclidean")
 
@@ -150,9 +151,9 @@ class SolverConfig:
     ones hold the GIL through their short numpy calls and run serially.
     g is bit-identical at any thread count.
 
-    on_nonconverged: "error" aborts when a pairwise Sinkhorn solve hits
-    max_iter above tolerance; "warn" keeps the last iterate (a silently
-    inaccurate weight can flip the argmin, so "error" is the default).
+    on_nonconverged, applied by handle_nonconverged: "error" aborts when a
+    Sinkhorn solve stops at max_iter above tol; "warn" keeps the last iterate
+    (an inaccurate weight can flip the argmin, so "error" is the default).
     """
 
     eta: float
@@ -173,3 +174,10 @@ class SolverConfig:
             raise ValidationError(
                 f"on_nonconverged must be 'error' or 'warn', got {self.on_nonconverged!r}"
             )
+
+    def handle_nonconverged(self, message: str) -> None:
+        """The on_nonconverged rule for a solve that stopped above tol:
+        raise SolverError(message) under "error", warn under "warn"."""
+        if self.on_nonconverged == "error":
+            raise SolverError(message)
+        warnings.warn(message, stacklevel=3)  # at the solving function's caller

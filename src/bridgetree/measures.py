@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,33 +95,24 @@ class DiscreteMeasure:
         return self.support.shape[1]
 
 
-class MeasureCollection:
-    """Ordered list of s >= 2 measures sharing the ambient dimension."""
+class MeasureCollection(tuple):
+    """Ordered tuple of s >= 2 measures sharing the ambient dimension."""
 
-    def __init__(self, measures: Sequence[DiscreteMeasure]):
-        measures = tuple(measures)
-        check_vertex_count(len(measures))
-        dims = {m.dim for m in measures}
+    def __new__(cls, measures: Iterable[DiscreteMeasure]):
+        self = super().__new__(cls, measures)
+        check_vertex_count(len(self))
+        dims = {m.dim for m in self}
         if len(dims) != 1:
             raise ValidationError(f"measures have mixed support dimensions: {sorted(dims)}")
-        self.measures = measures
+        return self
 
     @property
     def s(self) -> int:
-        return len(self.measures)
+        return len(self)
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(m.n for m in self.measures)
-
-    def __len__(self) -> int:
-        return len(self.measures)
-
-    def __iter__(self) -> Iterator[DiscreteMeasure]:
-        return iter(self.measures)
-
-    def __getitem__(self, idx: int) -> DiscreteMeasure:
-        return self.measures[idx]
+        return tuple(m.n for m in self)
 
 
 def entropy(measure) -> float:

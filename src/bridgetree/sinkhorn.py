@@ -26,10 +26,10 @@ buffer starts on a 64-byte boundary, so a sweep's two products do not run
 at the speed of wherever the allocator placed it.  The state starts at
 f = g = 0 and K~ = K, one exp of log K, so the first sweep is like any
 other: ordinary unless a row of K underflows.  A state advanced, read and
-advanced again gives the bits of one straight solve.  With _OMEGA_MAX = 1 every sweep is plain and the iterates
-are those of the log-domain (log-sum-exp) recursion, without the underflow
-that raw exp(-C/eta) suffers for small eta.  The caller builds
-gibbs_kernel's log K = -C/eta once per edge.
+advanced again gives the bits of one straight solve.  With _OMEGA_MAX = 1 every
+sweep is plain and the iterates are those of the log-domain (log-sum-exp)
+recursion, without the underflow that raw exp(-C/eta) suffers for small eta.
+The caller builds gibbs_kernel's log K = -C/eta once per edge.
 
 A solve holds one n1 x n2 array beyond log K, K~, and forms no plan.  It
 returns the log duals f, g with O(n) data of the final iterate: the plan's

@@ -89,6 +89,25 @@ class TestDefaultsLiveInOnePlace:
         assert not any(cap_flags.values()), cap_flags
         assert (config.TENSOR_CAP, trees.ENUMERATION_CAP) == (10**7, 8)
 
+    def test_cli_choice_lists_are_the_library_constants(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+
+        def flag(command, name):
+            (action,) = [a for a in sub.choices[command]._actions if name in a.option_strings]
+            return action
+
+        assert flag("solve", "--mst").choices == tuple(mst.MST_ALGORITHMS)
+        assert flag("enumerate", "--direct").choices == mst.DIRECT_MODES
+        for command in ("solve", "enumerate", "oracle"):
+            cost_help = flag(command, "--cost").help
+            assert [kind for kind in COST_KINDS if kind not in cost_help] == []
+
+    @pytest.mark.parametrize("direct", ["sometimes", "Auto", "", None])
+    def test_rank_trees_refuses_other_direct_modes(self, direct):
+        with pytest.raises(ValidationError, match="direct must be auto/never/always"):
+            rank_trees([TWO, TWO], SolverConfig(eta=1.0), direct=direct)
+
     @pytest.mark.parametrize("command", ["solve", "enumerate", "oracle"])
     def test_cli_solver_flags(self, command):
         argv = [command, "m.json", "--eta", "1"]

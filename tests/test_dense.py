@@ -347,7 +347,8 @@ class TestScalingForm:
     def test_unpruned_solve_peaks_under_three_tensors(self):
         # six 5-point measures at eta 50, as perfbench's oracle_s6: the cost
         # tensor is the working log tensor and the linear tensor is returned
-        # as is, so the solve holds about 2.6 tensors at its peak
+        # as is, so the solve peaks at about 2.8 tensors (2.79 by tracemalloc),
+        # reached in numpy's broadcast buffers at the first log-domain update
         rng = np.random.default_rng(1)
         measures = random_measures(rng, [5] * 6)
         graph = path_graph(6)

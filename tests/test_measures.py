@@ -182,6 +182,14 @@ class TestMeasureCollection:
         assert coll.s == 2
         assert coll.sizes == (2, 1)
 
+    def test_is_the_tuple_it_validates(self):
+        m1 = DiscreteMeasure([[0.0], [1.0]], [1, 1])
+        m2 = DiscreteMeasure([[2.0]], [1.0])
+        coll = MeasureCollection(iter([m1, m2]))
+        assert isinstance(coll, tuple) and coll == (m1, m2)
+        assert coll[-1] is m2 and coll[:1] == (m1,)
+        assert not hasattr(coll, "measures")
+
 
 class TestSampleGmm:
     def test_single_component(self):
