@@ -185,7 +185,7 @@ def _cmd_gen(args) -> int:
     spec_path = Path(args.spec)
     try:
         spec = json.loads(spec_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{spec_path}: not valid JSON ({exc})") from exc
     if not isinstance(spec, dict) or "mixtures" not in spec:
         raise ValidationError(f"{spec_path}: expected an object with a 'mixtures' list")

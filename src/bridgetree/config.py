@@ -39,10 +39,11 @@ def check_solver_params(eta=_UNSET, tol=_UNSET, max_iter=_UNSET) -> None:
 
 def as_float_array(values, what: str) -> np.ndarray:
     """values as a float array: the one conversion of array input.  Refuses
-    ragged or non-numeric input; what names it in the message."""
+    ragged or non-numeric input and an integer beyond the float range; what
+    names it in the message."""
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be a rectangular array of numbers") from exc
 
 

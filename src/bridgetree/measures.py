@@ -163,7 +163,7 @@ def sample_gmm(
     n = as_index(n, "sample count", 1)
     try:
         a, b = (float(x) for x in interval)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"interval must be two numbers, got {interval!r}") from exc
     if not a < b:
         raise ValidationError(f"interval must satisfy a < b, got [{a}, {b}]")
@@ -219,10 +219,9 @@ def save_measure(measure: DiscreteMeasure, path) -> None:
 
 def load_measure(path) -> DiscreteMeasure:
     """Read a measure written by :func:`save_measure`."""
-    text = Path(path).read_text()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "support" not in payload or "weights" not in payload:
         raise ValidationError(f"{path}: expected an object with 'support' and 'weights'")

@@ -81,9 +81,9 @@ class TestGen:
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         no_std = {"mixtures": [{"components": [{"mean": 0.0, "weight": 1.0}]}]}
         bad = tmp_path / "bad.json"
-        for text in ("{}", "not json", '{"mixtures": []}', '{"mixtures": [{}]}',
-                     json.dumps(no_std)):
-            bad.write_text(text)
+        for text in (b"{}", b"not json", b'{"mixtures": []}', b'{"mixtures": [{}]}',
+                     json.dumps(no_std).encode(), b'\xff\xfe{"mixtures": []}'):
+            bad.write_bytes(text)
             rc = main(["gen", str(bad), "--out-dir", str(tmp_path)])
             assert rc == 2, text
             err = json.loads(capsys.readouterr().err)
@@ -126,6 +126,8 @@ class TestGen:
         ("mean", float("nan")),
         ("std", float("inf")),
         ("std", -1.0),
+        pytest.param("interval", [-10, 10**400], id="interval-beyond-float"),
+        pytest.param("weight", 10**400, id="weight-beyond-float"),
     ])
     def test_bad_spec_value_exits_2(self, tmp_path, capsys, field, value):
         spec = copy.deepcopy(GMM_SPEC)
@@ -215,6 +217,20 @@ class TestSolve:
     def test_wrongly_typed_weights_exit_2_names_path(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"support": [[0.0]], "weights": {"a": 1}}))
+        good = write_measures(tmp_path, [DiscreteMeasure([[1.0]], [1.0])])
+        rc = main(["solve", str(bad), *good, "--eta", "1.0", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "validation"
+        assert "bad.json" in err["error"]["message"]
+
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"support": [[0.0]], "weights": [1.0]}',
+        f'{{"support": [[0.0], [1.0]], "weights": [1, {10**400}]}}'.encode(),
+    ], ids=["not-utf8", "integer-beyond-float"])
+    def test_undecodable_or_overflowing_file_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
         good = write_measures(tmp_path, [DiscreteMeasure([[1.0]], [1.0])])
         rc = main(["solve", str(bad), *good, "--eta", "1.0", "--out-dir", str(tmp_path)])
         assert rc == 2
@@ -556,16 +572,31 @@ class TestBundledSpec:
         assert (out / "prufer.txt").read_bytes() == b"5 5 1\n"
 
 
+def run_experiment(tmp_path, *argv):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_gmm_experiment.py"), *argv,
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestExperimentScript:
     def test_small_run_writes_measures_and_full_ranking(self, tmp_path):
         # eta 50: at eta 5 and seed 42 the bundled spec's measures stall at
         # max_iter for several small n (4, 5, 6, 8, 10, 12).
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_gmm_experiment.py"),
-             "--eta", "50", "--n", "5", "--probe-n", "3", "--probe-sweeps", "5",
-             "--out-dir", str(tmp_path)],
-            capture_output=True, text=True, env=child_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
+        run_experiment(tmp_path, "--eta", "50", "--n", "5")
         assert len(list(tmp_path.glob("measure_*.json"))) == 5
         assert len(read_ranked_csv(tmp_path / "trees_ranked.csv")) == 125
+        tree = json.loads((tmp_path / "tree.json").read_text())
+        oracle = json.loads((tmp_path / "oracle_report.json").read_text())
+        assert oracle["tree"]["prufer"] == tree["prufer"]
+        # perfbench's SUP_GAP_TOL and DIRECT_TOL
+        assert oracle["sup_norm_gap"] <= 1e-6 and oracle["cost_gap"] <= 1e-5
+
+    def test_over_the_cap_skips_the_oracle(self, tmp_path):
+        # 26^5 = 11 881 376 entries, past config.TENSOR_CAP
+        stdout = run_experiment(tmp_path, "--eta", "50", "--n", "26", "--top-k", "1")
+        assert "oracle skipped: tensor with 11881376 entries exceeds the cap" in stdout
+        assert not (tmp_path / "oracle_report.json").exists()

@@ -147,6 +147,10 @@ class TestDiscreteMeasure:
         with pytest.raises(ValidationError, match=match):
             DiscreteMeasure(support, [1.0, 1.0])
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ValidationError, match="weights must be a rectangular array"):
+            DiscreteMeasure([[0.0], [1.0]], [1, 10**400])
+
     def test_immutable(self):
         m = DiscreteMeasure([[0.0], [1.0]], [1, 1])
         with pytest.raises(ValueError):
