@@ -193,8 +193,9 @@ def _cmd_gen(args) -> int:
     mixtures = spec["mixtures"]
     if not isinstance(mixtures, list) or not mixtures:
         raise ValidationError(f"{spec_path}: 'mixtures' must be a non-empty list")
-    out = _out_dir(args)
+    n = as_index(args.n, "--n", 1)
     rng = np.random.default_rng(as_index(args.seed, "--seed", 0))
+    out = _out_dir(args)
     paths = []
     for idx, mixture in enumerate(mixtures, start=1):
         comps = mixture.get("components") if isinstance(mixture, dict) else None
@@ -207,7 +208,7 @@ def _cmd_gen(args) -> int:
                 f"{spec_path}: mixture {idx} components need mean/std/weight ({exc})"
             ) from exc
         try:
-            measure = sample_gmm(triples, n=args.n, interval=interval, seed=rng)
+            measure = sample_gmm(triples, n=n, interval=interval, seed=rng)
         except ValidationError as exc:
             raise ValidationError(f"{spec_path}: mixture {idx}: {exc}") from exc
         path = out / f"{args.prefix}_{idx:02d}.json"

@@ -43,7 +43,9 @@ def as_float_array(values, what: str) -> np.ndarray:
     names it in the message."""
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise ValidationError(f"{what} has an integer beyond the float range") from exc
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} must be a rectangular array of numbers") from exc
 
 

@@ -1,13 +1,14 @@
 """Dense multimarginal reference solver (exponential in s, for verification).
 
-Multimarginal Sinkhorn (Benamou et al. 2015) on the full s-way coupling
-tensor, held as a fixed kernel K = exp(log M) beside one scaling vector per
-axis, stabilized as in Schmitzer 2019: large scalings are absorbed into
-log M and underflowing marginals are taken in log space.  Each marginal is
-read as a contraction of K with the other axes' scalings, which holds for
-any dense tensor scaled by a rank-one product; no message passing and no
-factorization along the graph, so this path stays independent of the
-pairwise machinery it checks.  A hard cap bounds its prod(n_sigma) cost.
+Multimarginal Sinkhorn (Benamou et al. 2015) on the s-way coupling tensor
+of the positive-weight points, held as a fixed kernel K = exp(log M) beside
+one scaling vector per axis, stabilized as in Schmitzer 2019: large scalings
+are absorbed into log M and underflowing marginals are taken in log space.
+Each marginal is read as a contraction of K with the other axes' scalings,
+which holds for any dense tensor scaled by a rank-one product; no message
+passing and no factorization along the graph, so this path stays
+independent of the pairwise machinery it checks.  A hard cap bounds the
+full shape's prod(n_sigma), the size of the tensor returned.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def mm_sinkhorn(
     log_m and K = exp(log_m), entries below exp(-400) as zeros.  A marginal
     u_sigma * c_sigma under 1e-200 is not divided by: its axis takes the
     log-domain update log_m += log mu_sigma - log proj_sigma(M) after an
-    absorption.  Stops when all marginals are within TV `tol` after a sweep;
-    zero-weight points are pruned.
+    absorption.  Stops when all marginals are within TV `tol` after a sweep.
+    log_m spans the kept points only; M takes the full shape in one scatter.
     """
     measures = list(measures)
     s = graph.s
@@ -177,21 +178,22 @@ def mm_sinkhorn(
         raise ValidationError("graph must be connected")
     check_solver_params(eta, tol, max_iter)
 
+    full_shape = check_tensor_cap([m.n for m in measures])  # the returned tensor's
     keeps = [m.weights > 0 for m in measures]
     mus = [m.weights[k] for m, k in zip(measures, keeps)]
-    full_shape = tuple(m.n for m in measures)
-    # log K = sum of -C_e/eta, each edge scaled before the sum (scaling the
-    # summed C instead rounds differently), restricted to the kept points
-    mats = {e: as_float_array(costs[e], f"cost matrix for edge {e}")
-            for e in graph.edges if e in costs}
-    for m in mats.values():
-        check_cost_scale(float(np.abs(m).max(initial=0.0)), eta)
-    scaled = {e: -m / eta for e, m in mats.items()}
-    log_m = cost_tensor(graph, scaled, shape=full_shape)
-    for ax, keep in enumerate(keeps):
-        if not keep.all():  # gathered axis by axis: read as given when nothing is pruned
-            log_m = log_m.compress(keep, axis=ax)
-    shape = log_m.shape
+    shape = tuple(mu.size for mu in mus)  # nothing is gathered or scattered at full_shape
+    # log K = sum of -C_e/eta over the kept points, each edge scaled before the
+    # sum (scaling the summed C instead rounds differently)
+    scaled = {}
+    for a, b in (e for e in graph.edges if e in costs):  # cost_tensor names a missing one
+        m = as_float_array(costs[a, b], f"cost matrix for edge {(a, b)}")
+        c_max = float(np.abs(m).max(initial=0.0))
+        check_cost_scale(c_max, eta)  # over the whole matrix: a pruned point's cost too
+        if shape != full_shape and math.isfinite(c_max):  # cost_tensor refuses non-finite m whole
+            check_shape(m, (full_shape[a - 1], full_shape[b - 1]), f"cost matrix for edge {(a, b)}")
+            m = m[np.ix_(keeps[a - 1], keeps[b - 1])]
+        scaled[a, b] = -m / eta
+    log_m = cost_tensor(graph, scaled, shape)
     kernel = np.empty(shape)  # exp(log_m), fixed between absorptions
     u = [np.ones(n) for n in shape]  # the coupling is kernel * (u[0] ⊗ ... ⊗ u[s-1])
     spread = [0.0] * s  # max |log u[ax]|
@@ -233,10 +235,7 @@ def mm_sinkhorn(
     log_m = None  # spent: released before the coupling is formed over the kernel
     rows[0] *= _outer(u[1], tails[1])
     rows[0] *= u[0][:, None]
-    tensor = kernel
-    for ax, keep in enumerate(keeps):
-        if not keep.all():
-            full = np.zeros(tensor.shape[:ax] + keep.shape + tensor.shape[ax + 1:])
-            full[(slice(None),) * ax + (keep,)] = tensor
-            tensor = full
-    return MultimarginalResult(tensor, iterations, float(residual), residual <= tol)
+    if shape != full_shape:  # one scatter, zeros at the pruned points
+        kernel, kept = np.zeros(full_shape), kernel
+        kernel[np.ix_(*keeps)] = kept
+    return MultimarginalResult(kernel, iterations, float(residual), residual <= tol)

@@ -18,8 +18,6 @@ import numpy as np
 from .config import as_float_array, as_index, check_shape, check_vertex_count
 from .errors import ValidationError
 
-NORMALIZATION_ATOL = 1e-12
-
 
 def normalize_weights(weights) -> np.ndarray:
     """Scale a nonnegative vector to sum 1.
@@ -45,11 +43,7 @@ def normalize_weights(weights) -> np.ndarray:
         total = w.sum()
     if total <= 0:
         raise ValidationError("all-zero weight vector cannot be normalized")
-    out = w / total
-    # paranoia: renormalize once more if accumulation drifted
-    if abs(out.sum() - 1.0) > NORMALIZATION_ATOL:
-        out = out / out.sum()
-    return out
+    return w / total
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -163,7 +157,9 @@ def sample_gmm(
     n = as_index(n, "sample count", 1)
     try:
         a, b = (float(x) for x in interval)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise ValidationError("interval has an integer beyond the float range") from exc
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"interval must be two numbers, got {interval!r}") from exc
     if not a < b:
         raise ValidationError(f"interval must satisfy a < b, got [{a}, {b}]")

@@ -1,22 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bridgetree import DiscreteMeasure
 
-# Mixture bank for the seeded experiment runs (1-d, supported on [-10, 10]).
-GMM_MIXTURES = [
-    [(-6.0, 1.2, 0.5), (5.0, 1.0, 0.5)],
-    [(-2.0, 0.8, 1.0)],
-    [(0.0, 2.5, 0.6), (7.0, 0.7, 0.4)],
-    [(-7.0, 0.6, 0.3), (2.0, 1.5, 0.7)],
-    [(4.0, 0.9, 0.5), (-4.0, 0.9, 0.5)],
-]
-
-GMM_SPEC = {
-    "interval": [-10.0, 10.0],
-    "mixtures": [{"components": [{"mean": m, "std": s, "weight": w} for m, s, w in mix]}
-                 for mix in GMM_MIXTURES],
-}
+# The experiment's spec (1-d mixtures supported on [-10, 10]) and its mixture
+# bank as the (mean, stddev, weight) triples sample_gmm takes
+GMM_SPEC = json.loads((Path(__file__).parents[1] / "scripts" / "gmm_mixtures.json").read_text())
+GMM_MIXTURES = [[(c["mean"], c["std"], c["weight"]) for c in mix["components"]]
+                for mix in GMM_SPEC["mixtures"]]
 
 
 def random_measure(rng, n, dim=2, low=-10.0, high=10.0):

@@ -19,6 +19,7 @@ from conftest import GMM_SPEC, random_measures
 from helpers import OVER_CAP, OVER_CAP_N
 
 ROOT = Path(__file__).resolve().parents[1]
+BEYOND_FLOAT = 10**400  # an integer that no float holds
 
 
 def child_env():
@@ -95,6 +96,14 @@ class TestGen:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["message"] == "--seed must be an integer >= 0, got -1"
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_sample_count_exits_2_naming_the_flag(self, tmp_path, spec_path, capsys):
+        rc = main(["gen", spec_path, "--n", "0", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["message"] == "--n must be an integer >= 1, got 0"
+        assert not (tmp_path / "out").exists()
 
     def test_python_dash_m_entry_point(self, tmp_path, spec_path):
         proc = subprocess.run(
@@ -126,8 +135,8 @@ class TestGen:
         ("mean", float("nan")),
         ("std", float("inf")),
         ("std", -1.0),
-        pytest.param("interval", [-10, 10**400], id="interval-beyond-float"),
-        pytest.param("weight", 10**400, id="weight-beyond-float"),
+        pytest.param("interval", [-10, BEYOND_FLOAT], id="interval-beyond-float"),
+        pytest.param("weight", BEYOND_FLOAT, id="weight-beyond-float"),
     ])
     def test_bad_spec_value_exits_2(self, tmp_path, capsys, field, value):
         spec = copy.deepcopy(GMM_SPEC)
@@ -144,6 +153,10 @@ class TestGen:
         assert str(bad) in err["error"]["message"]
         if field != "interval":
             assert "mixture 1" in err["error"]["message"]
+        if BEYOND_FLOAT in (value if isinstance(value, list) else [value]):
+            what = "interval" if field == "interval" else "components"
+            assert err["error"]["message"] == (
+                f"{bad}: mixture 1: {what} has an integer beyond the float range")
 
 
 class TestSolve:
@@ -224,11 +237,12 @@ class TestSolve:
         assert err["error"]["type"] == "validation"
         assert "bad.json" in err["error"]["message"]
 
-    @pytest.mark.parametrize("content", [
-        b'\xff\xfe{"support": [[0.0]], "weights": [1.0]}',
-        f'{{"support": [[0.0], [1.0]], "weights": [1, {10**400}]}}'.encode(),
+    @pytest.mark.parametrize("content, message", [
+        (b'\xff\xfe{"support": [[0.0]], "weights": [1.0]}', "not valid JSON"),
+        (f'{{"support": [[0.0], [1.0]], "weights": [1, {BEYOND_FLOAT}]}}'.encode(),
+         "weights has an integer beyond the float range"),
     ], ids=["not-utf8", "integer-beyond-float"])
-    def test_undecodable_or_overflowing_file_exits_2(self, tmp_path, capsys, content):
+    def test_undecodable_or_overflowing_file_exits_2(self, tmp_path, capsys, content, message):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
         good = write_measures(tmp_path, [DiscreteMeasure([[1.0]], [1.0])])
@@ -237,6 +251,7 @@ class TestSolve:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "validation"
         assert "bad.json" in err["error"]["message"]
+        assert message in err["error"]["message"]
 
     def test_overflowing_cost_exits_2_with_one_stderr_line(self, tmp_path):
         # the squared distance of points 2e200 apart overflows: the error is

@@ -363,6 +363,81 @@ class TestScalingForm:
         assert peak <= 3 * mm.tensor.nbytes, f"peak {peak / mm.tensor.nbytes:.2f} tensors"
 
 
+def without_point(measure, i):
+    """measure with its point i at weight 0."""
+    weights = np.where(np.arange(measure.n) == i, 0.0, measure.weights)
+    return DiscreteMeasure(measure.support, weights)
+
+
+class TestPruning:
+    """mm_sinkhorn drops zero-weight points once: log K is built over the kept
+    points and the solution is scattered back into the full shape."""
+
+    @pytest.mark.parametrize("absorbing", [False, True], ids=["plain", "absorbing"])
+    def test_equals_the_solve_without_the_pruned_points(self, absorbing, monkeypatch):
+        # dyadic weights: dropping their zeros leaves the sums at exactly 1,
+        # so the kept measures are the same numbers
+        if absorbing:
+            monkeypatch.setattr(dense, "_LOG_SCALE_BOUND", 0.0)
+        weights = [[0.25, 0.0, 0.5, 0.25], [0.5, 0.5], [0.0, 0.75, 0.25],
+                   [0.125, 0.375, 0.0, 0.5]]
+        keeps = [np.array(w) > 0 for w in weights]
+        rng = np.random.default_rng(7)
+        full = [DiscreteMeasure(rng.uniform(-3, 3, (len(w), 2)), w) for w in weights]
+        kept = [DiscreteMeasure(m.support[k], m.weights[k]) for m, k in zip(full, keeps)]
+        graph = graph_from_edges(4, [(1, 2), (2, 3), (2, 4), (3, 4)])  # with a cycle
+        costs = edge_costs(full, graph)
+        kept_costs = {(a, b): c[np.ix_(keeps[a - 1], keeps[b - 1])] for (a, b), c in costs.items()}
+        pruned = mm_sinkhorn(full, graph, costs, 0.5)
+        direct = mm_sinkhorn(kept, graph, kept_costs, 0.5)
+        assert direct.converged
+        block = np.ix_(*keeps)
+        assert np.array_equal(pruned.tensor[block], direct.tensor)
+        assert (pruned.iterations, pruned.residual, pruned.converged) == (
+            direct.iterations, direct.residual, direct.converged)
+        rest = pruned.tensor.copy()
+        rest[block] = 0.0
+        assert not rest.any()
+
+    def test_pruned_solve_peaks_under_two_and_a_quarter_tensors(self):
+        # five 1-d measures of 18 points, point v of measure v at zero weight:
+        # the solve peaks at 1.81 full tensors by tracemalloc; building the
+        # full cost tensor and pruning it axis by axis peaks at 2.75
+        rng = np.random.default_rng(3)
+        measures = [without_point(m, v) for v, m in
+                    enumerate(random_measures(rng, [18] * 5, dim=1, low=-3, high=3))]
+        graph = graph_from_edges(5, [(1, 2), (2, 3), (2, 4), (4, 5)])
+        costs = edge_costs(measures, graph)
+        tracemalloc.start()
+        try:
+            mm = mm_sinkhorn(measures, graph, costs, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mm.converged and mm.tensor.shape == (18,) * 5
+        assert peak <= 2.25 * mm.tensor.nbytes, f"peak {peak / mm.tensor.nbytes:.2f} tensors"
+
+    def test_cap_applies_to_the_full_shape(self, rng):
+        # the kept points make 215^3 < 10^7 entries, the returned tensor 216^3
+        measures = [without_point(m, 0) for m in random_measures(rng, [OVER_CAP_N] * 3)]
+        graph = path_graph(3)
+        with pytest.raises(ValidationError, match=OVER_CAP):
+            mm_sinkhorn(measures, graph, edge_costs(measures, graph), eta=1.0)
+
+    @pytest.mark.parametrize("cost, eta, message", [
+        ([[0.0, 1.0], [np.inf, np.inf], [4.0, 1.0]], 1.0, r"edge \(1, 2\) has non-finite"),
+        ([[0.0, 1.0], [np.nan, 0.0], [4.0, 1.0]], 1.0, r"edge \(1, 2\) has non-finite"),
+        ([[0.0, 1.0], [1e308, 0.0], [4.0, 1.0]], 1e-10, r"eta=1e-10 is too small"),
+        (np.zeros((4, 2)), 1.0, r"edge \(1, 2\) has shape \(4, 2\), expected \(3, 2\)"),
+    ], ids=["inf", "nan", "overflowing", "mis-shaped"])
+    def test_a_pruned_points_cost_is_checked(self, cost, eta, message):
+        # point 2 of measure 1 has zero weight: its row is checked all the same
+        measures = [DiscreteMeasure([[0.0], [1.0], [2.0]], [0.5, 0.0, 0.5]),
+                    DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])]
+        with pytest.raises(ValidationError, match=message):
+            mm_sinkhorn(measures, graph_from_edges(2, [(1, 2)]), {(1, 2): cost}, eta)
+
+
 class TestLogMarginal:
     def test_every_axis_matches_logsumexp_and_leaves_the_tensor(self, rng):
         # axes 0 and s-1 reshape to views, the middle ones to copies: the
