@@ -26,6 +26,7 @@ from .measures import (
     normalize_weights,
     sample_gmm,
     save_measure,
+    total_variation,
 )
 from .mst import (
     EdgeSolve,
@@ -46,7 +47,6 @@ from .sinkhorn import (
     gibbs_kernel,
     sb_value,
     sinkhorn_solve,
-    total_variation,
 )
 from .trees import (
     SpanningTree,
@@ -57,7 +57,6 @@ from .trees import (
     prufer_decode,
     prufer_encode,
     tree_cost_additive,
-    tree_cost_decomposed,
 )
 
 __version__ = "0.1.0"
@@ -104,5 +103,4 @@ __all__ = [
     "sinkhorn_solve",
     "total_variation",
     "tree_cost_additive",
-    "tree_cost_decomposed",
 ]

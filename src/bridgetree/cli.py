@@ -47,7 +47,7 @@ from .trees import (
     parse_prufer,
     prufer_decode,
     prufer_encode,
-    tree_cost_decomposed,
+    tree_cost_additive,
 )
 
 SIG_DIGITS = 15
@@ -195,8 +195,7 @@ def _cmd_gen(args) -> int:
         raise ValidationError(f"{spec_path}: 'mixtures' must be a non-empty list")
     n = as_index(args.n, "--n", 1)
     rng = np.random.default_rng(as_index(args.seed, "--seed", 0))
-    out = _out_dir(args)
-    paths = []
+    measures = []  # every mixture is drawn before any file is written
     for idx, mixture in enumerate(mixtures, start=1):
         comps = mixture.get("components") if isinstance(mixture, dict) else None
         if not comps:
@@ -208,14 +207,14 @@ def _cmd_gen(args) -> int:
                 f"{spec_path}: mixture {idx} components need mean/std/weight ({exc})"
             ) from exc
         try:
-            measure = sample_gmm(triples, n=n, interval=interval, seed=rng)
+            measures.append(sample_gmm(triples, n=n, interval=interval, seed=rng))
         except ValidationError as exc:
             raise ValidationError(f"{spec_path}: mixture {idx}: {exc}") from exc
+    out = _out_dir(args)
+    for idx, measure in enumerate(measures, start=1):
         path = out / f"{args.prefix}_{idx:02d}.json"
         save_measure(measure, path)
-        paths.append(path)
-    for p in paths:
-        print(p)
+        print(path)
     return 0
 
 
@@ -296,7 +295,9 @@ def _cmd_oracle(args) -> int:
     solves = solve_edges(collection, config, tree.edges)  # the tree's s-1 edges only
     rebuilt = {e: es.rebuild() for e, es in solves.items()}  # one cost build per edge
     plans = {e: coupling.plan for e, (_, coupling) in rebuilt.items()}
-    sbs = {e: es.sb for e, es in solves.items()}
+    g = np.zeros((collection.s, collection.s))  # solve's weights on the tree's edges
+    for (a, b), es in solves.items():
+        g[a - 1, b - 1] = es.g
     composed = compose_tree_coupling(tree, plans, collection)
 
     graph = GraphStructure(collection.s, tree.edges)
@@ -310,7 +311,7 @@ def _cmd_oracle(args) -> int:
 
     sup_gap = float(np.abs(composed - mm.tensor).max())
     entropies = [entropy(m) for m in collection]
-    cost_decomposed = tree_cost_decomposed(tree, sbs, entropies)
+    cost_decomposed = tree_cost_additive(tree, g, entropies)  # solve's formula, bit for bit
     dense_cost = cost_tensor(graph, costs, shape=collection.sizes)
     cost_direct = msb_objective(mm.tensor, dense_cost, config.eta) / config.eta
     cost_gap = abs(cost_decomposed - cost_direct)

@@ -30,8 +30,7 @@ from .config import (
     check_tensor_cap,
 )
 from .errors import ValidationError
-from .measures import DiscreteMeasure
-from .sinkhorn import total_variation
+from .measures import DiscreteMeasure, total_variation
 from .trees import DisjointSet, Edge, on_axes
 
 # mm_sinkhorn's bounds: the pairwise solver's, restated as dense.py shares no code

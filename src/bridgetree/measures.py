@@ -121,6 +121,11 @@ def entropy(measure) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def total_variation(p, q) -> float:
+    """TV distance between two nonnegative vectors: half the L1 deviation."""
+    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
 def _interval_mass(means, stds, probs, a: float, b: float) -> float:
     """Mixture mass inside [a, b].  Each component's normal mass is a
     difference of two erfc values, taken on the tail that holds the interval,

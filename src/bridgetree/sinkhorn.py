@@ -132,11 +132,6 @@ def gibbs_kernel(cost: PairwiseCost, eta: float) -> np.ndarray:
     return log_k
 
 
-def total_variation(p, q) -> float:
-    """TV distance between two nonnegative vectors: half the L1 deviation."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
-
-
 @dataclass(frozen=True, eq=False)
 class BimarginalCoupling:
     """Converged (or best-effort) transport plan, held as its dual scalings.

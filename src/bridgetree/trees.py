@@ -11,9 +11,11 @@ A tree-structured optimal coupling factors over its edges:
     M_T[i_1..i_s] = prod_edges M_edge[i_a, i_b] / prod_v mu_v[i_v]^(deg v - 1)
 
 which compose_tree_coupling forms as written, with no root.  Its KL value
-decomposes as  sum_edges sb_edge + sum_v (deg v - 1) H(mu_v),  equivalently
-sum_edges g_edge - sum_v H(mu_v)  with the degree-free weights
-g_edge = sb_edge + H(mu_a) + H(mu_b).
+is the one tree cost, tree_cost_additive:  sum_edges g_edge - sum_v H(mu_v)
+with the degree-free weights g_edge = sb_edge + H(mu_a) + H(mu_b).  That is
+the edge decomposition  sum_edges sb_edge + sum_v (deg v - 1) H(mu_v)  of a
+tree-structured bridge (Haasler, Ringh, Chen, Karlsson 2021), which
+tests/helpers.py keeps as the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import numpy as np
 from .config import as_float_array, as_index, check_edges, check_shape, check_tensor_cap
 from .config import check_vertex_count
 from .errors import ValidationError
-from .measures import DiscreteMeasure
-from .sinkhorn import total_variation
+from .measures import DiscreteMeasure, total_variation
 
 Edge = tuple[int, int]
 
@@ -86,14 +87,6 @@ class SpanningTree:
         object.__setattr__(tree, "s", s)
         object.__setattr__(tree, "edges", edges)
         return tree
-
-    def degrees(self) -> np.ndarray:
-        """Degree of each vertex; index i holds the degree of vertex i+1."""
-        deg = np.zeros(self.s, dtype=int)
-        for a, b in self.edges:
-            deg[a - 1] += 1
-            deg[b - 1] += 1
-        return deg
 
     def to_dot(self) -> str:
         lines = ["graph tree {"]
@@ -257,32 +250,14 @@ def compose_tree_coupling(
     return out
 
 
-def tree_cost_decomposed(
-    tree: SpanningTree,
-    sb_values: Mapping[Edge, float],
-    entropies: Sequence[float],
-) -> float:
-    """KL cost of a tree via its edges: sum sb_edge + sum (deg-1) * H."""
-    if len(entropies) != tree.s:
-        raise ValidationError(f"need {tree.s} entropies, got {len(entropies)}")
-    missing = [edge for edge in tree.edges if edge not in sb_values]
-    if missing:
-        raise ValidationError(f"missing sb value for tree edge {missing[0]}")
-    total = sum(float(sb_values[edge]) for edge in tree.edges)
-    deg = tree.degrees()
-    total += float(((deg - 1) * as_float_array(entropies, "entropies")).sum())
-    return total
-
-
 def tree_cost_additive(
     tree: SpanningTree,
     g_weights: np.ndarray,
     entropies: Sequence[float],
 ) -> float:
-    """KL cost of a tree via degree-free edge weights: sum g_edge - sum H.
-
-    Algebraically identical to tree_cost_decomposed when
-    g[a, b] = sb[a, b] + H_a + H_b.
+    """KL cost of a tree via degree-free edge weights: sum g_edge - sum H,
+    the cost that solve, enumerate and oracle report.  Only the tree's
+    entries g[a - 1, b - 1], a < b, are read.
     """
     g = as_float_array(g_weights, "weight matrix")
     check_shape(g, (tree.s, tree.s), "weight matrix")

@@ -1,4 +1,4 @@
-"""Graph constructors, reductions, constants and reference solvers that only the tests call."""
+"""Graph constructors, reductions, constants, reference solvers and the edge-decomposed tree cost that only the tests call."""
 
 import heapq
 import itertools
@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from bridgetree import DiscreteMeasure, GraphStructure, ValidationError, cost_tensor, total_variation
+from bridgetree.config import as_float_array
 from bridgetree.dense import MultimarginalResult, _log_marginal
 from bridgetree.sinkhorn import _MIN_PRODUCT, _SCALE_BOUND, _ascends, _plan_from_duals, _row_lse
 from bridgetree.trees import on_axes
@@ -56,6 +57,31 @@ def reference_decode(code, s: int) -> tuple[tuple, list]:
             heapq.heappush(leaves, c)
     steps.append((heapq.heappop(leaves), heapq.heappop(leaves)))  # ascending pops
     return tuple(sorted((min(e), max(e)) for e in steps)), steps
+
+
+def degrees(tree) -> np.ndarray:
+    """Degree of each vertex; index i holds the degree of vertex i+1."""
+    deg = np.zeros(tree.s, dtype=int)
+    for a, b in tree.edges:
+        deg[a - 1] += 1
+        deg[b - 1] += 1
+    return deg
+
+
+def tree_cost_decomposed(tree, sb_values, entropies) -> float:
+    """KL cost of a tree via its edges: sum sb_edge + sum (deg-1) * H, the
+    edge decomposition of a tree-structured bridge (Haasler, Ringh, Chen,
+    Karlsson 2021, arXiv:2004.06909).  The reference that tree_cost_additive,
+    sum g_edge - sum H with g = sb + H_a + H_b, is checked against."""
+    if len(entropies) != tree.s:
+        raise ValidationError(f"need {tree.s} entropies, got {len(entropies)}")
+    missing = [edge for edge in tree.edges if edge not in sb_values]
+    if missing:
+        raise ValidationError(f"missing sb value for tree edge {missing[0]}")
+    total = sum(float(sb_values[edge]) for edge in tree.edges)
+    deg = degrees(tree)
+    total += float(((deg - 1) * as_float_array(entropies, "entropies")).sum())
+    return total
 
 
 def project(tensor: np.ndarray, sigma: int) -> np.ndarray:

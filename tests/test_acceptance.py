@@ -41,11 +41,10 @@ from bridgetree import (
     sinkhorn_solve,
     total_variation,
     tree_cost_additive,
-    tree_cost_decomposed,
 )
 from bridgetree.cli import main as cli_main
 from conftest import GMM_MIXTURES, GMM_SPEC, random_measure, random_measures
-from helpers import path_graph, star_graph
+from helpers import path_graph, star_graph, tree_cost_decomposed
 
 
 def criterion(num, label):

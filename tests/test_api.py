@@ -44,7 +44,6 @@ from bridgetree import (
     sb_value,
     sinkhorn_solve,
     tree_cost_additive,
-    tree_cost_decomposed,
 )
 from bridgetree import cli, config, dense, mst, trees
 from bridgetree.cli import build_parser
@@ -128,8 +127,11 @@ class TestExports:
         deleted = {"sb_values", "tensor_note", "pruned", "marginal_tol", "_plan_array",
                    "KernelMatrix", "_resolve_cost", "_broadcast_pair", "_edge_lookup",
                    "kl_divergence", "project", "path_graph", "star_graph", "complete_graph",
-                   "record_history", "residual_history", "image_to_measure", "load_image_grid"}
+                   "record_history", "residual_history", "image_to_measure", "load_image_grid",
+                   "tree_cost_decomposed"}
         assert deleted.isdisjoint(bridgetree.__all__)
+        assert not hasattr(SpanningTree, "degrees")
+        assert not hasattr(bridgetree.sinkhorn, "total_variation")
         for name in ("project", "path_graph", "star_graph", "complete_graph",
                      "_infer_shape", "_edge_matrix"):
             assert not hasattr(bridgetree.dense, name), name
@@ -293,7 +295,6 @@ def test_dense_oracle_imports_nothing_of_the_fast_path():
     checks: from the package it takes only generic helpers."""
     allowed = {
         "trees": {"DisjointSet", "Edge", "on_axes"},
-        "sinkhorn": {"total_variation"},
     }
     imported: dict[str, set[str]] = {}
     for node in ast.walk(ast.parse(DENSE.read_text())):
@@ -424,8 +425,9 @@ CONTRACT_CALLS = {
     # ragged array input
     "tree_cost_additive-ragged": (lambda _: tree_cost_additive(EDGE, RAGGED, [0.0, 0.0]),
                                   "weight matrix must be a rectangular array of numbers"),
-    "tree_cost_decomposed-ragged": (lambda _: tree_cost_decomposed(EDGE, {(1, 2): 0.0}, RAGGED),
-                                    "entropies must be a rectangular array of numbers"),
+    "tree_cost_additive-ragged-entropies": (
+        lambda _: tree_cost_additive(EDGE, np.zeros((2, 2)), RAGGED),
+        "entropies must be a rectangular array of numbers"),
     "compose-ragged": (lambda _: compose_tree_coupling(EDGE, {(1, 2): RAGGED}, [TWO, TWO]),
                        "plan for edge (1, 2) must be a rectangular array of numbers"),
     "cost_tensor-ragged": (lambda _: cost_tensor(PAIR, {(1, 2): RAGGED}, shape=(2, 2)),

@@ -128,22 +128,24 @@ class TestGen:
         assert "mixture 1: no mixture component reaches" in err["error"]["message"]
         assert not list((tmp_path / "out").glob("*.json"))
 
-    @pytest.mark.parametrize("field, value", [
-        ("std", "abc"),
-        ("interval", 5),
-        ("interval", [1.0, 2.0, 3.0]),
-        ("mean", float("nan")),
-        ("std", float("inf")),
-        ("std", -1.0),
-        pytest.param("interval", [-10, BEYOND_FLOAT], id="interval-beyond-float"),
-        pytest.param("weight", BEYOND_FLOAT, id="weight-beyond-float"),
+    @pytest.mark.parametrize("field, value, mixture", [
+        pytest.param("std", "abc", 1, id="std-abc"),
+        pytest.param("interval", 5, 1, id="interval-5"),
+        pytest.param("interval", [1.0, 2.0, 3.0], 1, id="interval-value2"),
+        pytest.param("mean", float("nan"), 1, id="mean-nan"),
+        pytest.param("std", float("inf"), 1, id="std-inf"),
+        pytest.param("std", -1.0, 1, id="std--1.0"),
+        pytest.param("std", -1.0, 3, id="std--1.0-in-mixture-3"),
+        pytest.param("interval", [-10, BEYOND_FLOAT], 1, id="interval-beyond-float"),
+        pytest.param("weight", BEYOND_FLOAT, 1, id="weight-beyond-float"),
     ])
-    def test_bad_spec_value_exits_2(self, tmp_path, capsys, field, value):
+    def test_bad_spec_value_exits_2(self, tmp_path, capsys, field, value, mixture):
+        # the interval applies to every mixture, so mixture 1 already refuses it
         spec = copy.deepcopy(GMM_SPEC)
         if field == "interval":
             spec["interval"] = value
         else:
-            spec["mixtures"][0]["components"][0][field] = value
+            spec["mixtures"][mixture - 1]["components"][0][field] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(spec))
         rc = main(["gen", str(bad), "--out-dir", str(tmp_path / "out")])
@@ -152,7 +154,8 @@ class TestGen:
         assert err["error"]["type"] == "validation"
         assert str(bad) in err["error"]["message"]
         if field != "interval":
-            assert "mixture 1" in err["error"]["message"]
+            assert f"mixture {mixture}" in err["error"]["message"]
+        assert not (tmp_path / "out").exists()  # no mixture is written before all are drawn
         if BEYOND_FLOAT in (value if isinstance(value, list) else [value]):
             what = "interval" if field == "interval" else "components"
             assert err["error"]["message"] == (

@@ -39,8 +39,8 @@ from bridgetree.measures import MeasureCollection
 from bridgetree.mst import EdgeSolve, EdgeWeightMatrix
 from bridgetree.trees import DisjointSet, _decode_codes
 from conftest import random_measure, random_measures
-from helpers import (OVER_CAP, OVER_CAP_N, complete_graph, gaussian_g, gaussian_on_grid,
-                     prufer_codes)
+from helpers import (OVER_CAP, OVER_CAP_N, complete_graph, degrees, gaussian_g,
+                     gaussian_on_grid, prufer_codes)
 
 
 def exhaustive_mst(weights):
@@ -99,7 +99,7 @@ def reference_direct_cost(tree, ewm, measures, eta):
         view[b - 1] = shape[b - 1]
         np.add(cost_buf, cost_mats[(a, b)].reshape(view), out=cost_buf)
         np.multiply(plan_buf, plans[(a, b)].reshape(view), out=plan_buf)
-    deg = tree.degrees()
+    deg = degrees(tree)
     for idx in range(s):
         if deg[idx] <= 1:
             continue
