@@ -147,12 +147,18 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_json(path: Path, payload) -> None:
+    """json.dumps(payload, indent=1) + "\n", each chunk written as it is made."""
+    with path.open("w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
 def _write_weight_csv(path: Path, g: np.ndarray) -> None:
     s = g.shape[0]
-    lines = ["vertex," + ",".join(str(v) for v in range(1, s + 1))]
-    for a in range(s):
-        lines.append(str(a + 1) + "," + ",".join(repr(float(x)) for x in g[a]))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write("vertex," + ",".join(str(v) for v in range(1, s + 1)) + "\n")
+        fh.writelines(f"{a + 1},{','.join(repr(float(x)) for x in g[a])}\n" for a in range(s))
 
 
 def _tree_payload(tree, cost: float) -> dict:
@@ -226,7 +232,7 @@ def _cmd_solve(args) -> int:
 
     _write_weight_csv(out / "weights.csv", result.weight_matrix.g)
     tree_payload = _tree_payload(result.tree, result.total_cost)
-    (out / "tree.json").write_text(json.dumps(tree_payload, indent=1) + "\n")
+    _write_json(out / "tree.json", tree_payload)
     (out / "tree.dot").write_text(result.tree.to_dot())
     (out / "prufer.txt").write_text(format_prufer(tree_payload["prufer"]) + "\n")
     report = {
@@ -244,7 +250,7 @@ def _cmd_solve(args) -> int:
             "mst_seconds": result.seconds_mst,
         },
     }
-    (out / "report.json").write_text(json.dumps(report, indent=1) + "\n")
+    _write_json(out / "report.json", report)
 
     print(f"optimal tree (prufer): {format_prufer(tree_payload['prufer'])}")
     print(f"edges: {tree_payload['edges']}")
@@ -265,11 +271,11 @@ def _cmd_enumerate(args) -> int:
     top_k = len(rows) if top_k == 0 else min(top_k, len(rows))
 
     out = _out_dir(args)
-    lines = ["rank,prufer,cost_additive,cost_direct"]
-    for rank, row in enumerate(rows[:top_k], start=1):
-        direct = "" if row.cost_direct is None else repr(row.cost_direct)
-        lines.append(f'{rank},"{format_prufer(row.prufer)}",{row.cost_additive!r},{direct}')
-    (out / "trees_ranked.csv").write_text("\n".join(lines) + "\n")
+    with (out / "trees_ranked.csv").open("w") as fh:  # each row written as it is made
+        fh.write("rank,prufer,cost_additive,cost_direct\n")
+        for rank, row in enumerate(rows[:top_k], start=1):
+            direct = "" if row.cost_direct is None else repr(row.cost_direct)
+            fh.write(f'{rank},"{format_prufer(row.prufer)}",{row.cost_additive!r},{direct}\n')
 
     print(f"{len(rows)} spanning trees ranked in {elapsed:.3f} s; top {top_k}:")
     header = f"{'rank':>4}  {'prufer':<12} {'cost (edge sums)':<22}"
@@ -327,7 +333,7 @@ def _cmd_oracle(args) -> int:
         "mm_residual": mm.residual,
         "mm_converged": mm.converged,
     }
-    (out / "oracle_report.json").write_text(json.dumps(payload, indent=1) + "\n")
+    _write_json(out / "oracle_report.json", payload)
 
     print(f"tree (prufer): {format_prufer(code) or '-'}")
     print(f"sup-norm gap (composed vs dense solve): {sup_gap:.3e}")

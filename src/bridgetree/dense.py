@@ -30,7 +30,7 @@ from .config import (
     check_tensor_cap,
 )
 from .errors import ValidationError
-from .measures import DiscreteMeasure, total_variation
+from .measures import DiscreteMeasure
 from .trees import DisjointSet, Edge, on_axes
 
 # mm_sinkhorn's bounds: the pairwise solver's, restated as dense.py shares no code
@@ -194,21 +194,29 @@ def mm_sinkhorn(
         scaled[a, b] = -m / eta
     log_m = cost_tensor(graph, scaled, shape)
     kernel = np.empty(shape)  # exp(log_m), fixed between absorptions
-    u = [np.ones(n) for n in shape]  # the coupling is kernel * (u[0] ⊗ ... ⊗ u[s-1])
+    # each per-axis vector kind in one buffer, axis after axis, so that one call
+    # spans all axes: the scalings u, the end-of-sweep contractions (zero: the
+    # first update is a log-domain one) and the marginals' deviations from mu
+    splits = np.cumsum(shape)[:-1]
+    scalings, ends, deviations = np.ones(sum(shape)), np.zeros(sum(shape)), np.empty(sum(shape))
+    u = np.split(scalings, splits)  # the coupling is kernel * (u[0] ⊗ ... ⊗ u[s-1])
+    end_parts, parts = np.split(ends, splits), np.split(deviations, splits)
+    mu_all = np.concatenate(mus)
     spread = [0.0] * s  # max |log u[ax]|
     # rows[ax]: the kernel contracted with u[0..ax-1], as (shape[ax], rest) rows
     flat = [kernel.reshape(-1)] + [np.empty(int(np.prod(shape[ax:]))) for ax in range(1, s)]
     rows = [f.reshape(n, -1) for f, n in zip(flat, shape)]
-    tails = _tails(u)  # axis 0's is formed only where it is read
-    contracted = np.zeros(shape[0])  # zero: the first update is a log-domain one
+    tails = _tails(u)  # axis 0's is formed at each sweep's end, where it is read
     for iterations in range(1, max_iter + 1):
         for ax in range(s):
-            if ax:  # axis 0's is the end-of-sweep contraction: nothing changed since
-                contracted = rows[ax] @ tails[ax]
-            underflow = (u[ax] * contracted).min() < _MIN_MARGINAL  # then no division
+            # axis 0's is the end-of-sweep contraction: nothing changed since
+            contracted = rows[ax] @ tails[ax] if ax else end_parts[0]
+            # x[x.argmin()] is x.min() without a ufunc reduction
+            product = np.multiply(u[ax], contracted, out=parts[ax])
+            underflow = product[product.argmin()] < _MIN_MARGINAL  # then no division
             if not underflow:
-                np.divide(mus[ax], contracted, out=u[ax])
-                spread[ax] = math.log(max(u[ax].max(), 1.0 / u[ax].min()))
+                v = np.divide(mus[ax], contracted, out=u[ax])
+                spread[ax] = math.log(max(v[v.argmax()], 1.0 / v[v.argmin()]))
             start = ax
             if underflow or sum(spread) > _LOG_SCALE_BOUND:
                 for pending in np.flatnonzero(spread):  # absorb
@@ -224,15 +232,19 @@ def mm_sinkhorn(
                 np.dot(u[before], rows[before], out=flat[before + 1])
         # each axis's contraction with every other end-of-sweep scaling
         tails = _tails(u)
-        contracted = rows[0] @ _outer(u[1], tails[1])
-        marginals = [u[0] * contracted]
-        marginals += [v * (r @ t) for v, r, t in zip(u[1:], rows[1:], tails[1:])]
-        residual = max(total_variation(m, mu) for m, mu in zip(marginals, mus))
+        tails[0] = _outer(u[1], tails[1])
+        for r, t, end in zip(rows, tails, end_parts):
+            np.dot(r, t, out=end)
+        np.multiply(scalings, ends, out=deviations)
+        np.subtract(deviations, mu_all, out=deviations)
+        np.absolute(deviations, out=deviations)
+        # each marginal's TV distance, summed pairwise as measures.total_variation sums
+        residual = max(0.5 * float(np.add.reduce(part)) for part in parts)
         if residual <= tol:
             break
 
     log_m = None  # spent: released before the coupling is formed over the kernel
-    rows[0] *= _outer(u[1], tails[1])
+    rows[0] *= tails[0]
     rows[0] *= u[0][:, None]
     if shape != full_shape:  # one scatter, zeros at the pruned points
         kernel, kept = np.zeros(full_shape), kernel

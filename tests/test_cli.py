@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bridgetree import DiscreteMeasure, build_cost, edge_weight, gibbs_kernel, load_measure
+from bridgetree import DiscreteMeasure, SolverConfig, build_cost, edge_weight, gibbs_kernel
+from bridgetree import load_measure, optimal_msb
 from bridgetree import prufer_decode, save_measure, sinkhorn_solve
 from bridgetree import sinkhorn
 from bridgetree.cli import main
@@ -221,6 +223,36 @@ class TestSolve:
         parsed = np.array([[float(x) for x in r.split(",")[1:]] for r in rows[1:]])
         assert parsed.shape == (3, 3)
         assert np.array_equal(parsed, parsed.T)
+
+    def test_json_files_are_written_as_json_dumps_writes_them(self, tmp_path, rng):
+        # the golden copies of report.json are re-encoded without their
+        # timings, so this pins the bytes of the CLI's own JSON writer
+        paths = write_measures(tmp_path, random_measures(rng, [3, 2, 3]))
+        out = tmp_path / "out"
+        assert main(["solve", *paths, "--eta", "1.0", "--out-dir", str(out)]) == 0
+        code = (out / "prufer.txt").read_text().strip()
+        assert main(["oracle", *paths, "--eta", "1.0", "--tree", code, "--out-dir", str(out)]) == 0
+        for name in ("tree.json", "report.json", "oracle_report.json"):
+            text = (out / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=1) + "\n", name
+
+    def test_peak_memory_stays_near_the_library_solve(self, tmp_path):
+        # solve's outputs are encoded into their files as they are made: a
+        # report.json built whole in memory first read 3.8 library peaks here
+        rng = np.random.default_rng(32)
+        paths = write_measures(tmp_path, random_measures(rng, rng.integers(3, 7, size=32)))
+        argv = ["solve", *paths, "--eta", "5", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0  # the parser and every import made before the trace
+        measures = [load_measure(p) for p in paths]
+        peaks = []
+        for run in (lambda: main(argv), lambda: optimal_msb(measures, SolverConfig(eta=5.0))):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2 * peaks[1], peaks
 
     def test_unreadable_file_exit_2_names_path(self, tmp_path, capsys):
         rc = main(["solve", str(tmp_path / "nope.json"), str(tmp_path / "nope2.json"),
