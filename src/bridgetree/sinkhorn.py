@@ -31,10 +31,14 @@ sweep is plain and the iterates are those of the log-domain (log-sum-exp)
 recursion, without the underflow that raw exp(-C/eta) suffers for small eta.
 The caller builds gibbs_kernel's log K = -C/eta once per edge.
 
-A solve holds one n1 x n2 array beyond log K, K~, and forms no plan.  It
-returns the log duals f, g with O(n) data of the final iterate: the plan's
-marginals M 1 = a * (K~ b) and M^T 1 = b * (K~^T a), and <M, -log K>, summed
-over K~ once it is spent.  The plan M = exp(f ⊕ g + log K) is formed when it
+A solve holds one n1 x n2 array beyond log K, K~, and forms no plan.  K~ is
+a new array, or the head of the caller's workspace: mst.solve_edges gives
+each worker thread two flat buffers, one for the cost and then log K over it,
+one for K~, so its edges allocate no n1 x n2 array (build_cost, gibbs_kernel
+and sinkhorn_solve take them as workspace=).  The solve returns the log
+duals f, g with O(n) data of the final iterate: the plan's marginals
+M 1 = a * (K~ b) and M^T 1 = b * (K~^T a), and <M, -log K>, summed over K~
+once it is spent.  The plan M = exp(f ⊕ g + log K) is formed when it
 is first read.  The optimal value reported for an edge, which may be
 negative since K is unnormalized, is read off the duals and the marginals:
 
@@ -87,11 +91,16 @@ class PairwiseCost:
         return cost
 
 
-def build_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean") -> PairwiseCost:
+def build_cost(
+    m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean", *, workspace=None
+) -> PairwiseCost:
     """Ground cost between two supports.
 
     A kind from COST_KINDS, "sqeuclidean" or "euclidean", computes c(x, y)
     from the support points; an (n1, n2) array is the cost matrix itself.
+    A computed matrix is the caller's own, or built in the head of
+    workspace[0] with workspace[1] as scratch: two flat float buffers of at
+    least n1 * n2 entries, such as the rows of a (2, N) array.
     """
     if not isinstance(cost, str):
         check_shape(cost, (m1.n, m2.n), "cost matrix")
@@ -103,13 +112,20 @@ def build_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean") -> 
     # n1 x n2 arrays.  At d <= 2 these are the bits of an einsum over the
     # (n1, n2, d) difference; from d = 3 on einsum pairs terms by SIMD lane.
     x, y = m1.support.T, m2.support.T  # one row per coordinate
+    matrix, scratch = (
+        (np.empty((m1.n, m2.n)), None) if workspace is None
+        else (_aligned_empty(m1.n, m2.n, buffer) for buffer in workspace)
+    )
     with np.errstate(over="ignore"):  # an overflow is an inf entry, refused below
-        matrix = np.subtract.outer(x[0], y[0]) if m1.dim else np.zeros((m1.n, m2.n))
+        if m1.dim:
+            _difference(x[0], y[0], matrix, scratch)
+        else:
+            matrix.fill(0.0)
         matrix *= matrix
-        term = None
         for xk, yk in zip(x[1:], y[1:]):
-            term = np.square(np.subtract.outer(xk, yk, out=term), out=term)
-            matrix += term
+            if scratch is None:
+                scratch = np.empty_like(matrix)
+            matrix += np.square(_difference(xk, yk, scratch), out=scratch)
     if cost == "euclidean":
         np.sqrt(matrix, out=matrix)
     if not np.isfinite(matrix.max(initial=0.0)):  # squares of finite coordinates: >= 0
@@ -118,16 +134,28 @@ def build_cost(m1: DiscreteMeasure, m2: DiscreteMeasure, cost="sqeuclidean") -> 
     return PairwiseCost._trusted(matrix)
 
 
-def gibbs_kernel(cost: PairwiseCost, eta: float) -> np.ndarray:
+def _difference(xk: np.ndarray, yk: np.ndarray, out: np.ndarray, scratch=None) -> np.ndarray:
+    """out = xk_i - yk_j, the bits of np.subtract.outer.  A broadcast operand
+    takes an iterator buffer of up to 64 kB; copying xk and yk into the rows of
+    out and scratch first takes none."""
+    out[...] = xk[:, None]
+    if scratch is not None:
+        scratch[...] = yk
+    return np.subtract(out, yk if scratch is None else scratch, out=out)
+
+
+def gibbs_kernel(cost: PairwiseCost, eta: float, *, workspace=None) -> np.ndarray:
     """Gibbs kernel K = exp(-C/eta) as the read-only array log K = -C/eta.
 
     The log form is exact for any scale, where exp(-C/eta) underflows to 0
     for C/eta beyond ~745, so all KL arithmetic in this package uses it.
-    An eta so small that C/eta overflows is refused.
+    An eta so small that C/eta overflows is refused.  log K is the caller's
+    own, or the head of workspace, a flat float buffer that may hold C itself.
     """
     check_solver_params(eta)
     check_cost_scale(float(cost.matrix.max(initial=0.0)), eta)
-    log_k = np.divide(cost.matrix, -eta)  # one pass, the bits of -C/eta
+    out = None if workspace is None else _aligned_empty(*cost.matrix.shape, workspace)
+    log_k = np.divide(cost.matrix, -eta, out=out)  # one pass, the bits of -C/eta
     log_k.flags.writeable = False
     return log_k
 
@@ -172,8 +200,9 @@ class BimarginalCoupling:
         return -float(np.vdot(self.plan, self.log_kernel))
 
 
-def _aligned_empty(n1: int, n2: int) -> np.ndarray:
-    """An uninitialized n1 x n2 array whose data start on a 64-byte boundary.
+def _aligned_empty(n1: int, n2: int, buffer: np.ndarray | None = None) -> np.ndarray:
+    """An uninitialized n1 x n2 array whose data start on a 64-byte boundary:
+    the head of buffer, a flat float array the caller aligned, or a new one.
 
     numpy aligns to 16 bytes, and a gemv over a 200 x 200 kernel took 2.9
     against 4.1 us (K b) and 2.4 against 4.2 us (K^T a) aligned and not
@@ -181,9 +210,10 @@ def _aligned_empty(n1: int, n2: int) -> np.ndarray:
     allocator put K~.
     """
     size = n1 * n2
-    raw = np.empty(size + 7)
-    start = -raw.__array_interface__["data"][0] % 64 // 8
-    return raw[start:start + size].reshape(n1, n2)
+    if buffer is None:
+        raw = np.empty(size + 7)
+        buffer = raw[-raw.__array_interface__["data"][0] % 64 // 8:]
+    return buffer[:size].reshape(n1, n2)
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -257,10 +287,12 @@ class SweepState:
     and absorptions can be read between calls to advance.  log K is read as
     given, and refused unless finite; with a zero-weight point, its kept block
     is gathered into K~'s buffer for K~'s first build, and inside a checked
-    half sweep that needs it, and freed after.
+    half sweep that needs it, and freed after.  K~ lives in the head of
+    workspace, a flat float buffer, if one is given.
     """
 
-    def __init__(self, m1: DiscreteMeasure, m2: DiscreteMeasure, log_kernel: np.ndarray):
+    def __init__(self, m1: DiscreteMeasure, m2: DiscreteMeasure, log_kernel: np.ndarray,
+                 workspace: np.ndarray | None = None):
         self.keep1 = m1.weights > 0
         self.keep2 = m2.weights > 0
         # a gather copies, so weights and kernel are read as given when nothing is pruned
@@ -275,7 +307,7 @@ class SweepState:
         if not (math.isfinite(low) and math.isfinite(high)):
             raise ValidationError("log kernel has non-finite entries")
         # K~ = K, its entries below exp(_LOG_FLOOR) exact zeros, and kb = K~ b
-        self.kernel = _aligned_empty(self.mu.size, self.nu.size)
+        self.kernel = _aligned_empty(self.mu.size, self.nu.size, workspace)
         if self.pruned or low < _LOG_FLOOR:
             _exp(self.kept_log_kernel(out=self.kernel))
         else:  # nothing to floor: one exp, straight into the buffer
@@ -462,6 +494,8 @@ def sinkhorn_solve(
     log_kernel: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    *,
+    workspace: np.ndarray | None = None,
 ) -> BimarginalCoupling:
     """Alternating KL projections onto the two marginal constraints.
 
@@ -470,12 +504,13 @@ def sinkhorn_solve(
     the caller decides.  log_kernel is log K = -C/eta as gibbs_kernel
     returns it, and must be finite.  The coupling's marginals and, when no
     point is pruned, its kernel_cost are those of the final iterate; its plan
-    is formed only when read.
+    is formed only when read.  workspace, a flat float buffer of n1 * n2
+    entries or more, starting on 64 bytes, holds K~ and is spent after.
     """
     check_shape(log_kernel, (m1.n, m2.n), "log kernel")
     check_solver_params(tol=tol, max_iter=max_iter)
 
-    state = SweepState(m1, m2, log_kernel)
+    state = SweepState(m1, m2, log_kernel, workspace)
     state.advance(max_iter, tol)
     log_u1, log_u2 = state.log_duals()
     marginals, kernel_cost = state.finish()

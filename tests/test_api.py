@@ -161,7 +161,7 @@ class TestExports:
         # perfbench's tracer reads args[0], args[1] and the result's
         # iterations and converged of each sinkhorn_solve call
         assert list(inspect.signature(sinkhorn_solve).parameters) == [
-            "m1", "m2", "log_kernel", "tol", "max_iter"]
+            "m1", "m2", "log_kernel", "tol", "max_iter", "workspace"]
         assert "residual_history" not in {f.name for f in dataclasses.fields(BimarginalCoupling)}
         for name in ("image_to_measure", "load_image_grid"):
             assert not hasattr(bridgetree.measures, name), name
@@ -172,7 +172,10 @@ class TestExports:
         with pytest.raises(TypeError):
             SolverConfig(eta=1.0, cost_matrix=np.zeros((2, 2)))
         assert COST_KINDS == ("sqeuclidean", "euclidean")
-        assert list(inspect.signature(build_cost).parameters) == ["m1", "m2", "cost"]
+        assert list(inspect.signature(build_cost).parameters) == ["m1", "m2", "cost", "workspace"]
+        for fn in (build_cost, sinkhorn_solve):  # the one addition, and keyword-only
+            kind = inspect.signature(fn).parameters["workspace"].kind
+            assert kind is inspect.Parameter.KEYWORD_ONLY
         assert "enumeration_cap" not in inspect.signature(rank_trees).parameters
         assert list(inspect.signature(enumerate_trees).parameters) == ["s"]
         for module, name in ((bridgetree.mst, "_peel"), (bridgetree.trees, "_decode"),

@@ -313,6 +313,22 @@ class TestSolve:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "numerical"
 
+    def test_nonconvergence_names_every_failed_edge(self, tmp_path, capsys):
+        # edges (1, 2), (1, 4) and (2, 4) stall at max_iter=2; the two with
+        # the point mass converge
+        ms = [DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6]),
+              DiscreteMeasure([[-7.5], [8.5]], [0.7, 0.3]),
+              DiscreteMeasure([[0.0]], [1.0]),
+              DiscreteMeasure([[-8.5], [9.5]], [0.2, 0.8])]
+        paths = write_measures(tmp_path, ms)
+        rc = main(["solve", *paths, "--eta", "1.0", "--max-iter", "2", "--threads", "2",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        named = [part.split(":")[0] for part in message.split("; ")]
+        assert named == ["edge (1, 2)", "edge (1, 4)", "edge (2, 4)"]
+        assert message.count("with residual") == 3
+
     def test_unparsable_cost_matrix_exits_2(self, tmp_path, capsys):
         paths = write_measures(tmp_path, [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2)
         mat = tmp_path / "cost.csv"
@@ -559,9 +575,9 @@ class TestOracle:
         paths = write_measures(tmp_path, random_measures(rng, [2, 3, 4, 5]))
         solved = []
 
-        def recording(m1, m2, config):
+        def recording(m1, m2, config, **kwargs):
             solved.append((m1.n - 1, m2.n - 1))
-            return edge_weight(m1, m2, config)
+            return edge_weight(m1, m2, config, **kwargs)
 
         monkeypatch.setattr("bridgetree.mst.edge_weight", recording)
         argv = ["oracle", *paths, "--eta", "5.0", "--tree", "3 3", "--out-dir", str(tmp_path)]

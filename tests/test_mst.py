@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -31,6 +32,7 @@ from bridgetree import (
     prufer_decode,
     prufer_encode,
     rank_trees,
+    sb_value,
     sinkhorn_solve,
     tree_cost_additive,
 )
@@ -302,9 +304,9 @@ class TestBuildWeightMatrix:
         on_caller = {}
         solve = mst.edge_weight
 
-        def recording(m1, m2, config):
+        def recording(m1, m2, config, **kwargs):
             on_caller[m1.n, m2.n] = threading.current_thread() is threading.main_thread()
-            return solve(m1, m2, config)
+            return solve(m1, m2, config, **kwargs)
 
         monkeypatch.setattr(mst, "edge_weight", recording)
         ewm = build_weight_matrix(ms, SolverConfig(eta=50.0, threads=threads))
@@ -338,7 +340,8 @@ class TestBuildWeightMatrix:
         # never forms -C/eta itself
         calls = []
         kernel = mst.gibbs_kernel
-        monkeypatch.setattr(mst, "gibbs_kernel", lambda *a: calls.append(a) or kernel(*a))
+        monkeypatch.setattr(mst, "gibbs_kernel",
+                            lambda *a, **kw: calls.append(a) or kernel(*a, **kw))
 
         def inside_solver(*args):
             raise AssertionError("sinkhorn.gibbs_kernel called from inside the solver")
@@ -355,6 +358,30 @@ class TestBuildWeightMatrix:
         ]
         with pytest.raises(SolverError, match=r"edge \(1, 2\)"):
             build_weight_matrix(ms, SolverConfig(eta=1.0, max_iter=2))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_names_every_failed_edge(self, monkeypatch, threads):
+        # three of the six edges stall at max_iter=2; the error names each
+        # with its residual, in edge order, on the serial path and the pool
+        # path (every edge reaches a gate of 0)
+        ms = [
+            DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6]),
+            DiscreteMeasure([[-7.5], [8.5]], [0.7, 0.3]),
+            DiscreteMeasure([[0.0]], [1.0]),
+            DiscreteMeasure([[-8.5], [9.5]], [0.2, 0.8]),
+        ]
+        config = SolverConfig(eta=1.0, max_iter=2, threads=threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solved = build_weight_matrix(ms, replace(config, on_nonconverged="warn")).edges
+        failed = [edge for edge, es in solved.items() if not es.converged]
+        assert failed == [(1, 2), (1, 4), (2, 4)]
+        monkeypatch.setattr(mst, "_POOL_MIN_ENTRIES", 0)
+        with pytest.raises(SolverError) as info:
+            build_weight_matrix(ms, config)
+        assert str(info.value) == "; ".join(
+            f"edge ({a}, {b}): Sinkhorn stopped at max_iter=2 with residual "
+            f"{solved[a, b].residual:.3e} > tol=1.0e-09" for a, b in failed)
 
 
 class TestLeanEdgeRecords:
@@ -424,6 +451,90 @@ class TestLeanEdgeRecords:
         assert peak[200] < 2 * one_edge  # records holding plans peak at about 7x
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"{elapsed:.1f}s over the 10 s budget"
+
+
+class TestEdgeWorkspace:
+    """solve_edges solves each worker's edges in one two-buffer workspace."""
+
+    @pytest.mark.parametrize("pool_min", [None, 0])
+    def test_mixed_sizes_match_owned_solves(self, rng, monkeypatch, pool_min):
+        # in edge order a small block follows a larger one, so stale entries
+        # lie beyond its slice; two measures have zero-weight points.  With
+        # a gate of 0 every edge runs on the pool, one workspace per thread.
+        ms = random_measures(rng, [12, 3, 9, 2, 7, 1])
+        for v, zero in ((0, 4), (2, 0)):
+            w = ms[v].weights.copy()
+            w[zero] = 0.0
+            ms[v] = DiscreteMeasure(ms[v].support, w)
+        config = SolverConfig(eta=0.5, threads=1 if pool_min is None else 3)
+        if pool_min is not None:
+            monkeypatch.setattr(mst, "_POOL_MIN_ENTRIES", pool_min)
+        ewm = build_weight_matrix(ms, config)
+        for (a, b), es in ewm.edges.items():
+            m1, m2 = ms[a - 1], ms[b - 1]
+            owned = sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), config.eta))
+            assert es.g == sb_value(owned) + entropy(m1) + entropy(m2)
+            assert np.array_equal(es.log_u1, owned.log_u1)
+            assert np.array_equal(es.log_u2, owned.log_u2)
+            assert es.transport_cost == config.eta * owned.kernel_cost
+
+    def test_pool_threads_never_share_a_workspace(self, rng, monkeypatch):
+        # 28 edges of mixed sizes on 4 threads (more than the cores), with the
+        # interpreter switching threads every microsecond: a workspace shared
+        # between two threads would mix their blocks and move some weight
+        ms = random_measures(rng, [9, 3, 12, 5, 2, 11, 7, 4])
+        serial = build_weight_matrix(ms, SolverConfig(eta=1.0))
+        monkeypatch.setattr(mst, "_POOL_MIN_ENTRIES", 0)
+        interval = sys.getswitchinterval()
+        start = time.perf_counter()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                threaded = build_weight_matrix(ms, SolverConfig(eta=1.0, threads=4))
+                assert np.array_equal(threaded.g, serial.g)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - start < 30.0
+
+    def test_edge_in_a_workspace_allocates_no_block(self):
+        # the cost, log K and K~ all live in the workspace: what the edge
+        # allocates is its O(n) vectors and records, under a tenth of one
+        # 200 x 200 block (about 0.04 measured); without one it makes its own
+        # two blocks
+        rng = np.random.default_rng(11)
+        n = 200
+        m1, m2 = (DiscreteMeasure(rng.uniform(-10, 10, (n, 1)), np.ones(n)) for _ in range(2))
+        config = SolverConfig(eta=20.0)
+        work = mst._workspace(n * n)
+        edge_weight(m1, m2, config, workspace=work)
+        peaks = []
+        for kwargs in ({"workspace": work}, {}):
+            tracemalloc.start()
+            try:
+                edge_weight(m1, m2, config, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1] / (n * n * 8))
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.1
+        assert 2.0 < peaks[1] < 2.1
+
+    def test_weight_matrix_peaks_at_two_blocks(self):
+        # five 200-point 1-d measures at eta 20, the gmm_n200 shape: one
+        # workspace of two n x n buffers for all ten edges reads 2.18 blocks;
+        # three arrays an edge (cost, log K, K~) read 3.18.  The budget of 2.5
+        # leaves 0.32 block of headroom and refuses any third block.
+        rng = np.random.default_rng(12)
+        n = 200
+        ms = [DiscreteMeasure(rng.uniform(-10, 10, (n, 1)), np.ones(n)) for _ in range(5)]
+        config = SolverConfig(eta=20.0)
+        build_weight_matrix(ms, config)
+        tracemalloc.start()
+        try:
+            build_weight_matrix(ms, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8
 
 
 class TestMstAlgorithms:

@@ -20,6 +20,7 @@ from bridgetree import (
     total_variation,
 )
 from bridgetree.config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL, check_cost_matrix
+from bridgetree.mst import _workspace
 from bridgetree.sinkhorn import _OMEGA_MAX, _PROBE, SweepState, _ascends, _plan_from_duals, _row_lse
 from bridgetree.sinkhorn import rebuild_coupling
 from conftest import GMM_MIXTURES, random_measure
@@ -664,6 +665,112 @@ class TestSweepState:
                 tracemalloc.stop()
             assert coup.converged and coup.absorptions == 0
         assert peaks[1] <= peaks[0] + 0.1 * n * n * 8
+
+
+def both_sides_pruned():
+    """zero_weight_pair with a zero weight on the second side as well: the kept
+    block is gathered with np.ix_."""
+    m1, m2, eta = zero_weight_pair()
+    weights = m2.weights.copy()
+    weights[2] = 0.0
+    return m1, DiscreteMeasure(m2.support, weights), eta
+
+
+def solve_in(m1, m2, eta, work):
+    """sinkhorn_solve with the cost, log K and K~ in work, as edge_weight runs it."""
+    log_k = gibbs_kernel(build_cost(m1, m2, workspace=work), eta, workspace=work[0])
+    return sinkhorn_solve(m1, m2, log_k, workspace=work[1])
+
+
+def assert_same_solve(solved, owned):
+    for got, want in zip((solved.log_u1, solved.log_u2, *solved.marginals),
+                         (owned.log_u1, owned.log_u2, *owned.marginals)):
+        assert np.array_equal(got, want)
+    for name in ("iterations", "residual", "converged", "absorptions"):
+        assert getattr(solved, name) == getattr(owned, name), name
+    assert vars(solved).get("kernel_cost") == vars(owned).get("kernel_cost")
+    assert sb_value(solved) == sb_value(owned)
+
+
+class TestWorkspace:
+    """A solve in a reused two-buffer workspace (mst._workspace) gives the bits
+    of one over arrays it owns, whatever the buffers held before."""
+
+    @staticmethod
+    def stale_workspace(entries):
+        work = _workspace(entries)
+        work.fill(np.nan)  # a slice that read stale data would show it
+        return work
+
+    @pytest.mark.parametrize("edge", [*zero_weight_edges(), both_sides_pruned()])
+    def test_pruned_edge_gathers_its_block_into_the_workspace(self, edge):
+        m1, m2, eta = edge
+        owned = sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
+        solved = solve_in(m1, m2, eta, self.stale_workspace(m1.n * m2.n + 5))
+        assert_same_solve(solved, owned)
+        assert solved.converged and "kernel_cost" not in vars(solved)
+
+    @pytest.mark.parametrize("edge", [*far_edges(), blob_pair()])
+    def test_absorbing_edge_rebuilds_in_the_workspace(self, edge):
+        m1, m2, eta = edge
+        owned = sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
+        solved = solve_in(m1, m2, eta, self.stale_workspace(m1.n * m2.n))
+        assert_same_solve(solved, owned)
+        assert solved.absorptions > 0
+
+    def test_small_blocks_after_a_large_one(self):
+        # the blob pair fills 40 000 entries of each buffer; the later, smaller
+        # blocks lie in their heads with its data beyond them, and one has a
+        # third coordinate, whose term is squared in the second buffer
+        rng = np.random.default_rng(9)
+        edges = [blob_pair(), *tiny_edges(), both_sides_pruned(), *gmm_edge(),
+                 (random_measure(rng, 6, 3), random_measure(rng, 5, 3), 2.0), *tiny_edges()]
+        work = self.stale_workspace(200 * 200)
+        for m1, m2, eta in edges:
+            owned = sinkhorn_solve(m1, m2, gibbs_kernel(build_cost(m1, m2), eta))
+            assert_same_solve(solve_in(m1, m2, eta, work), owned)
+
+    @pytest.mark.parametrize("kind", COST_KINDS)
+    def test_cost_and_log_kernel_are_written_in_the_workspace(self, kind):
+        rng = np.random.default_rng(10)
+        m1, m2 = random_measure(rng, 7, 3), random_measure(rng, 4, 3)
+        work = self.stale_workspace(40)
+        cost = build_cost(m1, m2, kind, workspace=work)
+        assert np.array_equal(cost.matrix, build_cost(m1, m2, kind).matrix)
+        assert np.shares_memory(cost.matrix, work[0]) and not cost.matrix.flags.writeable
+        log_k = gibbs_kernel(cost, 0.3, workspace=work[0])
+        assert np.array_equal(log_k, gibbs_kernel(build_cost(m1, m2, kind), 0.3))
+        assert np.shares_memory(log_k, work[0]) and not log_k.flags.writeable
+
+    def test_owned_results_share_no_memory(self):
+        m1, m2, eta = plain_pair()
+        costs = build_cost(m1, m2), build_cost(m1, m2)
+        kernels = gibbs_kernel(costs[0], eta), gibbs_kernel(costs[0], eta)
+        for first, second in (costs[0].matrix, costs[1].matrix), kernels:
+            assert not np.shares_memory(first, second)
+            assert not (first.flags.writeable or second.flags.writeable)
+        assert not np.shares_memory(kernels[0], costs[0].matrix)
+
+    def test_every_workspace_row_starts_on_64_bytes(self):
+        for entries in (1, 7, 8, 9, 40_000, 40_001):
+            work = _workspace(entries)
+            assert work.shape[1] >= entries
+            assert work[0].ctypes.data % 64 == 0 and work[1].ctypes.data % 64 == 0
+
+    def test_cost_build_takes_no_iterator_buffer(self):
+        # at n=200 np.subtract.outer took 129 kB of broadcast buffers and one
+        # broadcast operand 64 kB; the copied rows take none, and the few
+        # objects of the call about 1.5 kB
+        (m1, m2, _), = gmm_edge()
+        work = _workspace(m1.n * m2.n)
+        build_cost(m1, m2, workspace=work)
+        tracemalloc.start()
+        try:
+            build_cost(m1, m2, workspace=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000
 
 
 def relaxing_edges():
