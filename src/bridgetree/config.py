@@ -24,14 +24,14 @@ _UNSET = object()  # an argument of check_solver_params that was not given
 
 
 def check_solver_params(eta=_UNSET, tol=_UNSET, max_iter=_UNSET) -> None:
-    """Reject an eta or tol that is not a positive finite real number and a
-    max_iter that is not an integer >= 1, None included; an argument that is
-    not given is not checked.
+    """Reject an eta or tol that is a bool or not a positive finite real
+    number, and a max_iter that is not an integer >= 1, None included; an
+    argument that is not given is not checked.
     """
     for name, value in (("eta", eta), ("tol", tol)):
         # an exact compare: an int beyond the float range is refused too
-        if value is not _UNSET and not (isinstance(value, numbers.Real)
-                                        and 0 < value <= sys.float_info.max):
+        if value is not _UNSET and (type(value) is bool or not (
+                isinstance(value, numbers.Real) and 0 < value <= sys.float_info.max)):
             raise ValidationError(f"{name} must be a positive finite real, got {value!r}")
     if max_iter is not _UNSET:
         as_index(max_iter, "max_iter", 1)
@@ -154,9 +154,10 @@ class SolverConfig:
     ones hold the GIL through their short numpy calls and run serially.
     g is bit-identical at any thread count.
 
-    on_nonconverged, applied by handle_nonconverged: "error" aborts when a
-    Sinkhorn solve stops at max_iter above tol; "warn" keeps the last iterate
-    (an inaccurate weight can flip the argmin, so "error" is the default).
+    on_nonconverged is a call-level setting, like threads: handle_nonconverged
+    applies it once per mst.solve_edges call to all edges that stop above tol.
+    "error" aborts; "warn" keeps the last iterates with one warning (an
+    inaccurate weight can flip the argmin, so "error" is the default).
     """
 
     eta: float

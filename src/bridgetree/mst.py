@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import TENSOR_CAP, SolverConfig, as_float_array, check_shape, check_tensor_cap
 from .config import check_vertex_count
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .measures import DiscreteMeasure, MeasureCollection, entropy
 from .sinkhorn import (
     BimarginalCoupling,
@@ -120,6 +120,9 @@ def edge_weight(
 ) -> EdgeSolve:
     """Solve one bimarginal bridge and return g = sb + H(m1) + H(m2).
 
+    Reads eta, cost, tol and max_iter only: a solve that stops above tol is
+    returned with converged=False, and a direct caller checks es.converged.
+
     The cost is built in workspace[0] and log K written over it (transport_cost
     is eta times the solve's kernel_cost, so the cost is not read again), and K~
     lives in workspace[1]: two n1 x n2 arrays, in a _workspace made here if none
@@ -131,11 +134,6 @@ def edge_weight(
     log_kernel = gibbs_kernel(cost, config.eta, workspace=work[0])
     coupling = sinkhorn_solve(m1, m2, log_kernel, tol=config.tol, max_iter=config.max_iter,
                               workspace=work[1])
-    if not coupling.converged:
-        config.handle_nonconverged(
-            f"Sinkhorn stopped at max_iter={config.max_iter} with residual "
-            f"{coupling.residual:.3e} > tol={config.tol:.1e}"
-        )
     sb = sb_value(coupling)
     g = sb + entropy(m1) + entropy(m2)
     transport_cost = config.eta * coupling.kernel_cost  # with a pruned point, off the plan
@@ -175,19 +173,18 @@ def solve_edges(
     about 2030 (scripts/fault_loop.py).
 
     An invalid edge raises a ValidationError that names it.  Edges that stop
-    above tol under on_nonconverged="error" do not stop the others: one
-    SolverError names each, in the order of edges, with its residual.
+    above tol do not stop the others: one message names each, in the order
+    of edges, with its residual, and handle_nonconverged judges it once, in
+    the calling thread (a SolverError under "error", one warning under "warn").
     """
     local = threading.local()  # this call's workspace in each thread
 
-    def solve(edge: Edge, entries: int) -> EdgeSolve | SolverError:
+    def solve(edge: Edge, entries: int) -> EdgeSolve:
         a, b = edge
         if not hasattr(local, "work"):
             local.work = _workspace(entries)
         try:
             return edge_weight(collection[a - 1], collection[b - 1], config, workspace=local.work)
-        except SolverError as exc:
-            return exc
         except ValidationError as exc:
             raise ValidationError(f"edge ({a}, {b}): {exc}") from exc
 
@@ -201,10 +198,11 @@ def solve_edges(
     serial = [edge for edge in edges if edge not in solved]
     largest = max((entries[edge] for edge in serial), default=0)
     solved.update((edge, solve(edge, largest)) for edge in serial)
-    failed = [f"edge ({a}, {b}): {solved[a, b]}" for a, b in edges
-              if isinstance(solved[a, b], SolverError)]
+    failed = [f"edge ({a}, {b}): Sinkhorn stopped at max_iter={config.max_iter} with "
+              f"residual {solved[a, b].residual:.3e} > tol={config.tol:.1e}"
+              for a, b in edges if not solved[a, b].converged]
     if failed:
-        raise SolverError("; ".join(failed))
+        config.handle_nonconverged("; ".join(failed))
     return {edge: solved[edge] for edge in edges}
 
 

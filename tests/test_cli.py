@@ -329,6 +329,28 @@ class TestSolve:
         assert named == ["edge (1, 2)", "edge (1, 4)", "edge (2, 4)"]
         assert message.count("with residual") == 3
 
+    def test_allow_nonconverged_warns_once_naming_every_stalled_edge(self, tmp_path):
+        # the same measures: one UserWarning line names the three stalled
+        # edges, and report.json marks each of them unconverged
+        ms = [DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6]),
+              DiscreteMeasure([[-7.5], [8.5]], [0.7, 0.3]),
+              DiscreteMeasure([[0.0]], [1.0]),
+              DiscreteMeasure([[-8.5], [9.5]], [0.2, 0.8])]
+        paths = write_measures(tmp_path, ms)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bridgetree", "solve", *paths, "--eta", "1.0",
+             "--max-iter", "2", "--allow-nonconverged", "--out-dir", str(out)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        warned = [line for line in proc.stderr.splitlines() if "UserWarning:" in line]
+        assert len(warned) == 1, proc.stderr
+        assert all(f"edge {edge}: " in warned[0] for edge in ("(1, 2)", "(1, 4)", "(2, 4)"))
+        report = json.loads((out / "report.json").read_text())
+        stalled = [tuple(row["edge"]) for row in report["edges"] if row["converged"] is False]
+        assert stalled == [(1, 2), (1, 4), (2, 4)]
+
     def test_unparsable_cost_matrix_exits_2(self, tmp_path, capsys):
         paths = write_measures(tmp_path, [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2)
         mat = tmp_path / "cost.csv"

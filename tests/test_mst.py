@@ -162,8 +162,8 @@ class TestEdgeWeight:
         m1 = DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6])
         m2 = DiscreteMeasure([[-7.5], [8.5]], [0.7, 0.3])
         cfg = SolverConfig(eta=1.0, max_iter=2)
-        with pytest.raises(SolverError, match="max_iter"):
-            edge_weight(m1, m2, cfg)
+        with pytest.raises(SolverError, match=r"edge \(1, 2\): .*max_iter"):
+            build_weight_matrix([m1, m2], cfg)
 
     def test_nonconvergence_warn_mode_returns(self):
         m1 = DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6])
@@ -171,9 +171,21 @@ class TestEdgeWeight:
         cfg = SolverConfig(eta=1.0, max_iter=2, on_nonconverged="warn")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            es = edge_weight(m1, m2, cfg)
+            ewm = build_weight_matrix([m1, m2], cfg)
         assert len(caught) == 1
-        assert not es.coupling.converged
+        assert not ewm.edges[1, 2].converged
+
+    def test_stalled_edge_is_returned_under_the_default_error_mode(self):
+        # edge_weight leaves on_nonconverged to solve_edges: it returns the
+        # stalled solve as it stands, for its caller to judge
+        m1 = DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6])
+        m2 = DiscreteMeasure([[-7.5], [8.5]], [0.7, 0.3])
+        cfg = SolverConfig(eta=1.0, max_iter=2)
+        es = edge_weight(m1, m2, cfg)
+        assert not es.converged
+        assert es.iterations == 2
+        assert es.residual > cfg.tol
+        assert math.isfinite(es.g)
 
 
 BAD_TOL_OR_MAX_ITER = [
@@ -185,6 +197,7 @@ BAD_TOL_OR_MAX_ITER = [
     {"tol": None},
     {"max_iter": None},
     {"tol": "1e-9"},
+    {"tol": True},
 ]
 
 
@@ -201,6 +214,7 @@ BAD_TOL_OR_MAX_ITER = [
     {"eta": None},
     {"eta": "1"},
     {"eta": 1j},
+    {"eta": True},
 ])
 def test_solver_config_rejects(kwargs):
     with pytest.raises(ValidationError):
@@ -251,7 +265,7 @@ def test_solvers_reject_bad_tol_and_max_iter(kwargs):
         mm_sinkhorn(ms, complete_graph(2), {(1, 2): cost.matrix}, eta=1.0, **kwargs)
 
 
-@pytest.mark.parametrize("eta", [None, "1", 1j])
+@pytest.mark.parametrize("eta", [None, "1", 1j, True])
 def test_eta_checks_refuse_what_is_not_a_positive_real(eta):
     ms = [DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])] * 2
     cost = build_cost(ms[0], ms[1])
@@ -382,6 +396,27 @@ class TestBuildWeightMatrix:
         assert str(info.value) == "; ".join(
             f"edge ({a}, {b}): Sinkhorn stopped at max_iter=2 with residual "
             f"{solved[a, b].residual:.3e} > tol=1.0e-09" for a, b in failed)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_warn_mode_names_every_stalled_edge_once(self, monkeypatch, threads):
+        # the same three stalled edges: warn mode emits one warning per call,
+        # with error mode's text, on the serial path and the pool path
+        ms = [
+            DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6]),
+            DiscreteMeasure([[-7.5], [8.5]], [0.7, 0.3]),
+            DiscreteMeasure([[0.0]], [1.0]),
+            DiscreteMeasure([[-8.5], [9.5]], [0.2, 0.8]),
+        ]
+        config = SolverConfig(eta=1.0, max_iter=2, threads=threads)
+        monkeypatch.setattr(mst, "_POOL_MIN_ENTRIES", 0)
+        with pytest.raises(SolverError) as info:
+            build_weight_matrix(ms, config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solved = build_weight_matrix(ms, replace(config, on_nonconverged="warn")).edges
+        assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, str(info.value))]
+        assert [edge for edge, es in solved.items() if not es.converged] == [
+            (1, 2), (1, 4), (2, 4)]
 
 
 class TestLeanEdgeRecords:
