@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -148,10 +149,46 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    """json.dumps(payload, indent=1) + "\n", each chunk written as it is made."""
+    """json.dumps(payload, indent=1) + "\n", in one write."""
+    path.write_text(json.dumps(payload, indent=1) + "\n")
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps writes a float."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _edge_row(edge, es) -> str:
+    """One row of report.json's edges as json.dumps(report, indent=1) places it."""
+    a, b = edge
+    return (f'{{\n   "edge": [\n    {a},\n    {b}\n   ],\n'
+            f'   "g": {_json_float(es.g)},\n'
+            f'   "sb": {_json_float(es.sb)},\n'
+            f'   "iterations": {es.iterations},\n'
+            f'   "residual": {_json_float(es.residual)},\n'
+            f'   "converged": {"true" if es.converged else "false"},\n'
+            f'   "transport_cost": {_json_float(es.transport_cost)},\n'
+            f'   "seconds": {_json_float(es.seconds)}\n  }}')
+
+
+def _write_report(path: Path, report: dict, solves) -> None:
+    """json.dumps(report, indent=1) + "\n", with the rows of solves, its
+    (edge, EdgeSolve) pairs, in place of report["edges"], which is None:
+    each row is encoded from its record as it is written, and none is kept.
+    '"edges": null' is that key's text alone: a string escapes its quotes,
+    and the tree's edges are a list."""
+    head, _, tail = json.dumps(report, indent=1).partition('"edges": null')
     with path.open("w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(head + '"edges": [')
+        separator = "\n  "
+        for edge, es in solves:
+            fh.write(separator + _edge_row(edge, es))
+            separator = ",\n  "
+        fh.write(("]" if separator == "\n  " else "\n ]") + tail + "\n")
 
 
 def _write_weight_csv(path: Path, g: np.ndarray) -> None:
@@ -167,24 +204,6 @@ def _tree_payload(tree, cost: float) -> dict:
         "edges": [[int(a), int(b)] for a, b in tree.edges],
         "cost": float(cost),
     }
-
-
-def _edge_report(ewm) -> list[dict]:
-    rows = []
-    for (a, b), es in sorted(ewm.edges.items()):
-        rows.append(
-            {
-                "edge": [a, b],
-                "g": float(es.g),
-                "sb": float(es.sb),
-                "iterations": es.iterations,
-                "residual": es.residual,
-                "converged": es.converged,
-                "transport_cost": es.transport_cost,
-                "seconds": es.seconds,
-            }
-        )
-    return rows
 
 
 def _cmd_gen(args) -> int:
@@ -244,13 +263,13 @@ def _cmd_solve(args) -> int:
         "entropies": [float(h) for h in result.entropies],
         "tree": tree_payload,
         "total_cost": result.total_cost,
-        "edges": _edge_report(result.weight_matrix),
+        "edges": None,  # written from the solve's EdgeStore, in edge order
         "timings": {
             "weights_seconds": result.seconds_weights,
             "mst_seconds": result.seconds_mst,
         },
     }
-    _write_json(out / "report.json", report)
+    _write_report(out / "report.json", report, result.weight_matrix.edges.items())
 
     print(f"optimal tree (prufer): {format_prufer(tree_payload['prufer'])}")
     print(f"edges: {tree_payload['edges']}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -184,4 +185,16 @@ class SolverConfig:
         raise SolverError(message) under "error", warn under "warn"."""
         if self.on_nonconverged == "error":
             raise SolverError(message)
-        warnings.warn(message, stacklevel=3)  # at the solving function's caller
+        warnings.warn(message, stacklevel=_outside_package())
+
+
+def _outside_package() -> int:
+    """The stacklevel at which a warnings.warn made by this function's caller
+    names the first frame outside the bridgetree package: the user's call,
+    however deep in the package the warning is made.  warnings.warn's
+    skip_file_prefixes does this from Python 3.12 on."""
+    package = os.path.dirname(__file__)
+    frame, level = sys._getframe(1), 1
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == package:
+        frame, level = frame.f_back, level + 1
+    return level

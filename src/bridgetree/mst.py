@@ -19,13 +19,14 @@ and the two algorithms always return the identical tree.
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import threading
 import time
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,9 +72,12 @@ class EdgeSolve:
     array is kept: cost and coupling rebuild the cost, and the coupling over
     log K, from the measures, config and duals on every access; the
     coupling's plan is bit-identical to the solved one
-    (sinkhorn.rebuild_coupling).  The six solve fields are copied, not held
-    as one log-K-free coupling record: that would keep its two marginals too,
-    about 0.6 kB more an edge at 8 points, alive while a report is encoded.
+    (sinkhorn.rebuild_coupling).
+
+    edge_weight returns one record.  The records of a solve_edges call are
+    not kept: EdgeStore holds their fields as columns and builds a record,
+    with Python scalars and read-only views of its duals, each time one is
+    read.
     """
 
     g: float
@@ -107,9 +111,98 @@ class EdgeSolve:
         return self.rebuild()[1]
 
 
+class EdgeStore(Mapping):
+    """The EdgeSolves of one solve_edges call, held as columns: a read-only
+    Mapping[Edge, EdgeSolve] in the order of its edges.
+
+    Each scalar field of EdgeSolve is one typed array over the edges, and
+    both log duals of every edge lie in one flat read-only float array, edge
+    i's log_u1 and then its log_u2 from offset i.  The measures and config
+    are the solve's own, shared by every edge.  store[edge], items() and
+    values() build each EdgeSolve when it is read, with Python scalars and
+    with log_u1 and log_u2 read-only views of the flat array; in and len
+    build none.  An edge keeps 8 (n1 + n2) bytes of duals, 57 of columns, 8
+    of offset and its key in the index: about 0.26 kB at 4-12 points in
+    2-d, where a kept EdgeSolve costs about 0.72 kB.  A record is built in
+    about 2 us.
+    """
+
+    __slots__ = ("_index", "_measures", "_config", "_offsets", "_duals", "_g", "_sb",
+                 "_seconds", "_iterations", "_residual", "_converged", "_absorptions",
+                 "_transport_cost")
+
+    def __init__(self, collection: MeasureCollection, config: SolverConfig,
+                 edges: Iterable[Edge]):
+        """Columns for the distinct edges, to be filled by _put and then frozen."""
+        self._index: dict[Edge, int] = {}
+        for edge in edges:
+            self._index.setdefault(edge, len(self._index))
+        self._measures = collection
+        self._config = config
+        sizes = collection.sizes
+        self._offsets = array.array("q", itertools.accumulate(
+            (sizes[a - 1] + sizes[b - 1] for a, b in self._index), initial=0))
+        self._duals = np.empty(self._offsets[-1])
+        count = len(self._index)
+        self._g, self._sb, self._seconds, self._residual, self._transport_cost = (
+            array.array("d", [0.0]) * count for _ in range(5))
+        self._iterations, self._absorptions = (array.array("q", [0]) * count for _ in range(2))
+        self._converged = array.array("b", [0]) * count
+
+    def _put(self, i: int, es: EdgeSolve) -> None:
+        """Copy edge i's record into the columns."""
+        self._g[i], self._sb[i], self._seconds[i] = es.g, es.sb, es.seconds
+        self._iterations[i], self._residual[i] = es.iterations, es.residual
+        self._converged[i], self._absorptions[i] = es.converged, es.absorptions
+        self._transport_cost[i] = es.transport_cost
+        start = self._offsets[i]
+        mid = start + len(es.log_u1)
+        self._duals[start:mid] = es.log_u1
+        self._duals[mid:self._offsets[i + 1]] = es.log_u2
+
+    def _freeze(self) -> EdgeStore:
+        """The store, with its duals, and so every view of them, read-only."""
+        self._duals.flags.writeable = False
+        return self
+
+    def __getitem__(self, edge: Edge) -> EdgeSolve:
+        i = self._index[edge]
+        m1, m2 = self._measures[edge[0] - 1], self._measures[edge[1] - 1]
+        start = self._offsets[i]
+        mid = start + m1.n
+        # filled in place of EdgeSolve.__init__, whose frozen setattr of each
+        # of the 13 fields alone takes about 2.4 us
+        es = object.__new__(EdgeSolve)
+        vars(es).update(
+            g=self._g[i], sb=self._sb[i], seconds=self._seconds[i],
+            log_u1=self._duals[start:mid], log_u2=self._duals[mid:self._offsets[i + 1]],
+            iterations=self._iterations[i], residual=self._residual[i],
+            converged=self._converged[i] != 0, absorptions=self._absorptions[i],
+            transport_cost=self._transport_cost[i], m1=m1, m2=m2, config=self._config,
+        )
+        return es
+
+    def __contains__(self, edge) -> bool:
+        return edge in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return f"EdgeStore({len(self)} edges)"
+
+
 @dataclass(frozen=True, eq=False)
 class EdgeWeightMatrix:
-    """Symmetric s x s weight matrix with per-edge solve attachments."""
+    """Symmetric s x s weight matrix with per-edge solve attachments.
+
+    edges maps each edge to its EdgeSolve.  build_weight_matrix gives the
+    EdgeStore of its solve, which builds each record as it is read; any
+    mapping with the same records serves rank_trees as well.
+    """
 
     g: np.ndarray
     edges: Mapping[Edge, EdgeSolve]
@@ -153,9 +246,12 @@ def _workspace(entries: int) -> np.ndarray:
 
 
 def solve_edges(
-    collection: MeasureCollection, config: SolverConfig, edges: Sequence[Edge]
-) -> dict[Edge, EdgeSolve]:
-    """One EdgeSolve per (a, b) edge, keyed by edge in the order of edges.
+    collection: MeasureCollection, config: SolverConfig, edges: Iterable[Edge]
+) -> EdgeStore:
+    """The EdgeSolve of each distinct (a, b) edge, as an EdgeStore in the
+    order of edges: each record edge_weight returns is copied into its
+    columns and dropped, so the call keeps O(n) numbers an edge and no
+    record.
 
     Edge solves are independent.  With config.threads > 1, the edges whose
     block n_a * n_b has at least _POOL_MIN_ENTRIES entries run on a pool of
@@ -163,7 +259,7 @@ def solve_edges(
     calling thread.  A small block's numpy calls are too short to release
     the GIL for long, so two threads would only hand it back and forth.
     Each edge is solved alone either way, so g is bit-identical at any
-    thread count.
+    thread count.  The store is filled from the calling thread only.
 
     Each worker, the calling thread and each pool thread, solves its edges
     in a workspace of its own (edge_weight), made at its first edge for the
@@ -188,35 +284,42 @@ def solve_edges(
         except ValidationError as exc:
             raise ValidationError(f"edge ({a}, {b}): {exc}") from exc
 
-    entries = {(a, b): collection[a - 1].n * collection[b - 1].n for a, b in edges}
-    large = [edge for edge in edges if entries[edge] >= _POOL_MIN_ENTRIES]
-    solved = {}
-    if config.threads > 1 and len(large) > 1:
+    store = EdgeStore(collection, config, edges)
+    sizes = collection.sizes
+
+    def entries(edge: Edge) -> int:
+        return sizes[edge[0] - 1] * sizes[edge[1] - 1]
+
+    gate = _POOL_MIN_ENTRIES  # the pool takes the edges at or above it, if two or more
+    if config.threads < 2 or sum(entries(edge) >= gate for edge in store) < 2:
+        gate = math.inf
+    else:
+        large = [(i, edge) for i, edge in enumerate(store) if entries(edge) >= gate]
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            largest = itertools.repeat(max(entries[edge] for edge in large))
-            solved = dict(zip(large, pool.map(solve, large, largest)))
-    serial = [edge for edge in edges if edge not in solved]
-    largest = max((entries[edge] for edge in serial), default=0)
-    solved.update((edge, solve(edge, largest)) for edge in serial)
+            largest = itertools.repeat(max(entries(edge) for _, edge in large))
+            for (i, _), es in zip(large, pool.map(solve, [edge for _, edge in large], largest)):
+                store._put(i, es)
+    largest = max((entries(edge) for edge in store if entries(edge) < gate), default=0)
+    for i, edge in enumerate(store):
+        if entries(edge) < gate:
+            store._put(i, solve(edge, largest))
     failed = [f"edge ({a}, {b}): Sinkhorn stopped at max_iter={config.max_iter} with "
-              f"residual {solved[a, b].residual:.3e} > tol={config.tol:.1e}"
-              for a, b in edges if not solved[a, b].converged]
+              f"residual {store._residual[i]:.3e} > tol={config.tol:.1e}"
+              for i, (a, b) in enumerate(store) if not store._converged[i]]
     if failed:
         config.handle_nonconverged("; ".join(failed))
-    return {edge: solved[edge] for edge in edges}
+    return store._freeze()
 
 
 def build_weight_matrix(measures, config: SolverConfig) -> EdgeWeightMatrix:
-    """Fill all s(s-1)/2 edge weights."""
+    """Fill all s(s-1)/2 edge weights; edges is the solve's EdgeStore."""
     collection = MeasureCollection(measures)
     s = collection.s
-    pairs = [(a, b) for a in range(1, s + 1) for b in range(a + 1, s + 1)]
-    results = solve_edges(collection, config, pairs)
+    store = solve_edges(collection, config, itertools.combinations(range(1, s + 1), 2))
     g = np.zeros((s, s))
-    for (a, b), es in results.items():
-        g[a - 1, b - 1] = es.g
-        g[b - 1, a - 1] = es.g
-    return EdgeWeightMatrix(g=g, edges=results)
+    for (a, b), weight in zip(store, store._g):
+        g[a - 1, b - 1] = g[b - 1, a - 1] = weight
+    return EdgeWeightMatrix(g=g, edges=store)
 
 
 # ---------------------------------------------------------------------------

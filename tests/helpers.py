@@ -1,5 +1,6 @@
 """Graph constructors, reductions, constants, reference solvers and the edge-decomposed tree cost that only the tests call."""
 
+import decimal
 import heapq
 import itertools
 import math
@@ -131,6 +132,114 @@ def gaussian_g(mean_a: float, sd_a: float, mean_b: float, sd_b: float, eta: floa
     c = (math.sqrt(4 * ab2 + var**2) - var) / 2
     transport = (mean_a - mean_b) ** 2 + sd_a**2 + sd_b**2 - 2 * c
     return transport / eta + 0.5 * math.log(ab2 / (ab2 - c**2))
+
+
+_REFERENCE_SWEEPS = 200  # sb_reference's Sinkhorn sweeps before Newton
+_NEWTON_STEPS = 40  # and its most Newton steps
+
+
+def sb_reference(mu, nu, cost, eta, digits: int, residual=None) -> tuple[float, float]:
+    """sb = D_KL(M || K) of one bimarginal problem, computed in stdlib
+    decimal arithmetic at `digits` significant digits, and the TV residual
+    max(TV(M 1, mu), TV(M^T 1, nu)) of its final plan, as (sb, residual).
+
+    The float weights are taken exactly, points of zero weight dropped (they
+    carry no mass) and each measure scaled to sum 1; K = exp(-C/eta) is
+    formed once.  _REFERENCE_SWEEPS plain Sinkhorn sweeps u = mu / K v,
+    v = nu / K^T u bring the scalings near the optimum, with no underflow at
+    any scale.
+    Newton on the log duals f = log u, g = log v, with the gauge g_m = 0,
+    then solves the n + m - 1 marginal equations: its matrix is the dual
+    Hessian [[diag(M 1), M[:, :-1]], [M[:, :-1]^T, diag(M^T 1)[:-1]]],
+    solved by Gaussian elimination with partial pivoting.  sb is
+    <f, M 1> + <g, M^T 1>, as sinkhorn.sb_value reads it off the plan.
+
+    Raises ArithmeticError when the residual does not reach `residual`
+    (default 10^-(digits // 2)), or when a pivot vanishes to the working
+    precision: there the Hessian is singular at these digits, and more
+    digits or sweeps are needed; no value is guessed.
+    """
+    with decimal.localcontext(decimal.Context(prec=digits, Emin=-10**9, Emax=10**9)):
+        dec = decimal.Decimal
+        target = dec(10) ** -(digits // 2) if residual is None else dec(residual)
+        tiny = dec(10) ** -(digits - 5)
+        rows = [i for i, w in enumerate(mu) if w > 0]
+        cols = [j for j, w in enumerate(nu) if w > 0]
+        a = [dec(float(mu[i])) for i in rows]
+        b = [dec(float(nu[j])) for j in cols]
+        a = [x / sum(a) for x in a]
+        b = [x / sum(b) for x in b]
+        scale = dec(float(eta))
+        kernel = [[(-dec(float(cost[i][j])) / scale).exp() for j in cols] for i in rows]
+        n, m = len(a), len(b)
+        u, v = [dec(1)] * n, [dec(1)] * m
+        for _ in range(_REFERENCE_SWEEPS):
+            u = [a[i] / sum(kernel[i][j] * v[j] for j in range(m)) for i in range(n)]
+            v = [b[j] / sum(kernel[i][j] * u[i] for i in range(n)) for j in range(m)]
+        u, v = [x * v[-1] for x in u], [x / v[-1] for x in v]  # the gauge g_m = 0
+
+        def state(u, v):
+            p = [[u[i] * kernel[i][j] * v[j] for j in range(m)] for i in range(n)]
+            r = [sum(p[i]) for i in range(n)]
+            c = [sum(p[i][j] for i in range(n)) for j in range(m)]
+            tv = max(sum(abs(r[i] - a[i]) for i in range(n)),
+                     sum(abs(c[j] - b[j]) for j in range(m))) / 2
+            return u, v, p, r, c, tv
+
+        u, v, p, r, c, tv = state(u, v)
+        for _ in range(_NEWTON_STEPS):
+            if tv <= target:
+                break
+            size = n + m - 1
+            hessian = [[dec(0)] * size + [a[i] - r[i]] for i in range(n)]
+            hessian += [[dec(0)] * size + [b[j] - c[j]] for j in range(m - 1)]
+            for i in range(n):
+                hessian[i][i] = r[i]
+                for j in range(m - 1):
+                    hessian[i][n + j] = hessian[n + j][i] = p[i][j]
+            for j in range(m - 1):
+                hessian[n + j][n + j] = c[j]
+            step = _eliminate(hessian, tiny)
+            # damped: the step is halved until the residual falls, as a full
+            # step overshoots where the plan is nearly block-diagonal
+            fraction = dec(1)
+            while True:
+                tried = state([u[i] * (fraction * step[i]).exp() for i in range(n)],
+                              [v[j] * (fraction * step[n + j]).exp() for j in range(m - 1)]
+                              + [v[-1]])
+                if tried[-1] < tv:
+                    break
+                fraction /= 2
+                if fraction < tiny:
+                    raise ArithmeticError(f"no Newton step lowers the residual {tv:.3e}")
+            u, v, p, r, c, tv = tried
+        if not tv <= target:
+            raise ArithmeticError(f"residual {tv:.3e} above {target:.1e} after {_NEWTON_STEPS} "
+                                  f"Newton steps at {digits} digits")
+        sb = sum(r[i] * u[i].ln() for i in range(n)) + sum(c[j] * v[j].ln() for j in range(m))
+        return float(sb), float(tv)
+
+
+def _eliminate(augmented, tiny) -> list:
+    """The solution x of A x = y for the augmented rows [A | y], by Gaussian
+    elimination with partial pivoting, in the rows' own number type; raises
+    ArithmeticError at a pivot of magnitude below tiny times the largest
+    entry of A."""
+    rows = [list(row) for row in augmented]
+    size = len(rows)
+    floor = tiny * max(abs(x) for row in rows for x in row[:size])
+    for k in range(size):
+        pivot = max(range(k, size), key=lambda i: abs(rows[i][k]))
+        if abs(rows[pivot][k]) <= floor:
+            raise ArithmeticError(f"the Hessian is singular at this precision (pivot {k})")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, size):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[k])]
+    x = [None] * size
+    for k in reversed(range(size)):
+        x[k] = (rows[k][size] - sum(rows[k][j] * x[j] for j in range(k + 1, size))) / rows[k][k]
+    return x
 
 
 def mm_sinkhorn_log_domain(measures, graph, costs, eta, tol, max_iter=100_000):

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from bridgetree import DiscreteMeasure, SolverConfig, build_cost, edge_weight, gibbs_kernel
 from bridgetree import load_measure, optimal_msb
 from bridgetree import prufer_decode, save_measure, sinkhorn_solve
-from bridgetree import sinkhorn
+from bridgetree import cli, sinkhorn
 from bridgetree.cli import main
 from conftest import GMM_SPEC, random_measures
 from helpers import OVER_CAP, OVER_CAP_N
@@ -235,6 +236,30 @@ class TestSolve:
         for name in ("tree.json", "report.json", "oracle_report.json"):
             text = (out / name).read_text()
             assert text == json.dumps(json.loads(text), indent=1) + "\n", name
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_report_rows_are_encoded_as_json_dumps_encodes_them(self, tmp_path, rows):
+        # values that no golden report holds, each at a row of its own
+        odd = [
+            {"g": float("nan"), "sb": float("inf"), "residual": float("-inf"),
+             "transport_cost": -0.0, "iterations": 2**31 + 5, "converged": False},
+            {"g": 5e-324, "sb": 1.7976931348623157e308, "residual": -1.7976931348623157e308,
+             "transport_cost": 2.2250738585072014e-308, "iterations": 0, "converged": True},
+            {"g": 0.1, "sb": -2.5e-17, "residual": 1e16, "transport_cost": 123456789.0,
+             "iterations": 100_000, "converged": True},
+        ][:rows]
+        solves = [((k + 1, k + 2), SimpleNamespace(seconds=1e-4 * (k + 1), **values))
+                  for k, values in enumerate(odd)]
+        report = {"eta": 1.0, "s": 2, "entropies": [0.5, -0.0], "edges": None,
+                  "timings": {"weights_seconds": 0.25}}
+        path = tmp_path / "report.json"
+        cli._write_report(path, report, solves)
+        expected = dict(report, edges=[
+            {"edge": [a, b], "g": es.g, "sb": es.sb, "iterations": es.iterations,
+             "residual": es.residual, "converged": es.converged,
+             "transport_cost": es.transport_cost, "seconds": es.seconds}
+            for (a, b), es in solves])
+        assert path.read_text() == json.dumps(expected, indent=1) + "\n"
 
     def test_peak_memory_stays_near_the_library_solve(self, tmp_path):
         # solve's outputs are encoded into their files as they are made: a

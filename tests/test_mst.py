@@ -42,7 +42,7 @@ from bridgetree.mst import EdgeSolve, EdgeWeightMatrix
 from bridgetree.trees import DisjointSet, _decode_codes
 from conftest import random_measure, random_measures
 from helpers import (OVER_CAP, OVER_CAP_N, complete_graph, degrees, gaussian_g,
-                     gaussian_on_grid, prufer_codes)
+                     gaussian_on_grid, prufer_codes, sb_reference)
 
 
 def exhaustive_mst(weights):
@@ -175,6 +175,19 @@ class TestEdgeWeight:
         assert len(caught) == 1
         assert not ewm.edges[1, 2].converged
 
+    def test_nonconvergence_warning_names_the_callers_file(self):
+        # the warning points at the first frame outside the package, however
+        # deep in it the stall is judged
+        ms = [DiscreteMeasure([[-8.0], [9.0]], [0.4, 0.6]),
+              DiscreteMeasure([[-7.5], [8.5]], [0.7, 0.3])]
+        cfg = SolverConfig(eta=1.0, max_iter=2, on_nonconverged="warn")
+        for solve in (optimal_msb, build_weight_matrix,
+                      lambda ms, cfg: rank_trees(ms, cfg, direct="never")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve(ms, cfg)
+            assert [(w.category, w.filename) for w in caught] == [(UserWarning, __file__)]
+
     def test_stalled_edge_is_returned_under_the_default_error_mode(self):
         # edge_weight leaves on_nonconverged to solve_edges: it returns the
         # stalled solve as it stands, for its caller to judge
@@ -186,6 +199,49 @@ class TestEdgeWeight:
         assert es.iterations == 2
         assert es.residual > cfg.tol
         assert math.isfinite(es.g)
+
+
+class TestSbAgainstADecimalReference:
+    """edge_weight's sb against sb_reference, a 50-digit solve of the same edge."""
+
+    def test_sb_is_within_the_residual_times_the_dual_spread(self):
+        # 45 edges in criterion 1's shape on [-3, 3]^2, eta 0.5, 1 and 5 in
+        # turn.  To first order sb moves by <f, dr> + <g, dc> when the
+        # marginals move by (dr, dc), and a TV residual R bounds
+        # |<f, dr>| by R (max f - min f) for dr summing to 0; the errors read
+        # 2.0e-11 to 2.8e-8, at most 0.57 of that bound.  1e-12 covers the
+        # rounding of sb itself.
+        rng = np.random.default_rng(777)
+        start = time.perf_counter()
+        over, skipped = {}, {}
+        for k in range(45):
+            eta = (0.5, 1.0, 5.0)[k % 3]
+            n1, n2 = (int(n) for n in rng.integers(2, 7, size=2))
+            m1, m2 = random_measures(rng, [n1, n2], low=-3.0, high=3.0)
+            es = edge_weight(m1, m2, SolverConfig(eta=eta))
+            try:
+                sb, residual = sb_reference(m1.weights, m2.weights, build_cost(m1, m2).matrix,
+                                            eta, digits=50)
+            except ArithmeticError as exc:
+                skipped[k, n1, n2, eta] = str(exc)
+                continue
+            assert residual <= 1e-25
+            bound = es.residual * (np.ptp(es.log_u1) + np.ptp(es.log_u2)) + 1e-12
+            if not (es.converged and abs(es.sb - sb) <= bound):
+                over[k, n1, n2, eta] = (es.sb, sb, bound)
+        assert skipped == {}  # an edge the reference cannot reach is named, never guessed
+        assert over == {}
+        assert time.perf_counter() - start < 5.0
+
+    def test_reference_values_and_refusals(self):
+        # a Dirac pair has one coupling, and sb = C / eta; a 30-digit solve
+        # cannot reach a residual of 1e-40 and says so
+        sb, residual = sb_reference([1.0], [1.0], [[6.25]], 2.0, digits=40)
+        assert sb == 3.125 and residual <= 1e-35
+        ms = random_measures(np.random.default_rng(5), [3, 4], low=-3.0, high=3.0)
+        cost = build_cost(ms[0], ms[1]).matrix
+        with pytest.raises(ArithmeticError, match="residual"):
+            sb_reference(ms[0].weights, ms[1].weights, cost, 1.0, digits=30, residual=1e-40)
 
 
 BAD_TOL_OR_MAX_ITER = [
@@ -486,6 +542,84 @@ class TestLeanEdgeRecords:
         assert peak[200] < 2 * one_edge  # records holding plans peak at about 7x
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"{elapsed:.1f}s over the 10 s budget"
+
+
+class TestEdgeStore:
+    """solve_edges keeps its records as columns and builds each on access."""
+
+    def test_a_solve_keeps_its_duals_and_a_quarter_kilobyte_an_edge(self):
+        # s=48, 4-12 points in 2-d, eta 50: kept EdgeSolves held about 0.72 kB
+        # an edge (0.60 kB beyond the duals); the store holds about 0.26 kB
+        # (0.14 beyond the duals)
+        rng = np.random.default_rng(48)
+        ms = [DiscreteMeasure(rng.uniform(-10, 10, (n, 2)), rng.uniform(0.5, 1.5, n))
+              for n in rng.integers(4, 13, size=48)]
+        config = SolverConfig(eta=50.0)
+        build_weight_matrix(ms, config)
+        tracemalloc.start()
+        try:
+            ewm = build_weight_matrix(ms, config)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        budget = sum(8 * (ms[a - 1].n + ms[b - 1].n) + 256 for a, b in ewm.edges)
+        assert len(ewm.edges) == 48 * 47 // 2
+        assert kept <= budget, (kept, budget)
+
+    def test_duals_are_read_only_views(self, rng):
+        ewm = build_weight_matrix(random_measures(rng, [3, 4, 2]), SolverConfig(eta=1.0))
+        es = ewm.edges[1, 2]
+        for duals in (es.log_u1, es.log_u2):
+            with pytest.raises(ValueError, match="read-only"):
+                duals[0] = 0.0
+        assert es.log_u1.shape == (3,) and es.log_u2.shape == (4,)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_keys_and_values_keep_the_order_of_edges(self, rng, monkeypatch, threads):
+        # with a gate of 0 every edge runs on the pool at threads=3, and its
+        # results come back in any order of completion
+        ms = random_measures(rng, [5, 2, 7, 3, 6])
+        monkeypatch.setattr(mst, "_POOL_MIN_ENTRIES", 0)
+        ewm = build_weight_matrix(ms, SolverConfig(eta=1.0, threads=threads))
+        pairs = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+        assert list(ewm.edges) == list(ewm.edges.keys()) == pairs
+        assert [edge for edge, _ in ewm.edges.items()] == pairs
+        assert [es.g for es in ewm.edges.values()] == [ewm.g[a - 1, b - 1] for a, b in pairs]
+        for (a, b), es in ewm.edges.items():
+            assert (es.m1, es.m2) == (ms[a - 1], ms[b - 1])
+            assert es.log_u1.shape == (ms[a - 1].n,) and es.log_u2.shape == (ms[b - 1].n,)
+        tree = prufer_decode([3, 3, 5], 5)
+        solved = mst.solve_edges(MeasureCollection(ms), SolverConfig(eta=1.0, threads=threads),
+                                 tree.edges[::-1] + tree.edges[:1])
+        assert list(solved) == list(tree.edges[::-1])  # a repeated edge is solved once
+
+    def test_records_hold_python_scalars_and_match_edge_weight(self, rng):
+        ms = random_measures(rng, [4, 3, 5])
+        config = SolverConfig(eta=1.0)
+        ewm = build_weight_matrix(ms, config)
+        types = {"g": float, "sb": float, "seconds": float, "iterations": int,
+                 "residual": float, "converged": bool, "absorptions": int,
+                 "transport_cost": float}
+        for (a, b), es in ewm.edges.items():
+            alone = edge_weight(ms[a - 1], ms[b - 1], config)
+            for name, kind in types.items():
+                assert type(getattr(es, name)) is kind, name
+                if name != "seconds":
+                    assert getattr(es, name) == getattr(alone, name), name
+            assert np.array_equal(es.log_u1, alone.log_u1)
+            assert np.array_equal(es.log_u2, alone.log_u2)
+            assert es.config is config
+
+    def test_in_and_len_build_no_record(self, rng, monkeypatch):
+        ewm = build_weight_matrix(random_measures(rng, [3, 2, 4]), SolverConfig(eta=1.0))
+        built = []
+        getitem = mst.EdgeStore.__getitem__
+        monkeypatch.setattr(mst.EdgeStore, "__getitem__",
+                            lambda store, edge: built.append(edge) or getitem(store, edge))
+        assert len(ewm.edges) == 3 and (1, 3) in ewm.edges and (3, 1) not in ewm.edges
+        assert built == []
+        with pytest.raises(KeyError):
+            ewm.edges[3, 1]
 
 
 class TestEdgeWorkspace:
