@@ -31,13 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TENSOR_CAP, SolverConfig, as_float_array, check_shape, check_tensor_cap
-from .config import check_vertex_count
+from .config import check_edges, check_vertex_count
 from .errors import ValidationError
 from .measures import DiscreteMeasure, MeasureCollection, entropy
 from .sinkhorn import (
     BimarginalCoupling,
     PairwiseCost,
-    _aligned_empty,
+    _workspace,
     build_cost,
     gibbs_kernel,
     rebuild_coupling,
@@ -137,6 +137,7 @@ class EdgeStore(Mapping):
         self._index: dict[Edge, int] = {}
         for edge in edges:
             self._index.setdefault(edge, len(self._index))
+        check_edges(collection.s, self._index)
         self._measures = collection
         self._config = config
         sizes = collection.sizes
@@ -216,17 +217,17 @@ def edge_weight(
     Reads eta, cost, tol and max_iter only: a solve that stops above tol is
     returned with converged=False, and a direct caller checks es.converged.
 
-    The cost is built in workspace[0] and log K written over it (transport_cost
-    is eta times the solve's kernel_cost, so the cost is not read again), and K~
-    lives in workspace[1]: two n1 x n2 arrays, in a _workspace made here if none
-    is given.  No result views it; EdgeSolve.rebuild builds its own arrays.
+    The cost, log K and K~ lie in workspace, a sinkhorn._workspace, made here
+    if none is given.  transport_cost is eta times the solve's kernel_cost, so
+    the cost is not read again, and no result views the workspace:
+    EdgeSolve.rebuild builds its own arrays.
     """
     start = time.perf_counter()
     work = _workspace(m1.n * m2.n) if workspace is None else workspace
     cost = build_cost(m1, m2, config.cost, workspace=work)
-    log_kernel = gibbs_kernel(cost, config.eta, workspace=work[0])
+    log_kernel = gibbs_kernel(cost, config.eta, workspace=work)
     coupling = sinkhorn_solve(m1, m2, log_kernel, tol=config.tol, max_iter=config.max_iter,
-                              workspace=work[1])
+                              workspace=work)
     sb = sb_value(coupling)
     g = sb + entropy(m1) + entropy(m2)
     transport_cost = config.eta * coupling.kernel_cost  # with a pruned point, off the plan
@@ -239,70 +240,60 @@ def edge_weight(
     )
 
 
-def _workspace(entries: int) -> np.ndarray:
-    """Two flat buffers of at least entries floats, the rows of one array, each
-    starting on a 64-byte boundary."""
-    return _aligned_empty(2, entries + -entries % 8)
-
-
 def solve_edges(
     collection: MeasureCollection, config: SolverConfig, edges: Iterable[Edge]
 ) -> EdgeStore:
     """The EdgeSolve of each distinct (a, b) edge, as an EdgeStore in the
     order of edges: each record edge_weight returns is copied into its
     columns and dropped, so the call keeps O(n) numbers an edge and no
-    record.
+    record.  An edge that check_edges refuses is refused before any solve.
 
     Edge solves are independent.  With config.threads > 1, the edges whose
-    block n_a * n_b has at least _POOL_MIN_ENTRIES entries run on a pool of
-    up to config.threads threads; every smaller edge runs serially in the
-    calling thread.  A small block's numpy calls are too short to release
-    the GIL for long, so two threads would only hand it back and forth.
-    Each edge is solved alone either way, so g is bit-identical at any
-    thread count.  The store is filled from the calling thread only.
+    block n_a * n_b has at least _POOL_MIN_ENTRIES entries, if two or more,
+    run on a pool of up to config.threads threads; every other edge runs
+    serially in the calling thread.  A small block's numpy calls are too
+    short to release the GIL for long, so two threads would only hand it
+    back and forth.  Each edge is solved alone either way, so g is
+    bit-identical at any thread count.  The store is filled from the
+    calling thread only.
 
-    Each worker, the calling thread and each pool thread, solves its edges
-    in a workspace of its own (edge_weight), made at its first edge for the
-    largest block of the pool's or the caller's edges and freed on return.
-    On five 200-point measures the call peaks at 2.18 n x n blocks, not
-    3.18, and a loop of such calls takes 0.1 minor page faults each, not
-    about 2030 (scripts/fault_loop.py).
-
-    An invalid edge raises a ValidationError that names it.  Edges that stop
-    above tol do not stop the others: one message names each, in the order
-    of edges, with its residual, and handle_nonconverged judges it once, in
-    the calling thread (a SolverError under "error", one warning under "warn").
+    Each thread keeps one sinkhorn._workspace, made for its first edge and
+    made again, the old one freed first, only for an edge it cannot hold:
+    it ends sized to the largest block that thread solved, and is freed on
+    return.  On five 200-point measures the call peaks at 2.18 n x n blocks,
+    and a loop of such calls takes 0.1 minor page faults each
+    (scripts/fault_loop.py).  Edges that stop above tol do not stop the
+    others: one message names each, in the order of edges, with its
+    residual, and handle_nonconverged judges it once, in the calling thread
+    (a SolverError under "error", one warning under "warn").
     """
     local = threading.local()  # this call's workspace in each thread
 
-    def solve(edge: Edge, entries: int) -> EdgeSolve:
+    def solve(edge: Edge) -> EdgeSolve:
         a, b = edge
-        if not hasattr(local, "work"):
-            local.work = _workspace(entries)
+        m1, m2 = collection[a - 1], collection[b - 1]
+        work = getattr(local, "work", None)
+        if work is None or work[0].size < m1.n * m2.n:  # a row holds too few entries
+            work = local.work = None  # the old pair is freed before the new one is made
+            work = local.work = _workspace(m1.n * m2.n)
         try:
-            return edge_weight(collection[a - 1], collection[b - 1], config, workspace=local.work)
+            return edge_weight(m1, m2, config, workspace=work)
         except ValidationError as exc:
             raise ValidationError(f"edge ({a}, {b}): {exc}") from exc
 
     store = EdgeStore(collection, config, edges)
     sizes = collection.sizes
-
-    def entries(edge: Edge) -> int:
-        return sizes[edge[0] - 1] * sizes[edge[1] - 1]
-
-    gate = _POOL_MIN_ENTRIES  # the pool takes the edges at or above it, if two or more
-    if config.threads < 2 or sum(entries(edge) >= gate for edge in store) < 2:
-        gate = math.inf
-    else:
-        large = [(i, edge) for i, edge in enumerate(store) if entries(edge) >= gate]
+    pooled = {i: (a, b) for i, (a, b) in enumerate(store)
+              if sizes[a - 1] * sizes[b - 1] >= _POOL_MIN_ENTRIES}
+    if config.threads > 1 and len(pooled) > 1:  # the pool takes them if two or more
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            largest = itertools.repeat(max(entries(edge) for _, edge in large))
-            for (i, _), es in zip(large, pool.map(solve, [edge for _, edge in large], largest)):
+            for i, es in zip(pooled, pool.map(solve, pooled.values())):
                 store._put(i, es)
-    largest = max((entries(edge) for edge in store if entries(edge) < gate), default=0)
+    else:
+        pooled = {}
     for i, edge in enumerate(store):
-        if entries(edge) < gate:
-            store._put(i, solve(edge, largest))
+        if i not in pooled:
+            store._put(i, solve(edge))
     failed = [f"edge ({a}, {b}): Sinkhorn stopped at max_iter={config.max_iter} with "
               f"residual {store._residual[i]:.3e} > tol={config.tol:.1e}"
               for i, (a, b) in enumerate(store) if not store._converged[i]]

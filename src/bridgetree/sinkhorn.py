@@ -32,14 +32,11 @@ recursion, without the underflow that raw exp(-C/eta) suffers for small eta.
 The caller builds gibbs_kernel's log K = -C/eta once per edge.
 
 A solve holds one n1 x n2 array beyond log K, K~, and forms no plan.  K~ is
-a new array, or the head of the caller's workspace: mst.solve_edges gives
-each worker thread two flat buffers, one for the cost and then log K over it,
-one for K~, so its edges allocate no n1 x n2 array (build_cost, gibbs_kernel
-and sinkhorn_solve take them as workspace=).  The solve returns the log
-duals f, g with O(n) data of the final iterate: the plan's marginals
-M 1 = a * (K~ b) and M^T 1 = b * (K~^T a), and <M, -log K>, summed over K~
-once it is spent.  The plan M = exp(f ⊕ g + log K) is formed when it
-is first read.  The optimal value reported for an edge, which may be
+a new array, or lies in the edge workspace that _workspace lays out.  The
+solve returns the log duals f, g with O(n) data of the final iterate: the
+plan's marginals M 1 = a * (K~ b) and M^T 1 = b * (K~^T a), and <M, -log K>,
+summed over K~ once it is spent.  The plan M = exp(f ⊕ g + log K) is formed
+when it is first read.  The optimal value reported for an edge, which may be
 negative since K is unnormalized, is read off the duals and the marginals:
 
     sb_value = D_KL(M || K) = sum_ij M_ij log(M_ij / K_ij) = <f, M 1> + <g, M^T 1>.
@@ -98,9 +95,7 @@ def build_cost(
 
     A kind from COST_KINDS, "sqeuclidean" or "euclidean", computes c(x, y)
     from the support points; an (n1, n2) array is the cost matrix itself.
-    A computed matrix is the caller's own, or built in the head of
-    workspace[0] with workspace[1] as scratch: two flat float buffers of at
-    least n1 * n2 entries, such as the rows of a (2, N) array.
+    A computed matrix is the caller's own, or lies in workspace, a _workspace.
     """
     if not isinstance(cost, str):
         check_shape(cost, (m1.n, m2.n), "cost matrix")
@@ -112,10 +107,8 @@ def build_cost(
     # n1 x n2 arrays.  At d <= 2 these are the bits of an einsum over the
     # (n1, n2, d) difference; from d = 3 on einsum pairs terms by SIMD lane.
     x, y = m1.support.T, m2.support.T  # one row per coordinate
-    matrix, scratch = (
-        (np.empty((m1.n, m2.n)), None) if workspace is None
-        else (_aligned_empty(m1.n, m2.n, buffer) for buffer in workspace)
-    )
+    matrix, scratch = ((np.empty((m1.n, m2.n)), None) if workspace is None
+                       else (_aligned_empty(m1.n, m2.n, row) for row in workspace))
     with np.errstate(over="ignore"):  # an overflow is an inf entry, refused below
         if m1.dim:
             _difference(x[0], y[0], matrix, scratch)
@@ -150,11 +143,11 @@ def gibbs_kernel(cost: PairwiseCost, eta: float, *, workspace=None) -> np.ndarra
     The log form is exact for any scale, where exp(-C/eta) underflows to 0
     for C/eta beyond ~745, so all KL arithmetic in this package uses it.
     An eta so small that C/eta overflows is refused.  log K is the caller's
-    own, or the head of workspace, a flat float buffer that may hold C itself.
+    own, or lies in workspace, a _workspace, where it may overwrite C.
     """
     check_solver_params(eta)
     check_cost_scale(float(cost.matrix.max(initial=0.0)), eta)
-    out = None if workspace is None else _aligned_empty(*cost.matrix.shape, workspace)
+    out = None if workspace is None else _aligned_empty(*cost.matrix.shape, workspace[0])
     log_k = np.divide(cost.matrix, -eta, out=out)  # one pass, the bits of -C/eta
     log_k.flags.writeable = False
     return log_k
@@ -200,9 +193,9 @@ class BimarginalCoupling:
         return -float(np.vdot(self.plan, self.log_kernel))
 
 
-def _aligned_empty(n1: int, n2: int, buffer: np.ndarray | None = None) -> np.ndarray:
+def _aligned_empty(n1: int, n2: int, row: np.ndarray | None = None) -> np.ndarray:
     """An uninitialized n1 x n2 array whose data start on a 64-byte boundary:
-    the head of buffer, a flat float array the caller aligned, or a new one.
+    the head of row, a flat float64 row of a _workspace, or a new one.
 
     numpy aligns to 16 bytes, and a gemv over a 200 x 200 kernel took 2.9
     against 4.1 us (K b) and 2.4 against 4.2 us (K^T a) aligned and not
@@ -210,10 +203,25 @@ def _aligned_empty(n1: int, n2: int, buffer: np.ndarray | None = None) -> np.nda
     allocator put K~.
     """
     size = n1 * n2
-    if buffer is None:
+    if row is None:
         raw = np.empty(size + 7)
-        buffer = raw[-raw.__array_interface__["data"][0] % 64 // 8:]
-    return buffer[:size].reshape(n1, n2)
+        row = raw[-raw.__array_interface__["data"][0] % 64 // 8:]
+    elif not (isinstance(row, np.ndarray) and row.ndim == 1 and row.dtype == np.float64
+              and row.size >= size):
+        raise ValidationError(f"an {n1} x {n2} block needs a flat float64 workspace row of "
+                              f"{size} or more entries, got {np.asarray(row).dtype} "
+                              f"of shape {np.shape(row)}")
+    return row[:size].reshape(n1, n2)
+
+
+def _workspace(entries: int) -> np.ndarray:
+    """The edge workspace, and the one description of its layout: a (2, N)
+    float array, N = entries rounded up to 8, each row on 64 bytes.  Row 0
+    holds the cost and then log K over it, row 1 build_cost's scratch and
+    then K~.  build_cost, gibbs_kernel, SweepState and sinkhorn_solve take
+    the pair whole as workspace= and carve their arrays from the head of
+    their own row, so an edge solved in it allocates no n1 x n2 array."""
+    return _aligned_empty(2, entries + -entries % 8)
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -287,12 +295,12 @@ class SweepState:
     and absorptions can be read between calls to advance.  log K is read as
     given, and refused unless finite; with a zero-weight point, its kept block
     is gathered into K~'s buffer for K~'s first build, and inside a checked
-    half sweep that needs it, and freed after.  K~ lives in the head of
-    workspace, a flat float buffer, if one is given.
+    half sweep that needs it, and freed after.  K~ lies in workspace, a
+    _workspace, if one is given.
     """
 
     def __init__(self, m1: DiscreteMeasure, m2: DiscreteMeasure, log_kernel: np.ndarray,
-                 workspace: np.ndarray | None = None):
+                 *, workspace: np.ndarray | None = None):
         self.keep1 = m1.weights > 0
         self.keep2 = m2.weights > 0
         # a gather copies, so weights and kernel are read as given when nothing is pruned
@@ -307,7 +315,8 @@ class SweepState:
         if not (math.isfinite(low) and math.isfinite(high)):
             raise ValidationError("log kernel has non-finite entries")
         # K~ = K, its entries below exp(_LOG_FLOOR) exact zeros, and kb = K~ b
-        self.kernel = _aligned_empty(self.mu.size, self.nu.size, workspace)
+        self.kernel = _aligned_empty(
+            self.mu.size, self.nu.size, None if workspace is None else workspace[1])
         if self.pruned or low < _LOG_FLOOR:
             _exp(self.kept_log_kernel(out=self.kernel))
         else:  # nothing to floor: one exp, straight into the buffer
@@ -504,13 +513,13 @@ def sinkhorn_solve(
     the caller decides.  log_kernel is log K = -C/eta as gibbs_kernel
     returns it, and must be finite.  The coupling's marginals and, when no
     point is pruned, its kernel_cost are those of the final iterate; its plan
-    is formed only when read.  workspace, a flat float buffer of n1 * n2
-    entries or more, starting on 64 bytes, holds K~ and is spent after.
+    is formed only when read.  K~ lies in workspace, a _workspace, if one is
+    given, and is spent after.
     """
     check_shape(log_kernel, (m1.n, m2.n), "log kernel")
     check_solver_params(tol=tol, max_iter=max_iter)
 
-    state = SweepState(m1, m2, log_kernel, workspace)
+    state = SweepState(m1, m2, log_kernel, workspace=workspace)
     state.advance(max_iter, tol)
     log_u1, log_u2 = state.log_duals()
     marginals, kernel_cost = state.finish()

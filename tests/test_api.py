@@ -173,9 +173,13 @@ class TestExports:
             SolverConfig(eta=1.0, cost_matrix=np.zeros((2, 2)))
         assert COST_KINDS == ("sqeuclidean", "euclidean")
         assert list(inspect.signature(build_cost).parameters) == ["m1", "m2", "cost", "workspace"]
-        for fn in (build_cost, sinkhorn_solve):  # the one addition, and keyword-only
+        # the one addition, keyword-only, and the same pair (sinkhorn._workspace) in each
+        for fn in (build_cost, bridgetree.gibbs_kernel, sinkhorn_solve, bridgetree.edge_weight,
+                   bridgetree.sinkhorn.SweepState):
             kind = inspect.signature(fn).parameters["workspace"].kind
-            assert kind is inspect.Parameter.KEYWORD_ONLY
+            assert kind is inspect.Parameter.KEYWORD_ONLY, fn
+        assert not hasattr(mst, "_aligned_empty")
+        assert mst._workspace.__module__ == "bridgetree.sinkhorn"
         assert "enumeration_cap" not in inspect.signature(rank_trees).parameters
         assert list(inspect.signature(enumerate_trees).parameters) == ["s"]
         for module, name in ((bridgetree.mst, "_peel"), (bridgetree.trees, "_decode"),

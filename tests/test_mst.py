@@ -610,6 +610,21 @@ class TestEdgeStore:
             assert np.array_equal(es.log_u2, alone.log_u2)
             assert es.config is config
 
+    @pytest.mark.parametrize("edge, message", [
+        ((0, 2), r"edge \(0, 2\) out of range for s=3"),
+        ((2, 2), r"self-loop \(2, 2\)"),
+        ((True, 2), "edge vertex must be an integer, got True"),
+        ((1, 4), r"edge \(1, 4\) out of range for s=3"),
+        ((1.0, 2), "edge vertex must be an integer, got 1.0"),
+    ], ids=["zero", "self-loop", "bool", "above-s", "float"])
+    def test_invalid_edges_are_refused_before_any_solve(self, rng, monkeypatch, edge, message):
+        solved = []
+        monkeypatch.setattr(mst, "edge_weight", lambda *args, **kwargs: solved.append(args))
+        collection = MeasureCollection(random_measures(rng, [3, 2, 4]))
+        with pytest.raises(ValidationError, match=message):
+            mst.solve_edges(collection, SolverConfig(eta=1.0), [(1, 3), edge])
+        assert solved == []
+
     def test_in_and_len_build_no_record(self, rng, monkeypatch):
         ewm = build_weight_matrix(random_measures(rng, [3, 2, 4]), SolverConfig(eta=1.0))
         built = []
@@ -665,6 +680,67 @@ class TestEdgeWorkspace:
             sys.setswitchinterval(interval)
         assert time.perf_counter() - start < 30.0
 
+    @pytest.mark.parametrize("threads, pool_min", [(1, 0), (2, 0), (3, 0), (3, 30)])
+    def test_each_threads_workspace_fits_the_blocks_it_solved(self, rng, monkeypatch,
+                                                              threads, pool_min):
+        # every request of a thread is for an edge its pair could not hold, so
+        # requests grow, and its last pair is the one its largest block needs
+        # (rows padded to 8 entries).  A gate of 30 splits the edges between
+        # the pool and the calling thread.
+        ms = random_measures(rng, [12, 3, 9, 2, 7, 1, 10, 5])
+        serial = build_weight_matrix(ms, SolverConfig(eta=1.0))
+        requests, blocks = {}, {}
+        workspace, solve = mst._workspace, mst.edge_weight
+
+        def recorded_workspace(entries):
+            work = workspace(entries)
+            requests.setdefault(threading.get_ident(), []).append((entries, work.shape[1]))
+            return work
+
+        def recorded_solve(m1, m2, config, *, workspace):
+            blocks.setdefault(threading.get_ident(), []).append(m1.n * m2.n)
+            assert workspace[0].size >= m1.n * m2.n
+            return solve(m1, m2, config, workspace=workspace)
+
+        monkeypatch.setattr(mst, "_workspace", recorded_workspace)
+        monkeypatch.setattr(mst, "edge_weight", recorded_solve)
+        monkeypatch.setattr(mst, "_POOL_MIN_ENTRIES", pool_min)
+        threaded = build_weight_matrix(ms, SolverConfig(eta=1.0, threads=threads))
+        assert np.array_equal(threaded.g, serial.g)
+        assert requests.keys() == blocks.keys()
+        assert (threading.get_ident() in blocks) == (threads == 1 or pool_min > 0)
+        for thread, solved in blocks.items():
+            held, expected = 0, []
+            for entries in solved:
+                if entries > held:
+                    expected.append(entries)
+                    held = entries + -entries % 8
+            got = [entries for entries, _ in requests[thread]]
+            assert got == expected and got == sorted(set(got))
+            assert got[-1] <= max(solved) <= requests[thread][-1][1]
+            assert requests[thread][-1][1] == workspace(max(solved)).shape[1]
+
+    @pytest.mark.parametrize("sizes, threads, bound", [
+        ((100, 200, 300, 400), 1, 2.1e6),
+        ((400, 400, 100, 300, 300), 2, 4.8e6),
+    ], ids=["growing-serial", "pool-of-two"])
+    def test_a_regrow_frees_the_old_pair_first(self, sizes, threads, bound):
+        # serial, each edge is larger than the last: one 120 000-entry pair,
+        # 1.92 MB, with the old pair kept alongside 3.2 MB.  On two pool
+        # threads the pairs fit 160 000 and 120 000 entries, 4.48 MB (4.63
+        # measured); both sized to the largest pooled block read 5.27 MB.
+        rng = np.random.default_rng(13)
+        ms = [DiscreteMeasure(rng.uniform(-10, 10, (n, 1)), np.ones(n)) for n in sizes]
+        config = SolverConfig(eta=20.0, threads=threads)
+        build_weight_matrix(ms, config)
+        tracemalloc.start()
+        try:
+            build_weight_matrix(ms, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     def test_edge_in_a_workspace_allocates_no_block(self):
         # the cost, log K and K~ all live in the workspace: what the edge
         # allocates is its O(n) vectors and records, under a tenth of one
@@ -674,7 +750,7 @@ class TestEdgeWorkspace:
         n = 200
         m1, m2 = (DiscreteMeasure(rng.uniform(-10, 10, (n, 1)), np.ones(n)) for _ in range(2))
         config = SolverConfig(eta=20.0)
-        work = mst._workspace(n * n)
+        work = sinkhorn._workspace(n * n)
         edge_weight(m1, m2, config, workspace=work)
         peaks = []
         for kwargs in ({"workspace": work}, {}):

@@ -10,8 +10,10 @@ from scipy.special import logsumexp
 from bridgetree import (
     DiscreteMeasure,
     PairwiseCost,
+    SolverConfig,
     ValidationError,
     build_cost,
+    edge_weight,
     entropy,
     gibbs_kernel,
     sample_gmm,
@@ -20,9 +22,8 @@ from bridgetree import (
     total_variation,
 )
 from bridgetree.config import COST_KINDS, DEFAULT_MAX_ITER, DEFAULT_TOL, check_cost_matrix
-from bridgetree.mst import _workspace
 from bridgetree.sinkhorn import _OMEGA_MAX, _PROBE, SweepState, _ascends, _plan_from_duals, _row_lse
-from bridgetree.sinkhorn import rebuild_coupling
+from bridgetree.sinkhorn import _workspace, rebuild_coupling
 from conftest import GMM_MIXTURES, random_measure
 from helpers import kl_divergence, relaxed_sweep_reference, sweep_reference
 
@@ -677,9 +678,10 @@ def both_sides_pruned():
 
 
 def solve_in(m1, m2, eta, work):
-    """sinkhorn_solve with the cost, log K and K~ in work, as edge_weight runs it."""
-    log_k = gibbs_kernel(build_cost(m1, m2, workspace=work), eta, workspace=work[0])
-    return sinkhorn_solve(m1, m2, log_k, workspace=work[1])
+    """sinkhorn_solve with the cost, log K and K~ in the one pair work, as
+    edge_weight runs it."""
+    log_k = gibbs_kernel(build_cost(m1, m2, workspace=work), eta, workspace=work)
+    return sinkhorn_solve(m1, m2, log_k, workspace=work)
 
 
 def assert_same_solve(solved, owned):
@@ -693,8 +695,9 @@ def assert_same_solve(solved, owned):
 
 
 class TestWorkspace:
-    """A solve in a reused two-buffer workspace (mst._workspace) gives the bits
-    of one over arrays it owns, whatever the buffers held before."""
+    """A solve in a reused two-buffer workspace (sinkhorn._workspace), handed
+    whole to every call, gives the bits of one over arrays it owns, whatever
+    the buffers held before."""
 
     @staticmethod
     def stale_workspace(entries):
@@ -738,7 +741,7 @@ class TestWorkspace:
         cost = build_cost(m1, m2, kind, workspace=work)
         assert np.array_equal(cost.matrix, build_cost(m1, m2, kind).matrix)
         assert np.shares_memory(cost.matrix, work[0]) and not cost.matrix.flags.writeable
-        log_k = gibbs_kernel(cost, 0.3, workspace=work[0])
+        log_k = gibbs_kernel(cost, 0.3, workspace=work)
         assert np.array_equal(log_k, gibbs_kernel(build_cost(m1, m2, kind), 0.3))
         assert np.shares_memory(log_k, work[0]) and not log_k.flags.writeable
 
@@ -756,6 +759,26 @@ class TestWorkspace:
             work = _workspace(entries)
             assert work.shape[1] >= entries
             assert work[0].ctypes.data % 64 == 0 and work[1].ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("call", ["build_cost", "gibbs_kernel", "sinkhorn_solve",
+                                      "edge_weight"])
+    @pytest.mark.parametrize("work, got", [
+        (np.empty((2, 62)), r"float64 of shape \(62,\)"),  # one entry short of 9 x 7
+        (np.empty(2 * 63), r"float64 of shape \(\)"),  # a flat buffer: its rows are scalars
+        (np.zeros((2, 63), dtype=np.int64), r"int64 of shape \(63,\)"),
+    ], ids=["short-row", "flat-buffer", "int64-pair"])
+    def test_a_malformed_workspace_is_refused_naming_both_sizes(self, call, work, got):
+        m1, m2, eta = plain_pair()
+        log_k = gibbs_kernel(build_cost(m1, m2), eta)
+        run = {
+            "build_cost": lambda: build_cost(m1, m2, workspace=work),
+            "gibbs_kernel": lambda: gibbs_kernel(build_cost(m1, m2), eta, workspace=work),
+            "sinkhorn_solve": lambda: sinkhorn_solve(m1, m2, log_k, workspace=work),
+            "edge_weight": lambda: edge_weight(m1, m2, SolverConfig(eta=eta), workspace=work),
+        }[call]
+        refusal = f"9 x 7 block needs .* 63 or more entries, got {got}$"
+        with pytest.raises(ValidationError, match=refusal):
+            run()
 
     def test_cost_build_takes_no_iterator_buffer(self):
         # at n=200 np.subtract.outer took 129 kB of broadcast buffers and one
