@@ -208,7 +208,7 @@ def _aligned_empty(n1: int, n2: int, row: np.ndarray | None = None) -> np.ndarra
         row = raw[-raw.__array_interface__["data"][0] % 64 // 8:]
     elif not (isinstance(row, np.ndarray) and row.ndim == 1 and row.dtype == np.float64
               and row.size >= size):
-        raise ValidationError(f"an {n1} x {n2} block needs a flat float64 workspace row of "
+        raise ValidationError(f"the {n1} x {n2} block needs a flat float64 workspace row of "
                               f"{size} or more entries, got {np.asarray(row).dtype} "
                               f"of shape {np.shape(row)}")
     return row[:size].reshape(n1, n2)
